@@ -33,10 +33,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A dense float64 array plus the bookkeeping for backward."""
 
@@ -133,8 +129,16 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def constant(value) -> Tensor:
-    return Tensor(value)
+def new_parameter(registry: dict, name: str, shape, rng, fill=None) -> Parameter:
+    """Create parameter `name` in `registry`: every entry `fill`, or drawn
+    from N(0, 1/fan_in) with `rng`, fan_in being a matrix's first axis."""
+    if fill is None:
+        fan_in = shape[0] if len(shape) > 1 else 1
+        data = rng.normal(0.0, 1.0 / np.sqrt(max(1, fan_in)), size=shape)
+    else:
+        data = np.full(shape, float(fill))
+    registry[name] = param = Parameter(name, data)
+    return param
 
 
 def _check_finite(arr: np.ndarray, op: str, parents) -> None:

@@ -10,12 +10,13 @@ parameters so a resumed run continues exactly where it stopped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import format_value, parse_value
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import ModelConfig, TrajectoryModel
 from .optim import Adam
 
@@ -89,32 +90,33 @@ def load_checkpoint(path) -> CheckpointData:
             if line != MAGIC:
                 raise DataError(f"{path}: bad magic {line!r}")
             continue
-        if line.startswith("config."):
-            key, value = line[len("config."):].split("=", 1)
-            if key not in _MODEL_FIELDS:
-                raise DataError(f"{path}: unknown config key {key!r} (line {line_no})")
-            config_values[key] = parse_value(key, value,
-                                             type(getattr(_MODEL_DEFAULTS, key)))
-        elif line.startswith("epoch="):
-            epoch = int(line.split("=", 1)[1])
-        elif line.startswith("adam.step="):
-            adam_step = int(line.split("=", 1)[1])
-        elif line.startswith("adam.lr="):
-            adam_lr = float(line.split("=", 1)[1])
-        elif line.startswith("tensor "):
-            try:
+        try:
+            if line.startswith("config."):
+                key, value = line[len("config."):].split("=", 1)
+                if key not in _MODEL_FIELDS:
+                    raise DataError(f"{path}: unknown config key {key!r} (line {line_no})")
+                config_values[key] = parse_value(key, value,
+                                                 type(getattr(_MODEL_DEFAULTS, key)))
+            elif line.startswith("epoch="):
+                epoch = int(line.split("=", 1)[1])
+            elif line.startswith("adam.step="):
+                adam_step = int(line.split("=", 1)[1])
+            elif line.startswith("adam.lr="):
+                adam_lr = float(line.split("=", 1)[1])
+            elif line.startswith("tensor "):
                 _, name, dtype, shape, offset = line.split(" ")
-            except ValueError:
-                raise DataError(f"{path}: malformed tensor line {line_no}") from None
-            if dtype != "f8":
-                raise DataError(f"{path}: unsupported dtype {dtype!r} for {name}")
-            dims = tuple(int(s) for s in shape.split("x")) if shape != "0" else ()
-            tensor_specs.append((name, dims, int(offset)))
-        elif line.startswith("payload_bytes="):
-            payload_bytes = int(line.split("=", 1)[1])
-            break
-        else:
-            raise DataError(f"{path}: unexpected manifest line {line_no}: {line!r}")
+                if dtype != "f8":
+                    raise DataError(f"{path}: unsupported dtype {dtype!r} for {name}")
+                dims = tuple(int(s) for s in shape.split("x")) if shape != "0" else ()
+                tensor_specs.append((name, dims, int(offset)))
+            elif line.startswith("payload_bytes="):
+                payload_bytes = int(line.split("=", 1)[1])
+                break
+            else:
+                raise DataError(f"{path}: unexpected manifest line {line_no}: {line!r}")
+        except (ValueError, ConfigError) as exc:
+            raise DataError(f"{path}: malformed manifest line {line_no} ({exc}): "
+                            f"{line!r}") from None
 
     blob = raw[pos:]
     if payload_bytes is None or adam_lr is None:
@@ -122,13 +124,20 @@ def load_checkpoint(path) -> CheckpointData:
     if len(blob) != payload_bytes:
         raise DataError(f"{path}: payload truncated at byte {len(blob)} "
                         f"of {payload_bytes}")
+    try:
+        config = ModelConfig(**config_values)
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad model config ({exc})") from None
 
     arrays = {}
     for name, dims, offset in tensor_specs:
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)
+        if min(dims, default=0) < 0 or offset < 0 or offset + 8 * count > payload_bytes:
+            raise DataError(f"{path}: tensor {name} of shape {dims} at byte {offset} "
+                            f"does not fit the {payload_bytes}-byte payload")
         arrays[name] = np.frombuffer(blob, "<f8", count, offset).reshape(dims).copy()
 
-    return CheckpointData(config=ModelConfig(**config_values), epoch=epoch,
+    return CheckpointData(config=config, epoch=epoch,
                           adam_step=adam_step, adam_lr=adam_lr, arrays=arrays)
 
 
@@ -149,7 +158,10 @@ def restore_optimizer(ck: CheckpointData, model: TrajectoryModel) -> Adam:
     cfg = ck.config
     opt = Adam(model.parameters(), lr=cfg.lr, decay_factor=cfg.lr_decay,
                decay_interval=cfg.lr_decay_every)
-    opt.load_state(ck.arrays, step_count=ck.adam_step, lr=ck.adam_lr)
+    try:
+        opt.load_state(ck.arrays, step_count=ck.adam_step, lr=ck.adam_lr)
+    except ConfigError as exc:
+        raise DataError(f"checkpoint optimizer state: {exc}") from None
     return opt
 
 

@@ -257,7 +257,6 @@ class Dataset:
     sequences: list = field(default_factory=list)
     masks: list = field(default_factory=list)
     results: list | None = None   # per record: (imputed past, predicted future)
-    units: str = "scene"
 
     def __post_init__(self):
         if len(self.sequences) != len(self.masks):
@@ -303,7 +302,7 @@ def write_dataset(path, ds: Dataset) -> None:
     else:
         header.append(f"angle={ds.spec.angle!r}")
         header.append(f"camera={ds.spec.camera[0]!r},{ds.spec.camera[1]!r}")
-    header += [f"units={ds.units}",
+    header += ["units=scene",
                f"split={ds.split}",
                f"seed={ds.seed}",
                f"t_past={ds.t_past}",
@@ -377,14 +376,20 @@ def read_dataset(path) -> Dataset:
         has_results = int(fields.get("has_results", "0"))
         payload_bytes = int(fields["payload_bytes"])
         seed = int(fields["seed"])
+        split, units = fields["split"], fields["units"]
         if fields["mode"] == "circle":
             spec = MaskingSpec(mode="circle", radius=float(fields["radius"]))
         else:
             cam = tuple(float(v) for v in fields["camera"].split(","))
-            spec = MaskingSpec(mode="camera", angle=float(fields["angle"]), camera=cam)
-    except (KeyError, ValueError) as exc:
+            spec = MaskingSpec(mode=fields["mode"], angle=float(fields["angle"]), camera=cam)
+    except (KeyError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad header field ({exc})") from None
 
+    if units != "scene":
+        raise DataError(f"{path}: unsupported units {units!r}")
+    if min(count, t_past, n_agents) < 1 or t_future < 0:
+        raise DataError(f"{path}: bad sizes count={count} t_past={t_past} "
+                        f"t_future={t_future} n_agents={n_agents}")
     if len(record_ids) != count:
         raise DataError(f"{path}: header count={count} but {len(record_ids)} "
                         f"record lines")
@@ -427,9 +432,8 @@ def read_dataset(path) -> Dataset:
             pos += sizes[4]
             results.append((imputed, predicted))
 
-    return Dataset(spec=spec, split=fields["split"], seed=seed,
-                   sequences=sequences, masks=masks, results=results,
-                   units=fields["units"])
+    return Dataset(spec=spec, split=split, seed=seed,
+                   sequences=sequences, masks=masks, results=results)
 
 
 def validate_dataset(ds: Dataset) -> None:

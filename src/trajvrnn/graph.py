@@ -27,12 +27,14 @@ CAT_ONE_VISIBLE = 1
 CAT_NONE_VISIBLE = 2
 
 
-def masked_input_vector(coords, mask):
+def masked_input_vector(coords, mask, fill=None):
     """Raw past-phase embedding input: masked coordinates with the mask
-    bit appended, so a missing agent contributes (0, 0, 0)."""
+    bit appended, so a missing agent contributes (0, 0, 0), or its `fill`
+    coordinates and a 0 bit when `fill` (.., N, 2) is given."""
     x = np.asarray(coords, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)[..., None]
-    return np.concatenate([x * m, m], axis=-1)
+    shown = x * m if fill is None else x * m + (1.0 - m) * fill
+    return np.concatenate([shown, m], axis=-1)
 
 
 def build_static_adjacency(mask):
@@ -134,54 +136,40 @@ class SpatialEncoder:
     """Owns the graph parameters and runs the full per-timestep encoding."""
 
     def __init__(self, cfg, rng: np.random.Generator, prefix="msgnn"):
-        if not (cfg.use_st or cfg.use_dl or cfg.use_ec):
-            raise ConfigError("at least one graph branch must be enabled")
         self.cfg = cfg
         d, dg = cfg.d_embed, cfg.d_graph
         e, k = cfg.ec_hidden, cfg.ec_pool
         self.params = {}
 
-        def param(name, shape, scale=None):
-            fan = shape[0] if len(shape) > 1 else 1
-            s = scale if scale is not None else 1.0 / np.sqrt(max(1, fan))
-            p = ad.Parameter(f"{prefix}.{name}", rng.normal(0.0, s, size=shape))
-            self.params[p.name] = p
-            return p
+        def param(name, shape, fill=None):
+            return ad.new_parameter(self.params, f"{prefix}.{name}", shape, rng, fill)
 
-        def zeros(name, shape):
-            p = ad.Parameter(f"{prefix}.{name}", np.zeros(shape))
-            self.params[p.name] = p
-            return p
+        def embedding(name, d_in):
+            return (param(f"{name}.w0", (d_in, d)), param(f"{name}.b0", (d,), fill=0),
+                    param(f"{name}.w1", (d, d)), param(f"{name}.b1", (d,), fill=0))
 
-        def ones(name, shape):
-            p = ad.Parameter(f"{prefix}.{name}", np.ones(shape))
-            self.params[p.name] = p
-            return p
-
-        self.embed_past = (param("embed_past.w0", (3, d)), zeros("embed_past.b0", (d,)),
-                           param("embed_past.w1", (d, d)), zeros("embed_past.b1", (d,)))
-        self.embed_future = (param("embed_future.w0", (2, d)), zeros("embed_future.b0", (d,)),
-                             param("embed_future.w1", (d, d)), zeros("embed_future.b1", (d,)))
+        self.embed_past = embedding("embed_past", 3)
+        self.embed_future = embedding("embed_future", 2)
         self.st_weights = [param("st.0.w", (d, d)), param("st.1.w", (d, d)),
                            param("st.2.w", (d, dg))]
-        self.dl_adj = param("dl.adj", (cfg.n_agents_max, cfg.n_agents_max),
-                            scale=1.0 / np.sqrt(cfg.n_agents_max))
+        self.dl_adj = param("dl.adj", (cfg.n_agents_max, cfg.n_agents_max))
         self.dl_weight = param("dl.w", (d, dg))
         self.ec_w0 = param("ec.w0", (3, e))
-        self.ec_b0 = zeros("ec.b0", (e,))
+        self.ec_b0 = param("ec.b0", (e,), fill=0)
         self.ec_w1 = param("ec.w1", (e, k * dg * d))
-        self.ec_b1 = zeros("ec.b1", (k * dg * d,))
-        self.ec_bias = zeros("ec.bias", (dg,))
-        self.fuse_alpha = ones("fuse.alpha", (dg,))
-        self.fuse_beta = ones("fuse.beta", (dg,))
-        self.fuse_gamma = ones("fuse.gamma", (dg,))
+        self.ec_b1 = param("ec.b1", (k * dg * d,), fill=0)
+        self.ec_bias = param("ec.bias", (dg,), fill=0)
+        self.fuse_alpha = param("fuse.alpha", (dg,), fill=1)
+        self.fuse_beta = param("fuse.beta", (dg,), fill=1)
+        self.fuse_gamma = param("fuse.gamma", (dg,), fill=1)
 
-    def embed(self, coords, mask, phase) -> Tensor:
+    def embed(self, coords, mask, phase, fill=None) -> Tensor:
         """Project inputs to node features. Past steps mask the coordinates
-        and append the mask bit; future steps embed the raw coordinates."""
+        (missing agents take `fill`, default 0) and append the mask bit;
+        future steps embed the raw coordinates."""
         x = np.asarray(coords, dtype=np.float64)
         if phase == "past":
-            inp = Tensor(masked_input_vector(x, mask))
+            inp = Tensor(masked_input_vector(x, mask, fill))
             w0, b0, w1, b1 = self.embed_past
         elif phase == "future":
             inp = Tensor(x)
@@ -222,9 +210,10 @@ class SpatialEncoder:
             thetas = self.edge_weight_matrices()
         return ec_gcl_forward(features, cats, thetas, self.ec_bias)
 
-    def forward(self, coords, mask, phase, thetas=None) -> Tensor:
-        """Embed, run the enabled branches, fuse. `coords` (.., N, 2) and
-        `mask` (.., N) are numpy; the result is an (.., N, D_G) tensor.
+    def forward(self, coords, mask, phase, thetas=None, fill=None) -> Tensor:
+        """Embed, run the enabled branches, fuse. `coords` (.., N, 2),
+        `mask` (.., N) and the optional past-step `fill` for missing agents
+        (.., N, 2) are numpy; the result is an (.., N, D_G) tensor.
 
         The edge-conditioned branch only runs on past steps. Future steps
         treat every agent as visible.
@@ -232,7 +221,7 @@ class SpatialEncoder:
         cfg = self.cfg
         if phase == "future":
             mask = np.ones(np.asarray(coords).shape[:-1])
-        features = self.embed(coords, mask, phase)
+        features = self.embed(coords, mask, phase, fill)
         f_st = f_dl = f_ec = None
         if cfg.use_st:
             a, i = build_static_adjacency(mask)

@@ -18,17 +18,16 @@ autoregressively on its own decoded means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (Parameter, Tensor, backward, clamp, concat, exp, log,
-                       matmul, maximum_scalar, no_grad, sigmoid, tanh, tmean,
-                       tsum)
+                       matmul, maximum_scalar, new_parameter, no_grad, sigmoid,
+                       tanh, tmean, tsum)
 from .errors import ConfigError, DataError, ShapeError
-from .graph import (SpatialEncoder, build_static_adjacency, edge_categories,
-                    fuse, normalize_static)
+from .graph import SpatialEncoder
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -62,6 +61,8 @@ class ModelConfig:
     # alternative-form switches
     static_norm: str = "symmetric"      # or "literal"
     lag_mode: str = "current"           # or "previous"
+    # "decoded": at inference a missing past agent's encoder input is its
+    # previous-step position (observed, else decoded mean), not (0, 0)
     inference_feedback: str = "zero"    # or "decoded"
     logvar_limit: float = 10.0
     # coordinate standardisation applied inside the model
@@ -82,16 +83,17 @@ class ModelConfig:
             raise ConfigError(f"bad lag_mode {self.lag_mode!r}")
         if self.inference_feedback not in ("zero", "decoded"):
             raise ConfigError(f"bad inference_feedback {self.inference_feedback!r}")
-        if self.t_past < 1:
-            raise ConfigError("t_past must be >= 1")
-        if self.mode == "joint" and self.t_future < 1:
-            raise ConfigError("joint mode needs t_future >= 1")
-        if self.mode == "predict-only" and self.t_future < 1:
-            raise ConfigError("predict-only mode needs t_future >= 1")
+        if min(self.n_agents_max, self.d_embed, self.d_graph, self.d_hidden,
+               self.d_latent, self.ec_hidden, self.ec_pool, self.t_past) < 1:
+            raise ConfigError("model sizes and t_past must be >= 1")
+        if self.t_future < 0 or len(self.coord_center) != 2:
+            raise ConfigError("t_future must be >= 0 and coord_center a 2D point")
+        if self.mode != "impute-only" and self.t_future < 1:
+            raise ConfigError(f"{self.mode} mode needs t_future >= 1")
         if not (self.use_st or self.use_dl or self.use_ec):
             raise ConfigError("enable at least one graph branch")
-        if self.use_ec and not (self.use_st or self.use_dl) and self.t_future > 0 \
-                and self.mode != "impute-only":
+        # inference rolls the future out in every mode
+        if self.use_ec and not (self.use_st or self.use_dl) and self.t_future > 0:
             raise ConfigError("the edge-conditioned branch alone cannot encode "
                               "future steps; enable ST or DL as well")
         if self.coord_scale <= 0:
@@ -99,9 +101,6 @@ class ModelConfig:
 
     def with_updates(self, **kw) -> "ModelConfig":
         return replace(self, **kw)
-
-
-CONFIG_FIELDS = [f.name for f in fields(ModelConfig)]
 
 
 @dataclass
@@ -207,46 +206,40 @@ class TrajectoryModel:
 
         h, z, dg = cfg.d_hidden, cfg.d_latent, cfg.d_graph
 
-        def par(name, shape, scale=None):
-            fan = shape[0] if len(shape) > 1 else 1
-            s = scale if scale is not None else 1.0 / np.sqrt(max(1, fan))
-            p = Parameter(name, rng.normal(0.0, s, size=shape))
-            self.params[name] = p
-            return p
+        def param(name, shape, fill=None):
+            return new_parameter(self.params, name, shape, rng, fill)
 
-        def zeros(name, shape):
-            p = Parameter(name, np.zeros(shape))
-            self.params[name] = p
-            return p
+        def gauss_head(name, d_in):
+            return (param(f"{name}.w0", (d_in, z)), param(f"{name}.b0", (z,), fill=0),
+                    param(f"{name}.w_mu", (z, z)), param(f"{name}.b_mu", (z,), fill=0),
+                    param(f"{name}.w_lv", (z, z)), param(f"{name}.b_lv", (z,), fill=0))
 
-        self.prior_head = (par("prior.w0", (h, z)), zeros("prior.b0", (z,)),
-                           par("prior.w_mu", (z, z)), zeros("prior.b_mu", (z,)),
-                           par("prior.w_lv", (z, z)), zeros("prior.b_lv", (z,)))
-        self.post_head = (par("posterior.w0", (dg + h, z)), zeros("posterior.b0", (z,)),
-                          par("posterior.w_mu", (z, z)), zeros("posterior.b_mu", (z,)),
-                          par("posterior.w_lv", (z, z)), zeros("posterior.b_lv", (z,)))
-        self.zfeat_past_w = (par("zfeat.past.w", (z, z)), zeros("zfeat.past.b", (z,)))
-        self.zfeat_future_w = (par("zfeat.future.w", (2 * z, z)), zeros("zfeat.future.b", (z,)))
-        self.dec_impute = (par("dec.impute.w0", (z + h, z)), zeros("dec.impute.b0", (z,)),
-                           par("dec.impute.w_out", (z, 5)), zeros("dec.impute.b_out", (5,)))
-        self.dec_predict = (par("dec.predict.w0", (z + h, z)), zeros("dec.predict.b0", (z,)),
-                            par("dec.predict.w_out", (z, 5)), zeros("dec.predict.b_out", (5,)))
+        self.prior_head = gauss_head("prior", h)
+        self.post_head = gauss_head("posterior", dg + h)
+        self.zfeat_past_w = (param("zfeat.past.w", (z, z)), param("zfeat.past.b", (z,), fill=0))
+        self.zfeat_future_w = (param("zfeat.future.w", (2 * z, z)),
+                               param("zfeat.future.b", (z,), fill=0))
 
-        def cell(prefix):
-            d_in = dg + z
-            return (par(f"{prefix}.wz", (d_in + h, h)), zeros(f"{prefix}.bz", (h,)),
-                    par(f"{prefix}.wr", (d_in + h, h)), zeros(f"{prefix}.br", (h,)),
-                    par(f"{prefix}.wh", (d_in + h, h)), zeros(f"{prefix}.bh", (h,)))
+        def decoder(name):
+            return (param(f"{name}.w0", (z + h, z)), param(f"{name}.b0", (z,), fill=0),
+                    param(f"{name}.w_out", (z, 5)), param(f"{name}.b_out", (5,), fill=0))
+
+        self.dec_impute = decoder("dec.impute")
+        self.dec_predict = decoder("dec.predict")
+
+        def cell(name):
+            d_in = dg + z + h
+            return (param(f"{name}.wz", (d_in, h)), param(f"{name}.bz", (h,), fill=0),
+                    param(f"{name}.wr", (d_in, h)), param(f"{name}.br", (h,), fill=0),
+                    param(f"{name}.wh", (d_in, h)), param(f"{name}.bh", (h,), fill=0))
 
         self.rnn_main = cell("rnn.main")
         self.rnn_pred = self.rnn_main if cfg.share_streams else cell("rnn.pred")
 
         # small positive init keeps the decay pre-activation off the
         # max(0, .) kink, so the module trains from the first step
-        self.td_weight = Parameter("td.weight", np.full((1,), 0.1))
-        self.td_bias = Parameter("td.bias", np.full((1,), 0.05))
-        self.params["td.weight"] = self.td_weight
-        self.params["td.bias"] = self.td_bias
+        self.td_weight = param("td.weight", (1,), fill=0.1)
+        self.td_bias = param("td.bias", (1,), fill=0.05)
 
     # ------------------------------------------------------------------
     def parameters(self):
@@ -459,19 +452,13 @@ class TrajectoryModel:
             thetas = self.encoder.edge_weight_matrices() if cfg.use_ec else None
             h = Tensor(np.zeros((b, n, cfg.d_hidden)))
             delta = np.zeros((b, n, 1))
-            last_fill = np.zeros((b, n, 2))
+            fill = np.zeros((b, n, 2)) if cfg.inference_feedback == "decoded" else None
             z = None
             for t in range(cfg.t_past):
                 m_t = mask[:, t, :]
                 delta = temporal_lag_update(delta, t, self._lag_gate_mask(mask, t))
                 h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
-                if cfg.inference_feedback == "decoded":
-                    m3 = m_t[..., None]
-                    fill = m3 * x[:, t] + (1.0 - m3) * last_fill
-                    inp = Tensor(np.concatenate([fill, m3], axis=-1))
-                    fg = self._feedback_graph_forward(inp, m_t, thetas)
-                else:
-                    fg = self.encoder.forward(x[:, t], m_t, "past", thetas)
+                fg = self.encoder.forward(x[:, t], m_t, "past", thetas, fill)
                 prior = self.prior_params(h)
                 z = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
                 zf = self.zfeat_past(z)
@@ -480,7 +467,8 @@ class TrajectoryModel:
                 # copy observations through untouched (scene units)
                 imputed[:, t] = np.where(m3 > 0, coords_past[:, t],
                                          self._denormalize(dec.mu.data))
-                last_fill = m3 * x[:, t] + (1.0 - m3) * dec.mu.data
+                if fill is not None:
+                    fill = m3 * x[:, t] + (1.0 - m3) * dec.mu.data
                 h = self.recurrence_impute(fg, z, h_rec, z_features=zf)
 
             z_tp = z
@@ -497,21 +485,3 @@ class TrajectoryModel:
         if single:
             return imputed[0], predicted[0]
         return imputed, predicted
-
-    def _feedback_graph_forward(self, inp: Tensor, mask_step, thetas):
-        """Graph forward for decoded-feedback inference: the embedding input
-        is prebuilt (fill + mask bit), adjacency still follows the mask."""
-        cfg = self.cfg
-        enc = self.encoder
-        w0, b0, w1, b1 = enc.embed_past
-        features = matmul(tanh(matmul(inp, w0) + b0), w1) + b1
-        f_st = f_dl = f_ec = None
-        if cfg.use_st:
-            a, i = build_static_adjacency(mask_step)
-            f_st = enc.st_branch(features, normalize_static(
-                a, i, literal=(cfg.static_norm == "literal")))
-        if cfg.use_dl:
-            f_dl = enc.dl_branch(features)
-        if cfg.use_ec:
-            f_ec = enc.ec_branch(features, edge_categories(mask_step), thetas)
-        return fuse([f_st, f_dl, f_ec], [enc.fuse_alpha, enc.fuse_beta, enc.fuse_gamma])

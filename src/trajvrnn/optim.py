@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter
 from .errors import ConfigError
 
 
@@ -81,18 +80,3 @@ class Adam:
         self.step_count = int(step_count)
         self.lr = float(lr)
 
-
-def make_parameter(name: str, shape, rng: np.random.Generator, scale=None) -> Parameter:
-    """Gaussian-initialised parameter; default scale 1/sqrt(fan_in)."""
-    if scale is None:
-        fan_in = shape[0] if len(shape) > 1 else max(1, shape[0] if shape else 1)
-        scale = 1.0 / np.sqrt(max(1, fan_in))
-    return Parameter(name, rng.normal(0.0, scale, size=shape))
-
-
-def make_zeros(name: str, shape) -> Parameter:
-    return Parameter(name, np.zeros(shape))
-
-
-def make_ones(name: str, shape) -> Parameter:
-    return Parameter(name, np.ones(shape))

@@ -30,7 +30,6 @@ class MetricReport:
     i_l2: float
     p_l2: float
     n_sequences: int
-    units: str = "scene"
 
     @property
     def scenario(self):
@@ -68,10 +67,6 @@ def report_table(reports, annotations=None) -> str:
     reports = list(reports)
     if not reports:
         raise ConfigError("no reports to tabulate")
-    units = {r.units for r in reports}
-    if len(units) > 1:
-        raise ConfigError(f"refusing to tabulate mixed units: {sorted(units)}")
-    unit = units.pop()
 
     scenarios = sorted({r.scenario for r in reports})
     methods = sorted({r.method for r in reports})
@@ -86,7 +81,7 @@ def report_table(reports, annotations=None) -> str:
     col_w = max(12, max(len(scenario_label(s)) for s in scenarios) + 2)
     lines = []
     for variant in variants:
-        lines.append(f"[{variant}] (units: {unit})")
+        lines.append(f"[{variant}] (units: scene)")
         header = "method".ljust(name_w) + "".join(
             scenario_label(s).center(2 * col_w) for s in scenarios)
         sub = " " * name_w + ("I-L2".center(col_w) + "P-L2".center(col_w)) * len(scenarios)
@@ -148,6 +143,5 @@ def evaluate_methods(dataset: Dataset, methods: dict) -> list:
                 method=name, mode=dataset.spec.mode,
                 parameter=dataset.spec.parameter, variant=variant,
                 i_l2=metric_i_l2(imputed, past, masks, variant=variant),
-                p_l2=p_l2, n_sequences=len(dataset.sequences),
-                units=dataset.units))
+                p_l2=p_l2, n_sequences=len(dataset.sequences)))
     return reports

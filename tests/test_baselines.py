@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 
 from trajvrnn.baselines import (
     impute_linear_fit, impute_mean, impute_median, metric_i_l2, metric_p_l2,
     predict_constant_velocity,
 )
 from trajvrnn.data import MaskingSpec, build_dataset, generate_sequences
-from trajvrnn.errors import ConfigError, ShapeError
 from trajvrnn.report import (
     MetricReport, baseline_infer_fns, csv_to_reports, evaluate_methods,
     report_table, reports_to_csv,
@@ -188,13 +186,6 @@ def test_table_orders_scenarios_and_methods():
     table = report_table(sample_reports())
     assert table.index("circle 3") < table.index("circle 5")
     assert table.index("linear_fit") < table.index("\nmean")
-
-
-def test_table_rejects_mixed_units():
-    reports = sample_reports() + [
-        MetricReport("mean", "circle", 7.0, "all", 1.0, 1.0, 4, units="pixels")]
-    with pytest.raises(ConfigError):
-        report_table(reports)
 
 
 def test_table_annotations_round():

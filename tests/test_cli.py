@@ -1,11 +1,15 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
+from trajvrnn.checkpoint import save_checkpoint
 from trajvrnn.cli import main
+from trajvrnn.config import load_config
 from trajvrnn.data import (MaskingSpec, build_dataset, generate_sequences,
                            read_dataset, write_dataset)
+from trajvrnn.model import TrajectoryModel
 from trajvrnn.report import csv_to_reports
 
 TINY = """
@@ -230,3 +234,46 @@ def test_seed_override_changes_generation(tiny_config, tmp_path):
                  "--out", str(out_b)]) == 0
     assert (out_a / "circle_5_train.trajset").read_bytes() != \
         (out_b / "circle_5_train.trajset").read_bytes()
+
+
+# (file, header substitutions, keep the payload)
+MALFORMED = {
+    "epoch": ("ckpt", [(r"^epoch=.*$", "epoch=x")], True),
+    "adam-lr": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=x")], True),
+    "ckpt-payload-bytes": ("ckpt", [(r"^payload_bytes=.*$", "payload_bytes=x")], True),
+    "config-no-equals": ("ckpt", [(r"^config\.use_td=.*$", "config.use_td")], True),
+    "tensor-shape": ("ckpt", [(r"^(tensor \S+ f8) \S+", r"\1 4xq")], True),
+    "tensor-offset": ("ckpt", [(r"^(tensor \S+ f8 \S+) \d+$", r"\1 99999999")], True),
+    "tensor-negative-dim": ("ckpt", [(r"^(tensor td\.weight f8) 1", r"\1 -1")], True),
+    "config-bool": ("ckpt", [(r"^config\.use_td=.*$", "config.use_td=maybe")], True),
+    "config-mode": ("ckpt", [(r"^config\.mode=.*$", "config.mode=jnt")], True),
+    "config-size": ("ckpt", [(r"^config\.d_hidden=.*$", "config.d_hidden=-3")], True),
+    "no-split": ("trajset", [(r"^split=.*\n", "")], True),
+    "no-units": ("trajset", [(r"^units=.*\n", "")], True),
+    "other-units": ("trajset", [(r"^units=.*$", "units=pixels")], True),
+    "zero-count": ("trajset", [(r"^record .*\n", ""), (r"^count=.*$", "count=0"),
+                               (r"^payload_bytes=.*$", "payload_bytes=0")], False),
+    "radius": ("trajset", [(r"^radius=.*$", "radius=-1.0")], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_is_data_error(tiny_config, tmp_path, capsys, case):
+    target, subs, keep_payload = MALFORMED[case]
+    cfg = load_config(tiny_config)
+    paths = {"ckpt": tmp_path / "model.ckpt", "trajset": tmp_path / "data.trajset"}
+    save_checkpoint(paths["ckpt"], TrajectoryModel(cfg.model_config()))
+    seqs = generate_sequences(2, 3, cfg.t_past, cfg.t_future, seed=1)
+    write_dataset(paths["trajset"], build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0),
+                                                  split="test", seed=1))
+    blob = paths[target].read_bytes()
+    end = blob.index(b"\n", blob.index(b"\npayload_bytes=") + 1) + 1
+    header = blob[:end].decode()
+    for pattern, repl in subs:
+        header = re.sub(pattern, repl, header, flags=re.M)
+    assert header.encode() != blob[:end]
+    paths[target].write_bytes(header.encode() + (blob[end:] if keep_payload else b""))
+    code = main(["eval", "--config", str(tiny_config), "--checkpoint", str(paths["ckpt"]),
+                 "--data", str(paths["trajset"]), "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error:")

@@ -255,6 +255,17 @@ def test_read_rejects_corrupted_count(tmp_path):
         read_dataset(path)
 
 
+def test_read_rejects_unknown_mode(tmp_path):
+    seqs = generate_sequences(2, 3, 6, 2, seed=45)
+    ds = build_dataset(seqs, MaskingSpec(mode="camera", angle=20.0),
+                       split="train", seed=45)
+    path = tmp_path / "mode.trajset"
+    write_dataset(path, ds)
+    path.write_bytes(path.read_bytes().replace(b"mode=camera", b"mode=drone", 1))
+    with pytest.raises(DataError):
+        read_dataset(path)
+
+
 def test_validate_detects_scenario_mismatch(tmp_path):
     seqs = generate_sequences(2, 3, 6, 2, seed=47)
     ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=4.0),

@@ -36,6 +36,22 @@ def test_masked_input_vector_missing():
         masked_input_vector([[2.0, 3.0]], [0.0]), [[0.0, 0.0, 0.0]])
 
 
+def test_masked_input_vector_fill_replaces_missing_only():
+    np.testing.assert_array_equal(
+        masked_input_vector([[2.0, 3.0], [4.0, 5.0]], [1.0, 0.0],
+                            fill=[[7.0, 8.0], [9.0, 6.0]]),
+        [[2.0, 3.0, 1.0], [9.0, 6.0, 0.0]])
+
+
+def test_encoder_zero_fill_matches_default():
+    enc = make_encoder()
+    coords = np.random.default_rng(5).normal(size=(2, 4, 2))
+    mask = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(
+        enc.forward(coords, mask, "past", fill=np.zeros((2, 4, 2))).data,
+        enc.forward(coords, mask, "past").data)
+
+
 def test_future_routing_uses_only_future_weights():
     enc = make_encoder()
     y = np.array([[[1.0, 1.0]]])

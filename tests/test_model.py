@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trajvrnn.autodiff import Tensor, backward, grad_check, tsum
+from trajvrnn.checkpoint import load_model, save_checkpoint
 from trajvrnn.errors import ConfigError
 from trajvrnn.model import (
     BiGaussianParams, LatentDistribution, ModelConfig, TrajectoryModel,
@@ -572,3 +573,65 @@ def test_lag_mode_previous_switch_changes_behaviour():
     l_cur = TrajectoryModel(cfg_cur).loss_total(coords, mask, noise).item()
     l_prev = TrajectoryModel(cfg_prev).loss_total(coords, mask, noise).item()
     assert l_cur != l_prev
+
+
+def test_static_norm_literal_changes_loss_and_survives_checkpoint(tmp_path):
+    cfg_sym = tiny_cfg(seed=57)
+    coords, mask = toy_batch(cfg_sym, seed=58)
+    noise = TrajectoryModel(cfg_sym).draw_noise(np.random.default_rng(59), 2, 3)
+    literal = TrajectoryModel(tiny_cfg(seed=57, static_norm="literal"))
+    l_lit = literal.loss_total(coords, mask, noise).item()
+    assert TrajectoryModel(cfg_sym).loss_total(coords, mask, noise).item() != l_lit
+    save_checkpoint(tmp_path / "literal.ckpt", literal)
+    restored = load_model(tmp_path / "literal.ckpt")
+    assert restored.cfg.static_norm == "literal"
+    assert restored.loss_total(coords, mask, noise).item() == l_lit
+
+
+def test_inference_feedback_decoded_feeds_previous_position():
+    cfg = tiny_cfg(seed=60, inference_feedback="decoded")
+    coords, mask = toy_batch(cfg, seed=61, missing=0.5)
+    past = coords[:, :cfg.t_past]
+    model = TrajectoryModel(cfg)
+    fills = []
+    forward = model.encoder.forward
+
+    def spy(coords, mask, phase, thetas=None, fill=None):
+        if phase == "past":
+            fills.append(fill)
+        return forward(coords, mask, phase, thetas, fill)
+
+    model.encoder.forward = spy
+    imputed, _ = model.run_inference(past, mask, seed=62)
+    # a missing agent's encoder input is its previous-step position, the
+    # observation or else the decoded mean, as `imputed` holds it (0 at t=0)
+    assert np.array_equal(fills[0], np.zeros((2, 3, 2)))
+    for t in range(1, cfg.t_past):
+        assert np.array_equal(fills[t], imputed[:, t - 1])
+
+    zero = TrajectoryModel(tiny_cfg(seed=60))
+    zero_imputed, _ = zero.run_inference(past, mask, seed=62)
+    assert not np.array_equal(zero_imputed, imputed)
+    # with nothing missing the fill is never read
+    full = np.ones_like(mask)
+    a = zero.run_inference(past, full, seed=63)
+    b = TrajectoryModel(cfg).run_inference(past, full, seed=63)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_ec_only_needs_an_empty_future_window():
+    # inference rolls the future out in every mode and EC cannot encode it
+    for mode in ("joint", "impute-only"):
+        with pytest.raises(ConfigError):
+            tiny_cfg(use_st=False, use_dl=False, mode=mode)
+    cfg = tiny_cfg(use_st=False, use_dl=False, mode="impute-only", t_future=0)
+    coords, mask = toy_batch(cfg, seed=63)
+    imputed, predicted = TrajectoryModel(cfg).run_inference(coords, mask, seed=64)
+    assert np.isfinite(imputed).all() and predicted.shape == (2, 0, 3, 2)
+
+
+@pytest.mark.parametrize("bad", [dict(d_hidden=0), dict(ec_pool=0), dict(t_future=-1),
+                                 dict(coord_center=(1.0,))])
+def test_config_rejects_bad_sizes(bad):
+    with pytest.raises(ConfigError):
+        tiny_cfg(mode="impute-only", **bad)
