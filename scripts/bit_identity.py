@@ -1,8 +1,10 @@
 """Print digests of everything a behaviour-preserving refactor must keep
-bit-identical: gen-data's .trajset bytes, the losses of several train
-steps, batched and single-sequence run_inference outputs, the .ckpt bytes
-and eval's report.csv / report.txt, for every inference_feedback x
-static_norm combination.
+bit-identical: gen-data's circle and camera .trajset bytes, the losses of
+several train steps, batched and single-sequence run_inference outputs,
+the .ckpt bytes, the bytes of a load_checkpoint -> save_checkpoint round
+trip of that .ckpt, eval's report.csv / report.txt and the result.trajset
+that `run` writes, for every inference_feedback x static_norm
+combination.
 
 Run it against two checkouts and compare the output:
 
@@ -17,10 +19,11 @@ import tempfile
 
 import numpy as np
 
-from trajvrnn.checkpoint import save_checkpoint
+from trajvrnn.checkpoint import (load_checkpoint, restore_model,
+                                 restore_optimizer, save_checkpoint)
 from trajvrnn.cli import main
 from trajvrnn.config import format_config, parse_config
-from trajvrnn.data import read_dataset, stack_arrays
+from trajvrnn.data import read_dataset, stack_arrays, write_dataset
 from trajvrnn.model import TrajectoryModel
 from trajvrnn.optim import Adam
 
@@ -37,8 +40,9 @@ t_future=3
 coord_scale=10.0
 gen_count=12
 gen_n_agents=5
-gen_modes=circle
+gen_modes=circle,camera
 gen_circle_radii=5.0
+gen_camera_angles=20.0
 seed=0
 """
 
@@ -64,6 +68,13 @@ def check(work):
     run_cli("gen-data", "--config", cfg_path, "--out", os.path.join(work, "data"))
     data_path = os.path.join(work, "data", "circle_5_train.trajset")
     print("trajset", file_digest(data_path))
+    camera_path = os.path.join(work, "data", "camera_20_train.trajset")
+    print("trajset camera", file_digest(camera_path))
+    single_path = os.path.join(work, "single.trajset")
+    single = read_dataset(camera_path)
+    i = next(i for i, mask in enumerate(single.masks) if (mask == 0).any())
+    single.sequences, single.masks = single.sequences[i:i + 1], single.masks[i:i + 1]
+    write_dataset(single_path, single)
     coords, masks = stack_arrays(read_dataset(data_path))
 
     for feedback in ("zero", "decoded"):
@@ -85,6 +96,12 @@ def check(work):
             ck = os.path.join(work, f"{feedback}_{norm}.ckpt")
             save_checkpoint(ck, model, opt, epoch=4)
             print(tag, "ckpt", file_digest(ck))
+            stored = load_checkpoint(ck)
+            restored = restore_model(stored)
+            again = os.path.join(work, f"{feedback}_{norm}_again.ckpt")
+            save_checkpoint(again, restored, restore_optimizer(stored, restored),
+                            epoch=stored.epoch)
+            print(tag, "ckpt round trip", file_digest(again))
             run_cfg = os.path.join(work, f"{feedback}_{norm}.cfg")
             with open(run_cfg, "w") as fh:
                 fh.write(format_config(cfg))
@@ -93,6 +110,10 @@ def check(work):
                     "--data", data_path, "--out", out)
             print(tag, "report.csv", file_digest(os.path.join(out, "report.csv")),
                   "report.txt", file_digest(os.path.join(out, "report.txt")))
+            out = os.path.join(work, f"run_{feedback}_{norm}")
+            run_cli("run", "--config", run_cfg, "--checkpoint", ck,
+                    "--data", single_path, "--out", out)
+            print(tag, "result.trajset", file_digest(os.path.join(out, "result.trajset")))
 
 
 if __name__ == "__main__":

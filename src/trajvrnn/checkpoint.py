@@ -10,11 +10,11 @@ parameters so a resumed run continues exactly where it stopped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import container
 from .config import format_value, parse_value
 from .errors import ConfigError, DataError
 from .model import ModelConfig, TrajectoryModel
@@ -41,101 +41,49 @@ def save_checkpoint(path, model: TrajectoryModel, optimizer: Adam | None = None,
     if optimizer is not None:
         arrays.update(optimizer.state_arrays())
 
-    lines = [MAGIC]
-    for name in _MODEL_FIELDS:
-        lines.append(f"config.{name}={format_value(name, getattr(model.cfg, name))}")
+    lines = [f"config.{name}={format_value(name, getattr(model.cfg, name))}"
+             for name in _MODEL_FIELDS]
     lines.append(f"epoch={epoch}")
     lines.append(f"adam.step={optimizer.step_count if optimizer else 0}")
     lines.append(f"adam.lr={(optimizer.lr if optimizer else model.cfg.lr)!r}")
 
     offset = 0
-    blobs = []
+    chunks = []
     for name, arr in arrays.items():
         arr = np.asarray(arr, dtype=np.float64)
         shape = "x".join(str(s) for s in arr.shape) or "0"
         lines.append(f"tensor {name} f8 {shape} {offset}")
-        blob = arr.astype("<f8").tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    lines.append(f"payload_bytes={offset}")
-
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for blob in blobs:
-            fh.write(blob)
+        chunks.append(np.ascontiguousarray(arr, "<f8"))
+        offset += arr.nbytes
+    container.write(path, MAGIC, lines, chunks)
 
 
 def load_checkpoint(path) -> CheckpointData:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
-
-    pos = 0
-    line_no = 0
+    manifest, rows, payload = container.read(path, MAGIC, "checkpoint")
     config_values = {}
-    tensor_specs = []
-    epoch = adam_step = 0
-    adam_lr = None
-    payload_bytes = None
-    while True:
-        nl = raw.find(b"\n", pos)
-        if nl < 0:
-            raise DataError(f"{path}: manifest never terminated")
-        line = raw[pos:nl].decode("ascii", errors="replace")
-        pos = nl + 1
-        line_no += 1
-        if line_no == 1:
-            if line != MAGIC:
-                raise DataError(f"{path}: bad magic {line!r}")
-            continue
-        try:
-            if line.startswith("config."):
-                key, value = line[len("config."):].split("=", 1)
-                if key not in _MODEL_FIELDS:
-                    raise DataError(f"{path}: unknown config key {key!r} (line {line_no})")
-                config_values[key] = parse_value(key, value,
-                                                 type(getattr(_MODEL_DEFAULTS, key)))
-            elif line.startswith("epoch="):
-                epoch = int(line.split("=", 1)[1])
-            elif line.startswith("adam.step="):
-                adam_step = int(line.split("=", 1)[1])
-            elif line.startswith("adam.lr="):
-                adam_lr = float(line.split("=", 1)[1])
-            elif line.startswith("tensor "):
-                _, name, dtype, shape, offset = line.split(" ")
-                if dtype != "f8":
-                    raise DataError(f"{path}: unsupported dtype {dtype!r} for {name}")
-                dims = tuple(int(s) for s in shape.split("x")) if shape != "0" else ()
-                tensor_specs.append((name, dims, int(offset)))
-            elif line.startswith("payload_bytes="):
-                payload_bytes = int(line.split("=", 1)[1])
-                break
-            else:
-                raise DataError(f"{path}: unexpected manifest line {line_no}: {line!r}")
-        except (ValueError, ConfigError) as exc:
-            raise DataError(f"{path}: malformed manifest line {line_no} ({exc}): "
-                            f"{line!r}") from None
-
-    blob = raw[pos:]
-    if payload_bytes is None or adam_lr is None:
-        raise DataError(f"{path}: manifest missing required fields")
-    if len(blob) != payload_bytes:
-        raise DataError(f"{path}: payload truncated at byte {len(blob)} "
-                        f"of {payload_bytes}")
-    try:
-        config = ModelConfig(**config_values)
-    except ConfigError as exc:
-        raise DataError(f"{path}: bad model config ({exc})") from None
-
     arrays = {}
-    for name, dims, offset in tensor_specs:
-        count = math.prod(dims)
-        if min(dims, default=0) < 0 or offset < 0 or offset + 8 * count > payload_bytes:
-            raise DataError(f"{path}: tensor {name} of shape {dims} at byte {offset} "
-                            f"does not fit the {payload_bytes}-byte payload")
-        arrays[name] = np.frombuffer(blob, "<f8", count, offset).reshape(dims).copy()
+    try:
+        for key, value in manifest.items():
+            name = key.removeprefix("config.")
+            if name != key and name in _MODEL_FIELDS:
+                config_values[name] = parse_value(name, value,
+                                                  type(getattr(_MODEL_DEFAULTS, name)))
+            elif key not in ("epoch", "adam.step", "adam.lr"):
+                raise DataError(f"{path}: unknown manifest key {key!r}")
+        config = ModelConfig(**config_values)
+        epoch = int(manifest.get("epoch", 0))
+        adam_step = int(manifest.get("adam.step", 0))
+        adam_lr = float(manifest["adam.lr"])
+        for tag, spec in rows:
+            name, dtype, shape, offset = spec.split(" ")
+            if tag != "tensor" or dtype != "f8" or name in arrays:
+                raise DataError(f"{path}: unexpected, non-f8 or repeated tensor line "
+                                f"{tag} {spec!r}")
+            dims = tuple(int(s) for s in shape.split("x")) if shape != "0" else ()
+            arrays[name] = container.take(payload, "<f8", dims, int(offset),
+                                          f"{path}: tensor {name}")
+    except (KeyError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: bad manifest ({exc!r})") from None
 
     return CheckpointData(config=config, epoch=epoch,
                           adam_step=adam_step, adam_lr=adam_lr, arrays=arrays)

@@ -10,16 +10,16 @@ the reference from a fixed sideline position. Masks mark availability
 only; ground-truth coordinates are always retained.
 
 Files are a small text header followed by a raw little-endian binary
-payload, so coordinates round-trip bit-exactly.
+payload (`container.py`), so coordinates round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, DataError
 
 MAGIC = "trajset v1"
@@ -95,6 +95,8 @@ class MaskingSpec:
                 raise ConfigError("camera mode needs 0 < angle < 180 degrees")
             if self.camera is None:
                 self.camera = DEFAULT_CAMERA
+            elif len(self.camera) != 2:
+                raise ConfigError("camera mode needs a 2D camera position")
         else:
             raise ConfigError(f"unknown masking mode {self.mode!r}")
 
@@ -295,8 +297,7 @@ def write_dataset(path, ds: Dataset) -> None:
     seqs = ds.sequences
     if not seqs:
         raise DataError("refusing to write an empty dataset")
-    header = [MAGIC,
-              f"mode={ds.spec.mode}"]
+    header = [f"mode={ds.spec.mode}"]
     if ds.spec.mode == "circle":
         header.append(f"radius={ds.spec.radius!r}")
     else:
@@ -312,61 +313,26 @@ def write_dataset(path, ds: Dataset) -> None:
                f"has_results={0 if ds.results is None else 1}"]
     header += [f"record {s.id}" for s in seqs]
 
-    payload = io.BytesIO()
+    chunks = []
     for i, (seq, mask) in enumerate(zip(seqs, ds.masks)):
-        payload.write(seq.coords.astype("<f8").tobytes())
-        payload.write(seq.reference_track.astype("<f8").tobytes())
-        payload.write(mask.astype("<u1").tobytes())
+        chunks += [np.ascontiguousarray(seq.coords, "<f8"),
+                   np.ascontiguousarray(seq.reference_track, "<f8"),
+                   mask.astype("<u1")]
         if ds.results is not None:
-            imputed, predicted = ds.results[i]
-            payload.write(np.asarray(imputed).astype("<f8").tobytes())
-            payload.write(np.asarray(predicted).astype("<f8").tobytes())
-    blob = payload.getvalue()
-    header.append(f"payload_bytes={len(blob)}")
-
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(blob)
+            chunks += [np.ascontiguousarray(a, "<f8") for a in ds.results[i]]
+    container.write(path, MAGIC, header, chunks)
 
 
 _HEADER_KEYS = {"mode", "radius", "angle", "camera", "units", "split", "seed",
-                "t_past", "t_future", "n_agents", "count", "has_results",
-                "payload_bytes"}
+                "t_past", "t_future", "n_agents", "count", "has_results"}
 
 
 def read_dataset(path) -> Dataset:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from None
-
-    fields: dict[str, str] = {}
-    record_ids = []
-    offset = 0
-    line_no = 0
-    while True:
-        nl = raw.find(b"\n", offset)
-        if nl < 0:
-            raise DataError(f"{path}: header never terminated (line {line_no + 1})")
-        line = raw[offset:nl].decode("ascii", errors="replace")
-        offset = nl + 1
-        line_no += 1
-        if line_no == 1:
-            if line != MAGIC:
-                raise DataError(f"{path}: bad magic {line!r} on line 1")
-            continue
-        if line.startswith("record "):
-            record_ids.append(line[len("record "):])
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: malformed header line {line_no}: {line!r}")
-        key, value = line.split("=", 1)
-        if key not in _HEADER_KEYS:
-            raise DataError(f"{path}: unknown header key {key!r} on line {line_no}")
-        fields[key] = value
-        if key == "payload_bytes":
-            break
+    fields, rows, payload = container.read(path, MAGIC, "dataset")
+    unknown = fields.keys() - _HEADER_KEYS | {tag for tag, _ in rows} - {"record"}
+    if unknown:
+        raise DataError(f"{path}: unknown header keys {sorted(unknown)}")
+    record_ids = [seq_id for _, seq_id in rows]
 
     try:
         t_past = int(fields["t_past"])
@@ -374,7 +340,6 @@ def read_dataset(path) -> Dataset:
         n_agents = int(fields["n_agents"])
         count = int(fields["count"])
         has_results = int(fields.get("has_results", "0"))
-        payload_bytes = int(fields["payload_bytes"])
         seed = int(fields["seed"])
         split, units = fields["split"], fields["units"]
         if fields["mode"] == "circle":
@@ -382,6 +347,13 @@ def read_dataset(path) -> Dataset:
         else:
             cam = tuple(float(v) for v in fields["camera"].split(","))
             spec = MaskingSpec(mode=fields["mode"], angle=float(fields["angle"]), camera=cam)
+        t_total = t_past + t_future
+        layout = [("coords", "<f8", (t_total, n_agents, 2)), ("ref", "<f8", (t_total, 2)),
+                  ("mask", "<u1", (t_past, n_agents))]
+        if has_results:
+            layout += [("imputed", "<f8", (t_past, n_agents, 2)),
+                       ("predicted", "<f8", (t_future, n_agents, 2))]
+        record = np.dtype(layout)
     except (KeyError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad header field ({exc})") from None
 
@@ -393,47 +365,22 @@ def read_dataset(path) -> Dataset:
     if len(record_ids) != count:
         raise DataError(f"{path}: header count={count} but {len(record_ids)} "
                         f"record lines")
-    blob = raw[offset:]
-    if len(blob) != payload_bytes:
-        raise DataError(f"{path}: payload truncated at byte {len(blob)} "
-                        f"of {payload_bytes}")
+    if record.itemsize * count != len(payload):
+        raise DataError(f"{path}: payload holds {len(payload)} bytes, expected "
+                        f"{record.itemsize * count} for {count} records")
 
-    t_total = t_past + t_future
-    sizes = [t_total * n_agents * 2 * 8, t_total * 2 * 8, t_past * n_agents]
-    if has_results:
-        sizes += [t_past * n_agents * 2 * 8, t_future * n_agents * 2 * 8]
-    per_record = sum(sizes)
-    if per_record * count != payload_bytes:
-        raise DataError(f"{path}: payload holds {payload_bytes} bytes, expected "
-                        f"{per_record * count} for {count} records")
-
-    sequences, masks = [], []
-    results = [] if has_results else None
-    pos = 0
-    for seq_id in record_ids:
-        coords = np.frombuffer(blob, "<f8", t_total * n_agents * 2, pos).reshape(
-            t_total, n_agents, 2).copy()
-        pos += sizes[0]
-        ref = np.frombuffer(blob, "<f8", t_total * 2, pos).reshape(t_total, 2).copy()
-        pos += sizes[1]
-        mask = np.frombuffer(blob, "<u1", t_past * n_agents, pos).reshape(
-            t_past, n_agents).astype(np.float64)
-        pos += sizes[2]
-        sequences.append(TrajectorySequence(id=seq_id, coords=coords,
-                                            reference_track=ref,
-                                            t_past=t_past, t_future=t_future))
-        masks.append(mask)
-        if has_results:
-            imputed = np.frombuffer(blob, "<f8", t_past * n_agents * 2, pos).reshape(
-                t_past, n_agents, 2).copy()
-            pos += sizes[3]
-            predicted = np.frombuffer(blob, "<f8", t_future * n_agents * 2, pos).reshape(
-                t_future, n_agents, 2).copy()
-            pos += sizes[4]
-            results.append((imputed, predicted))
-
-    return Dataset(spec=spec, split=split, seed=seed,
-                   sequences=sequences, masks=masks, results=results)
+    table = container.take(payload, record, (count,), 0, f"{path}: records")
+    if table["mask"].max() > 1:
+        raise DataError(f"{path}: mask byte {table['mask'].max()} is not 0 or 1")
+    # one aligned copy per field: a packed record can leave its fields unaligned
+    sequences = [TrajectorySequence(id=seq_id, coords=coords, reference_track=ref,
+                                    t_past=t_past, t_future=t_future)
+                 for seq_id, coords, ref in zip(record_ids, table["coords"].copy(),
+                                                table["ref"].copy())]
+    results = list(zip(table["imputed"].copy(), table["predicted"].copy())) \
+        if has_results else None
+    return Dataset(spec=spec, split=split, seed=seed, sequences=sequences,
+                   masks=list(table["mask"].astype(np.float64)), results=results)
 
 
 def validate_dataset(ds: Dataset) -> None:

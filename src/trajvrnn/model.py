@@ -98,6 +98,8 @@ class ModelConfig:
                               "future steps; enable ST or DL as well")
         if self.coord_scale <= 0:
             raise ConfigError("coord_scale must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def with_updates(self, **kw) -> "ModelConfig":
         return replace(self, **kw)

@@ -266,6 +266,33 @@ def test_read_rejects_unknown_mode(tmp_path):
         read_dataset(path)
 
 
+def test_read_rejects_mask_byte_other_than_0_or_1(tmp_path):
+    seqs = generate_sequences(2, 3, 6, 2, seed=46)
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=4.0),
+                       split="train", seed=46)
+    path = tmp_path / "mask.trajset"
+    write_dataset(path, ds)
+    blob = bytearray(path.read_bytes())
+    payload = blob.index(b"\n", blob.index(b"\npayload_bytes=") + 1) + 1
+    mask_at = payload + 8 * 3 * 2 * 8 + 8 * 2 * 8  # past coords and reference track
+    assert blob[mask_at] in (0, 1)
+    blob[mask_at] = 7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="mask byte 7"):
+        read_dataset(path)
+
+
+def test_read_rejects_camera_that_is_not_2d(tmp_path):
+    seqs = generate_sequences(2, 3, 6, 2, seed=45)
+    ds = build_dataset(seqs, MaskingSpec(mode="camera", angle=20.0),
+                       split="train", seed=45)
+    path = tmp_path / "camera.trajset"
+    write_dataset(path, ds)
+    path.write_bytes(path.read_bytes().replace(b"camera=0.0,-15.0", b"camera=0,0,-15.0", 1))
+    with pytest.raises(DataError):
+        read_dataset(path)
+
+
 def test_validate_detects_scenario_mismatch(tmp_path):
     seqs = generate_sequences(2, 3, 6, 2, seed=47)
     ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=4.0),

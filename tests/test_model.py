@@ -631,7 +631,7 @@ def test_ec_only_needs_an_empty_future_window():
 
 
 @pytest.mark.parametrize("bad", [dict(d_hidden=0), dict(ec_pool=0), dict(t_future=-1),
-                                 dict(coord_center=(1.0,))])
+                                 dict(coord_center=(1.0,)), dict(seed=-1)])
 def test_config_rejects_bad_sizes(bad):
     with pytest.raises(ConfigError):
         tiny_cfg(mode="impute-only", **bad)
