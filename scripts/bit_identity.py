@@ -1,10 +1,13 @@
 """Print digests of everything a behaviour-preserving refactor must keep
 bit-identical: gen-data's circle and camera .trajset bytes, the losses of
-several train steps, batched and single-sequence run_inference outputs,
-the .ckpt bytes, the bytes of a load_checkpoint -> save_checkpoint round
-trip of that .ckpt, eval's report.csv / report.txt and the result.trajset
-that `run` writes, for every inference_feedback x static_norm
-combination.
+several train steps, every parameter's gradient after one backward,
+batched and single-sequence run_inference outputs, the .ckpt bytes, the
+bytes of a load_checkpoint -> save_checkpoint round trip of that .ckpt,
+eval's report.csv / report.txt and the result.trajset that `run` writes,
+for every inference_feedback x static_norm combination. The losses,
+gradients and inference outputs are also printed for the switches
+lag_mode=previous, share_streams=false, use_td=false, mode=impute-only
+and mode=predict-only.
 
 Run it against two checkouts and compare the output:
 
@@ -19,6 +22,7 @@ import tempfile
 
 import numpy as np
 
+from trajvrnn.autodiff import backward
 from trajvrnn.checkpoint import (load_checkpoint, restore_model,
                                  restore_optimizer, save_checkpoint)
 from trajvrnn.cli import main
@@ -46,6 +50,9 @@ gen_camera_angles=20.0
 seed=0
 """
 
+VARIANTS = ("lag_mode=previous", "share_streams=false", "use_td=false",
+            "mode=impute-only", "mode=predict-only")
+
 
 def digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -54,6 +61,33 @@ def digest(blob: bytes) -> str:
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
         return digest(fh.read())
+
+
+def grad_digest(model, coords, masks, rng) -> str:
+    """Digest of every parameter's gradient after one backward."""
+    model.zero_grad()
+    noise = model.draw_noise(rng, coords.shape[0], coords.shape[2])
+    backward(model.training_losses(coords, masks, noise)["total"])
+    return digest(b"".join(name.encode() + p.grad.tobytes()
+                           for name, p in model.params.items()))
+
+
+def train_and_infer(tag, cfg, coords, masks):
+    """Print the losses of 4 train steps, the gradient digest after one
+    more backward and the run_inference digests; returns model, optimizer."""
+    model = TrajectoryModel(cfg.model_config())
+    opt = Adam(model.parameters(), lr=0.01)
+    rng = np.random.default_rng(1)
+    for step in range(4):
+        losses = model.train_step(coords, masks, opt, rng=rng)
+        print(tag, "step", step, " ".join(f"{k}={v!r}" for k, v in sorted(losses.items())))
+    print(tag, "grads", grad_digest(model, coords, masks, rng))
+    past = coords[:, :cfg.t_past]
+    imputed, predicted = model.run_inference(past, masks, seed=2)
+    print(tag, "infer_batch", digest(imputed.tobytes() + predicted.tobytes()))
+    imputed, predicted = model.run_inference(past[0], masks[0], seed=3)
+    print(tag, "infer_single", digest(imputed.tobytes() + predicted.tobytes()))
+    return model, opt
 
 
 def run_cli(*argv):
@@ -81,17 +115,7 @@ def check(work):
         for norm in ("symmetric", "literal"):
             tag = f"{feedback}/{norm}"
             cfg = parse_config(CONFIG + f"inference_feedback={feedback}\nstatic_norm={norm}\n")
-            model = TrajectoryModel(cfg.model_config())
-            opt = Adam(model.parameters(), lr=0.01)
-            rng = np.random.default_rng(1)
-            for step in range(4):
-                losses = model.train_step(coords, masks, opt, rng=rng)
-                print(tag, "step", step, " ".join(f"{k}={v!r}" for k, v in sorted(losses.items())))
-            past = coords[:, :cfg.t_past]
-            imputed, predicted = model.run_inference(past, masks, seed=2)
-            print(tag, "infer_batch", digest(imputed.tobytes() + predicted.tobytes()))
-            imputed, predicted = model.run_inference(past[0], masks[0], seed=3)
-            print(tag, "infer_single", digest(imputed.tobytes() + predicted.tobytes()))
+            model, opt = train_and_infer(tag, cfg, coords, masks)
 
             ck = os.path.join(work, f"{feedback}_{norm}.ckpt")
             save_checkpoint(ck, model, opt, epoch=4)
@@ -114,6 +138,9 @@ def check(work):
             run_cli("run", "--config", run_cfg, "--checkpoint", ck,
                     "--data", single_path, "--out", out)
             print(tag, "result.trajset", file_digest(os.path.join(out, "result.trajset")))
+
+    for variant in VARIANTS:
+        train_and_infer(variant, parse_config(CONFIG + variant + "\n"), coords, masks)
 
 
 if __name__ == "__main__":

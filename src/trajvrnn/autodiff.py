@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation eagerly computes a numpy result and, when gradients are
-enabled and at least one input requires them, records a backward closure
-on the output node. The recorded graph is the tape: `backward` walks it
-once in reverse topological order, so each node's closure fires exactly
-once and accumulation order is fixed (deterministic, bit-reproducible).
+Every op eagerly computes a numpy result and, when gradients are enabled
+and an input requires them, records a backward function on the output
+node; an elementwise op is a forward plus one vector-Jacobian product
+per input (`_pointwise`). The recorded graph is the tape: `backward`
+walks it once in reverse topological order, so each node's backward
+fires exactly once and accumulation order is fixed (bit-reproducible).
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -13,6 +14,7 @@ NumericError immediately rather than letting it propagate.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -57,10 +59,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -98,12 +96,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return getitem(self, index)
 
@@ -129,10 +121,13 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def new_parameter(registry: dict, name: str, shape, rng, fill=None) -> Parameter:
-    """Create parameter `name` in `registry`: every entry `fill`, or drawn
-    from N(0, 1/fan_in) with `rng`, fan_in being a matrix's first axis."""
-    if fill is None:
+def new_parameter(registry: dict, name: str, shape, rng, fill=None, load=None) -> Parameter:
+    """Create parameter `name` in `registry`: `load(name, shape)` when
+    restoring, else every entry `fill`, or drawn from N(0, 1/fan_in) with
+    `rng`, fan_in being a matrix's first axis."""
+    if load is not None:
+        data = load(name, shape)
+    elif fill is None:
         fan_in = shape[0] if len(shape) > 1 else 1
         data = rng.normal(0.0, 1.0 / np.sqrt(max(1, fan_in)), size=shape)
     else:
@@ -141,15 +136,11 @@ def new_parameter(registry: dict, name: str, shape, rng, fill=None) -> Parameter
     return param
 
 
-def _check_finite(arr: np.ndarray, op: str, parents) -> None:
-    if not np.all(np.isfinite(arr)):
-        srcs = ", ".join(p.op for p in parents) or "none"
-        raise NumericError(f"non-finite values produced by op '{op}' (inputs from: {srcs})")
-
-
 def _make(data, op, parents, backward):
     data = np.asarray(data, dtype=np.float64)
-    _check_finite(data, op, parents)
+    if not np.all(np.isfinite(data)):
+        srcs = ", ".join(p.op for p in parents) or "none"
+        raise NumericError(f"non-finite values produced by op '{op}' (inputs from: {srcs})")
     if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward, op=op)
     return Tensor(data, op=op)
@@ -169,79 +160,132 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # primitive ops
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _pointwise(op, forward, vjps, *inputs) -> Tensor:
+    """Record elementwise op `op`: `forward(*arrays)` computes the output
+    and `vjps[i](grad, out, *arrays)` the gradient of input i (None: the
+    gradient itself), which is then summed back to that input's shape.
+    Inputs beyond the last vjp are constants (a clamp's bound), passed to
+    `forward` and the vjps as given and kept off the tape."""
+    n = len(vjps)
+    parents, consts = tuple(map(as_tensor, inputs[:n])), inputs[n:]
     try:
-        out = a.data + b.data
+        out = forward(*[t.data for t in parents], *consts)
     except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+        shapes = " and ".join(str(t.shape) for t in parents)
+        raise ShapeError(f"{op}: shapes {shapes} do not broadcast") from None
+    # a partial of module-level functions, not a closure: fewer objects
+    # per node for the cyclic GC to scan while the tape grows
+    return _make(out, op, parents, partial(_pointwise_backward, vjps, parents, consts, out))
 
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(grad, b.shape))
 
-    return _make(out, "add", (a, b), backward)
+def _pointwise_backward(vjps, parents, consts, out, grad):
+    arrays = [t.data for t in parents]
+    for t, vjp in zip(parents, vjps):
+        if t.requires_grad:
+            g = grad if vjp is None else vjp(grad, out, *arrays, *consts)
+            _accumulate(t, g if g.shape == t.shape else _unbroadcast(g, t.shape))
+
+
+# numpy warnings off for these two forwards only; _make rejects non-finite
+_divide = np.errstate(divide="ignore", invalid="ignore")(np.divide)
+_log = np.errstate(divide="ignore", invalid="ignore")(np.log)
+
+
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _negate(grad, out, a, b):
+    return -grad
+
+
+def _times_b(grad, out, a, b):
+    return grad * b
+
+
+def _times_a(grad, out, a, b):
+    return grad * a
+
+
+def _over_b(grad, out, a, b):
+    return grad / b
+
+
+def _div_b(grad, out, a, b):
+    return -grad * a / (b * b)
+
+
+def _times_out(grad, out, a):
+    return grad * out
+
+
+def _over_a(grad, out, a):
+    return grad / a
+
+
+def _tanh_vjp(grad, out, a):
+    return grad * (1.0 - out * out)
+
+
+def _sigmoid_vjp(grad, out, a):
+    return grad * out * (1.0 - out)
+
+
+def _above(grad, out, a, value):
+    return grad * (a > value)
+
+
+def _below(grad, out, a, value):
+    return grad * (a < value)
+
+
+def add(a, b) -> Tensor:
+    return _pointwise("add", np.add, (None, None), a, b)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-grad, b.shape))
-
-    return _make(out, "sub", (a, b), backward)
+    return _pointwise("sub", np.subtract, (None, _negate), a, b)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(grad * a.data, b.shape))
-
-    return _make(out, "mul", (a, b), backward)
+    return _pointwise("mul", np.multiply, (_times_b, _times_a), a, b)
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-grad * a.data / (b.data * b.data), b.shape))
-
-    return _make(out, "div", (a, b), backward)
+    return _pointwise("div", _divide, (_over_b, _div_b), a, b)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
+def exp(a) -> Tensor:
+    return _pointwise("exp", np.exp, (_times_out,), a)
 
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, -grad)
 
-    return _make(-a.data, "neg", (a,), backward)
+def log(a) -> Tensor:
+    return _pointwise("log", _log, (_over_a,), a)
+
+
+def relu(a) -> Tensor:
+    return _pointwise("relu", np.maximum, (_above,), a, 0.0)
+
+
+def tanh(a) -> Tensor:
+    return _pointwise("tanh", np.tanh, (_tanh_vjp,), a)
+
+
+def sigmoid(a) -> Tensor:
+    return _pointwise("sigmoid", _sigmoid, (_sigmoid_vjp,), a)
+
+
+def maximum_scalar(a, value: float) -> Tensor:
+    """Elementwise max(a, value); gradient is zero where the scalar wins."""
+    return _pointwise("maximum_scalar", np.maximum, (_above,), a, value)
+
+
+def minimum_scalar(a, value: float) -> Tensor:
+    return _pointwise("minimum_scalar", np.minimum, (_below,), a, value)
+
+
+def clamp(a, lo: float, hi: float) -> Tensor:
+    return minimum_scalar(maximum_scalar(a, lo), hi)
 
 
 def matmul(a, b) -> Tensor:
@@ -292,89 +336,6 @@ def concat(tensors, axis=-1) -> Tensor:
                 _accumulate(t, grad[tuple(index)])
 
     return _make(out, "concat", tuple(ts), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, grad * out)
-
-    return _make(out, "exp", (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, grad / a.data)
-
-    return _make(out, "log", (a,), backward)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, grad * (a.data > 0.0))
-
-    return _make(out, "relu", (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, grad * (1.0 - out * out))
-
-    return _make(out, "tanh", (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, grad * out * (1.0 - out))
-
-    return _make(out, "sigmoid", (a,), backward)
-
-
-def maximum_scalar(a, value: float) -> Tensor:
-    """Elementwise max(a, value); gradient is zero where the scalar wins."""
-    a = as_tensor(a)
-    out = np.maximum(a.data, value)
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, grad * (a.data > value))
-
-    return _make(out, "maximum_scalar", (a,), backward)
-
-
-def minimum_scalar(a, value: float) -> Tensor:
-    a = as_tensor(a)
-    out = np.minimum(a.data, value)
-
-    def backward(grad):
-        if a.requires_grad:
-            _accumulate(a, grad * (a.data < value))
-
-    return _make(out, "minimum_scalar", (a,), backward)
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    return minimum_scalar(maximum_scalar(a, lo), hi)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
@@ -450,23 +411,6 @@ def getitem(a, index) -> Tensor:
     return _make(out, "getitem", (a,), backward)
 
 
-def take(a, indices, axis=0) -> Tensor:
-    """Gather rows along an axis by an integer index vector."""
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    out = np.take(a.data, idx, axis=axis)
-
-    def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            sel = [slice(None)] * a.ndim
-            sel[axis] = idx
-            np.add.at(full, tuple(sel), grad)
-            _accumulate(a, full)
-
-    return _make(out, "take", (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -516,11 +460,6 @@ def backward(root: Tensor) -> None:
             node.grad = None  # interior grads are transient
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 def grad_check(f, params, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -530,7 +469,8 @@ def grad_check(f, params, h: float = 1e-5) -> float:
     |numeric|).
     """
     params = list(params)
-    zero_grads(params)
+    for p in params:
+        p.zero_grad()
     out = f()
     backward(out)
     analytic = [p.grad.copy() for p in params]

@@ -90,16 +90,19 @@ def load_checkpoint(path) -> CheckpointData:
 
 
 def restore_model(ck: CheckpointData) -> TrajectoryModel:
-    model = TrajectoryModel(ck.config)
-    for name, param in model.params.items():
+    def load(name, shape):
+        # runs before the model allocates the parameter, so a huge stored
+        # config fails here instead of in numpy; the copy keeps the model
+        # from sharing arrays with `ck`
         if name not in ck.arrays:
             raise DataError(f"checkpoint is missing parameter {name!r}")
         stored = ck.arrays[name]
-        if stored.shape != param.data.shape:
+        if stored.shape != shape:
             raise DataError(f"checkpoint parameter {name!r} has shape "
-                            f"{stored.shape}, expected {param.data.shape}")
-        param.data[...] = stored
-    return model
+                            f"{stored.shape}, expected {shape}")
+        return stored.copy()
+
+    return TrajectoryModel(ck.config, load)
 
 
 def restore_optimizer(ck: CheckpointData, model: TrajectoryModel) -> Adam:

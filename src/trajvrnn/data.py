@@ -88,15 +88,15 @@ class MaskingSpec:
 
     def __post_init__(self):
         if self.mode == "circle":
-            if self.radius is None or self.radius <= 0:
-                raise ConfigError("circle mode needs radius > 0")
+            if self.radius is None or not 0 < self.radius < np.inf:
+                raise ConfigError("circle mode needs a finite radius > 0")
         elif self.mode == "camera":
             if self.angle is None or not (0 < self.angle < 180):
                 raise ConfigError("camera mode needs 0 < angle < 180 degrees")
             if self.camera is None:
                 self.camera = DEFAULT_CAMERA
-            elif len(self.camera) != 2:
-                raise ConfigError("camera mode needs a 2D camera position")
+            elif len(self.camera) != 2 or not np.isfinite(self.camera).all():
+                raise ConfigError("camera mode needs a finite 2D camera position")
         else:
             raise ConfigError(f"unknown masking mode {self.mode!r}")
 

@@ -135,14 +135,14 @@ def fuse(branch_outputs, weights) -> Tensor:
 class SpatialEncoder:
     """Owns the graph parameters and runs the full per-timestep encoding."""
 
-    def __init__(self, cfg, rng: np.random.Generator, prefix="msgnn"):
+    def __init__(self, cfg, rng: np.random.Generator, prefix="msgnn", load=None):
         self.cfg = cfg
         d, dg = cfg.d_embed, cfg.d_graph
         e, k = cfg.ec_hidden, cfg.ec_pool
         self.params = {}
 
         def param(name, shape, fill=None):
-            return ad.new_parameter(self.params, f"{prefix}.{name}", shape, rng, fill)
+            return ad.new_parameter(self.params, f"{prefix}.{name}", shape, rng, fill, load)
 
         def embedding(name, d_in):
             return (param(f"{name}.w0", (d_in, d)), param(f"{name}.b0", (d,), fill=0),

@@ -200,16 +200,18 @@ def gru_step(x: Tensor, h: Tensor, weights) -> Tensor:
 class TrajectoryModel:
     """Full imputation + prediction model with named parameters."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, load=None):
+        """`load(name, shape)`, if given, supplies every parameter's values
+        in place of the seeded random init (see `autodiff.new_parameter`)."""
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        self.encoder = SpatialEncoder(cfg, rng)
+        self.encoder = SpatialEncoder(cfg, rng, load=load)
         self.params: dict[str, Parameter] = dict(self.encoder.params)
 
         h, z, dg = cfg.d_hidden, cfg.d_latent, cfg.d_graph
 
         def param(name, shape, fill=None):
-            return new_parameter(self.params, name, shape, rng, fill)
+            return new_parameter(self.params, name, shape, rng, fill, load)
 
         def gauss_head(name, d_in):
             return (param(f"{name}.w0", (d_in, z)), param(f"{name}.b0", (z,), fill=0),

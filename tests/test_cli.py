@@ -254,9 +254,11 @@ MALFORMED = {
     "zero-count": ("trajset", [(r"^record .*\n", ""), (r"^count=.*$", "count=0"),
                                (r"^payload_bytes=.*$", "payload_bytes=0")], False),
     "radius": ("trajset", [(r"^radius=.*$", "radius=-1.0")], True),
+    "radius-nan": ("trajset", [(r"^radius=.*$", "radius=nan")], True),
     "duplicate-seed": ("trajset", [(r"^(seed=.*)$", r"\1\n\1")], True),
     "duplicate-tensor": ("ckpt", [(r"^(tensor td\.weight .*)$", r"\1\n\1")], True),
     "config-seed": ("ckpt", [(r"^config\.seed=.*$", "config.seed=-3")], True),
+    "config-huge": ("ckpt", [(r"^config\.d_hidden=.*$", "config.d_hidden=4000000000")], True),
 }
 
 

@@ -288,9 +288,11 @@ def test_read_rejects_camera_that_is_not_2d(tmp_path):
                        split="train", seed=45)
     path = tmp_path / "camera.trajset"
     write_dataset(path, ds)
-    path.write_bytes(path.read_bytes().replace(b"camera=0.0,-15.0", b"camera=0,0,-15.0", 1))
-    with pytest.raises(DataError):
-        read_dataset(path)
+    blob = path.read_bytes()
+    for bad in (b"camera=0,0,-15.0", b"camera=nan,-15.0"):
+        path.write_bytes(blob.replace(b"camera=0.0,-15.0", bad, 1))
+        with pytest.raises(DataError):
+            read_dataset(path)
 
 
 def test_validate_detects_scenario_mismatch(tmp_path):
