@@ -1,13 +1,18 @@
 """Print digests of everything a behaviour-preserving refactor must keep
 bit-identical: gen-data's circle and camera .trajset bytes, the losses of
 several train steps, every parameter's gradient after one backward,
-batched and single-sequence run_inference outputs, the .ckpt bytes, the
-bytes of a load_checkpoint -> save_checkpoint round trip of that .ckpt,
-eval's report.csv / report.txt and the result.trajset that `run` writes,
-for every inference_feedback x static_norm combination. The losses,
-gradients and inference outputs are also printed for the switches
-lag_mode=previous, share_streams=false, use_td=false, mode=impute-only
-and mode=predict-only.
+batched and single-sequence run_inference outputs of the untrained and
+the trained model, the .ckpt bytes, the bytes of a load_checkpoint ->
+save_checkpoint round trip of that .ckpt, eval's report.csv / report.txt
+and the result.trajset that `run` writes, for every inference_feedback x
+static_norm combination. The losses, gradients and inference outputs are
+also printed for the switches lag_mode=previous, share_streams=false,
+use_td=false, mode=impute-only and mode=predict-only.
+
+The untrained digests and the step-0 losses depend on the forward pass
+alone; the later losses and the trained digests also carry any low-bit
+gradient drift through the Adam updates, so the two kinds of change
+show apart.
 
 Run it against two checkouts and compare the output:
 
@@ -72,21 +77,27 @@ def grad_digest(model, coords, masks, rng) -> str:
                            for name, p in model.params.items()))
 
 
+def print_inference(tag, model, coords, masks, t_past):
+    past = coords[:, :t_past]
+    imputed, predicted = model.run_inference(past, masks, seed=2)
+    print(tag, "infer_batch", digest(imputed.tobytes() + predicted.tobytes()))
+    imputed, predicted = model.run_inference(past[0], masks[0], seed=3)
+    print(tag, "infer_single", digest(imputed.tobytes() + predicted.tobytes()))
+
+
 def train_and_infer(tag, cfg, coords, masks):
-    """Print the losses of 4 train steps, the gradient digest after one
-    more backward and the run_inference digests; returns model, optimizer."""
+    """Print the untrained model's run_inference digests, the losses of 4
+    train steps, the gradient digest after one more backward and the
+    trained run_inference digests; returns model, optimizer."""
     model = TrajectoryModel(cfg.model_config())
+    print_inference(tag + " untrained", model, coords, masks, cfg.t_past)
     opt = Adam(model.parameters(), lr=0.01)
     rng = np.random.default_rng(1)
     for step in range(4):
         losses = model.train_step(coords, masks, opt, rng=rng)
         print(tag, "step", step, " ".join(f"{k}={v!r}" for k, v in sorted(losses.items())))
     print(tag, "grads", grad_digest(model, coords, masks, rng))
-    past = coords[:, :cfg.t_past]
-    imputed, predicted = model.run_inference(past, masks, seed=2)
-    print(tag, "infer_batch", digest(imputed.tobytes() + predicted.tobytes()))
-    imputed, predicted = model.run_inference(past[0], masks[0], seed=3)
-    print(tag, "infer_single", digest(imputed.tobytes() + predicted.tobytes()))
+    print_inference(tag, model, coords, masks, cfg.t_past)
     return model, opt
 
 

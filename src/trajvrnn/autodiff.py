@@ -7,6 +7,19 @@ per input (`_pointwise`). The recorded graph is the tape: `backward`
 walks it once in reverse topological order, so each node's backward
 fires exactly once and accumulation order is fixed (bit-reproducible).
 
+- Fold: a `(..., K) @ (K, H)` matmul, a batched left operand against a
+  2-D right one, runs as one 2-D GEMM over the rows of the batch axes,
+  forward and for both gradients. A batched right operand keeps
+  `np.matmul`.
+- Ownership: the first gradient to reach a node is stored as is when the
+  op has just made it (a GEMM product, a scatter, a vjp result) and
+  copied when it is a view, a broadcast or an array passed through to
+  several parents, so a later in-place `+=` never writes into another
+  node's gradient.
+- Fused cell: `gru` records a whole gated recurrent cell as one node with
+  a hand-written backward of 2-D GEMMs; of its intermediates it keeps
+  only the gate values, r * h and the candidate.
+
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
 """
@@ -183,16 +196,24 @@ def _pointwise_backward(vjps, parents, consts, out, grad):
     for t, vjp in zip(parents, vjps):
         if t.requires_grad:
             g = grad if vjp is None else vjp(grad, out, *arrays, *consts)
-            _accumulate(t, g if g.shape == t.shape else _unbroadcast(g, t.shape))
+            if g.shape != t.shape:
+                g = _unbroadcast(g, t.shape)
+            _accumulate(t, g, owned=g is not grad)
 
 
-# numpy warnings off for these two forwards only; _make rejects non-finite
+# numpy warnings off for these forwards; _make rejects non-finite results
 _divide = np.errstate(divide="ignore", invalid="ignore")(np.divide)
 _log = np.errstate(divide="ignore", invalid="ignore")(np.log)
+_exp = np.errstate(over="ignore")(np.exp)
 
 
-def _sigmoid(a):
-    return 1.0 / (1.0 + np.exp(-a))
+@np.errstate(over="ignore")  # exp(-a) -> inf for a << 0 gives a finite 0.0
+def _sigmoid(a, out=None):
+    """1 / (1 + exp(-a)), computed in `out` when given (which may be `a`)."""
+    out = np.negative(a, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _negate(grad, out, a, b):
@@ -256,7 +277,7 @@ def div(a, b) -> Tensor:
 
 
 def exp(a) -> Tensor:
-    return _pointwise("exp", np.exp, (_times_out,), a)
+    return _pointwise("exp", _exp, (_times_out,), a)
 
 
 def log(a) -> Tensor:
@@ -289,31 +310,121 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes. A shared 2-D right operand
+    against a batched left one folds the batch axes into rows: one 2-D
+    GEMM forward and one per gradient."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"matmul: batch shapes {a.shape} and {b.shape} do not broadcast") from None
+    fold = b.ndim == 2 and a.ndim > 2
+    if fold:
+        out = (a.data.reshape(-1, b.shape[0]) @ b.data).reshape(*a.shape[:-1], b.shape[1])
+    else:
+        try:
+            out = np.matmul(a.data, b.data)
+        except ValueError:
+            raise ShapeError(f"matmul: batch shapes {a.shape} and {b.shape} "
+                             "do not broadcast") from None
 
     def backward(grad):
+        rows = grad.reshape(-1, grad.shape[-1]) if fold else None
         if a.requires_grad:
-            ga = np.matmul(grad, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            if b.ndim == 2 and grad.ndim > 2:
-                # shared weight against a batched operand: fold the batch
-                # axes into rows instead of summing a batched product
-                gb = a.data.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
-                _accumulate(b, gb)
+            if fold:
+                ga = (rows @ b.data.T).reshape(a.shape)
             else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), grad)
-                _accumulate(b, _unbroadcast(gb, b.shape))
+                ga = _unbroadcast(np.matmul(grad, np.swapaxes(b.data, -1, -2)), a.shape)
+            _accumulate(a, ga, owned=True)
+        if b.requires_grad:
+            if fold:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ rows
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), grad), b.shape)
+            _accumulate(b, gb, owned=True)
 
     return _make(out, "matmul", (a, b), backward)
+
+
+def gru(x, h, wz, bz, wr, br, wh, bh) -> Tensor:
+    """Gated recurrent cell recorded as one tape node with op "gru":
+
+        z = sigmoid([x, h] @ wz + bz)      r = sigmoid([x, h] @ wr + br)
+        c = tanh([x, r * h] @ wh + bh)     out = (1 - z) * h + z * c
+
+    x is (..., X) and h (..., H) with the same leading axes; the weights
+    are (X + H, H) and the biases (H,). The forward runs the 2-D GEMMs and
+    elementwise steps of that composition of primitives, so its values are
+    bit-identical to it, with bias, sigmoid and tanh applied in place. The
+    node keeps z|r, r * h and c for backward; x and h are its parents."""
+    parents = tuple(map(as_tensor, (x, h, wz, bz, wr, br, wh, bh)))
+    x, h, wz, bz, wr, br, wh, bh = (t.data for t in parents)
+    n_x, n_h = x.shape[-1], h.shape[-1]
+    if (x.shape[:-1] != h.shape[:-1]
+            or any(w.shape != (n_x + n_h, n_h) for w in (wz, wr, wh))
+            or any(b.shape != (n_h,) for b in (bz, br, bh))):
+        raise ShapeError(f"gru: x {x.shape} and h {h.shape} do not fit gate weights "
+                         f"{wz.shape}, {wr.shape}, {wh.shape} and biases "
+                         f"{bz.shape}, {br.shape}, {bh.shape}")
+    xs, hs = x.reshape(-1, n_x), h.reshape(-1, n_h)
+    xh = np.concatenate([xs, hs], axis=1)
+    zr = np.empty((2, len(hs), n_h))
+    np.matmul(xh, wz, out=zr[0])
+    zr[0] += bz
+    np.matmul(xh, wr, out=zr[1])
+    zr[1] += br
+    del xh  # freed before the second concat: it sets the no-grad peak
+    z, r = _sigmoid(zr, out=zr)
+    rh = r * hs
+    cand = np.concatenate([xs, rh], axis=1) @ wh
+    cand += bh
+    np.tanh(cand, out=cand)
+    out = 1.0 - z
+    out *= hs
+    out += z * cand
+    return _make(out.reshape(h.shape), "gru", parents,
+                 partial(_gru_backward, parents, zr, rh, cand))
+
+
+def _gru_backward(parents, zr, rh, cand, grad):
+    x, h, wz, bz, wr, br, wh, bh = parents
+    xs, hs = x.data.reshape(-1, x.shape[-1]), h.data.reshape(-1, h.shape[-1])
+    n_x = xs.shape[1]
+    g = grad.reshape(cand.shape)
+    z, r = zr
+    dc = g * z  # through out = (1 - z) * h + z * c, then c = tanh(.)
+    dc *= 1.0 - cand * cand
+    dz = g * cand
+    dz -= g * hs
+    dz *= z  # through z = sigmoid(.)
+    dz *= 1.0 - z
+    dxrh = dc @ wh.data.T
+    dr = dxrh[:, n_x:] * hs  # through r * h, then r = sigmoid(.)
+    dr *= r
+    dr *= 1.0 - r
+    dxh = dz @ wz.data.T
+    dxh += dr @ wr.data.T
+    for w, b, d, below in ((wz, bz, dz, hs), (wr, br, dr, hs), (wh, bh, dc, rh)):
+        if w.requires_grad:
+            _accumulate(w, _stacked_t_at(xs, below, d), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(d.reshape(grad.shape), b.shape), owned=True)
+    if x.requires_grad:
+        _accumulate(x, (dxh[:, :n_x] + dxrh[:, :n_x]).reshape(x.shape), owned=True)
+    if h.requires_grad:
+        dh = g * (1.0 - z)
+        dh += dxrh[:, n_x:] * r
+        dh += dxh[:, n_x:]
+        _accumulate(h, dh.reshape(h.shape), owned=True)
+
+
+def _stacked_t_at(top, bottom, d):
+    """[top, bottom].T @ d, where the operand is the column concatenation
+    of two row blocks: a weight gradient that skips building it."""
+    out = np.empty((top.shape[1] + bottom.shape[1], d.shape[1]))
+    np.matmul(top.T, d, out=out[:top.shape[1]])
+    np.matmul(bottom.T, d, out=out[top.shape[1]:])
+    return out
 
 
 def concat(tensors, axis=-1) -> Tensor:
@@ -367,7 +478,7 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.shape) / count)
+            _accumulate(a, np.broadcast_to(g, a.shape) / count, owned=True)
 
     return _make(out, "mean", (a,), backward)
 
@@ -406,7 +517,7 @@ def getitem(a, index) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.add.at(full, index, grad)
-            _accumulate(a, full)
+            _accumulate(a, full, owned=True)
 
     return _make(out, "getitem", (a,), backward)
 
@@ -415,9 +526,13 @@ def getitem(a, index) -> Tensor:
 # backward pass
 
 
-def _accumulate(node: Tensor, grad: np.ndarray) -> None:
+def _accumulate(node: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add `grad` into `node.grad`. The first gradient is stored as is when
+    `owned` (the op has just made it and nothing else refers to it), else
+    copied: a view, a broadcast or an array sent to two parents must not
+    become a buffer that a later `+=` writes through."""
     if node.grad is None:
-        node.grad = np.array(grad, dtype=np.float64)  # own a dense copy
+        node.grad = np.asarray(grad) if owned else np.array(grad, dtype=np.float64)
     else:
         node.grad += grad  # in place: .grad is always our own buffer
 

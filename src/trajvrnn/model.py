@@ -24,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (Parameter, Tensor, backward, clamp, concat, exp, log,
-                       matmul, maximum_scalar, new_parameter, no_grad, sigmoid,
-                       tanh, tmean, tsum)
+                       matmul, maximum_scalar, new_parameter, no_grad, tanh,
+                       tmean, tsum)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
@@ -189,12 +189,7 @@ def gauss_kl(post: LatentDistribution, prior: LatentDistribution) -> Tensor:
 
 def gru_step(x: Tensor, h: Tensor, weights) -> Tensor:
     """Standard gated recurrent cell; weights = (wz, bz, wr, br, wh, bh)."""
-    wz, bz, wr, br, wh, bh = weights
-    xh = concat([x, h], axis=-1)
-    z = sigmoid(matmul(xh, wz) + bz)
-    r = sigmoid(matmul(xh, wr) + br)
-    cand = tanh(matmul(concat([x, r * h], axis=-1), wh) + bh)
-    return (1.0 - z) * h + z * cand
+    return ad.gru(x, h, *weights)
 
 
 class TrajectoryModel:

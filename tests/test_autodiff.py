@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from trajvrnn import autodiff as ad
 from trajvrnn.autodiff import (
     Parameter, Tensor, backward, clamp, concat, div, exp, getitem, grad_check,
-    log, matmul, maximum_scalar, minimum_scalar, mul, no_grad, relu, reshape,
-    sigmoid, tanh, tmean, tsum,
+    gru, log, matmul, maximum_scalar, minimum_scalar, mul, no_grad, relu,
+    reshape, sigmoid, tanh, tmean, transpose, tsum,
 )
 from trajvrnn.errors import NumericError, ShapeError
 
@@ -111,6 +112,14 @@ def test_non_finite_forward_raises():
         exp(Tensor([1000.0]))
 
 
+def test_exp_and_sigmoid_overflow_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigmoid(Tensor([-1000.0])).data[0] == 0.0
+        with pytest.raises(NumericError, match="'exp'"):
+            exp(Tensor([1000.0]))
+
+
 def test_tensor_axis_limit():
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 2, 2, 2, 2)))
@@ -161,19 +170,38 @@ def test_grad_check_constant_is_zero():
     assert grad_check(lambda: tsum(mul(c, c)) + 0.0 * tsum(w), [w]) == 0.0
 
 
+GRU_SHAPES = {"x": (2, 3, 3), "h": (2, 3, 4), "wz": (7, 4), "bz": (4,),
+              "wr": (7, 4), "br": (4,), "wh": (7, 4), "bh": (4,)}
+
+
 @pytest.mark.parametrize("op_name", [
-    "matmul", "add", "sub", "mul", "div", "concat", "exp", "log", "tanh",
-    "sigmoid", "relu", "maxs", "mins", "sum", "mean", "reshape", "slice",
-    "bcast",
+    "matmul", "matmul3d", "add", "add_fanout", "sub", "mul", "div", "concat",
+    "exp", "log", "tanh", "sigmoid", "relu", "maxs", "mins", "sum", "mean",
+    "reshape", "slice", "bcast", "gru",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     a = Parameter("a", rng.normal(size=(3, 4)))
     b = Parameter("b", rng.normal(size=(3, 4)) + 3.0)  # kept positive-ish for div/log
     w = Parameter("w", rng.normal(size=(4, 2)))
+    c = Parameter("c", rng.normal(size=(2, 3, 4)))
+    cell = [Parameter(name, rng.normal(size=shape)) for name, shape in GRU_SHAPES.items()]
+
+    def add_fanout():
+        # backward reaches the add first, which hands one gradient to the
+        # interior nodes ta and tb; the mul then adds a second one into
+        # each. Had both stored that gradient uncopied, the `+=` on ta's
+        # buffer would also land in tb's.
+        ta, tb = tanh(a), tanh(b * 0.3)
+        return tsum(tanh(ta + tb)) + tsum(ta * tb)
 
     builders = {
         "matmul": lambda: tsum(tanh(matmul(a, w))),
+        # a batched left operand against a 2-D weight, also non-contiguous
+        "matmul3d": lambda: (tsum(tanh(matmul(c, w)))
+                             + tsum(tanh(matmul(transpose(c, 0, 1), w)))),
+        "add_fanout": add_fanout,
+        "gru": lambda: tsum(tanh(gru(*cell))),
         "add": lambda: tsum(tanh(a + b)),
         "sub": lambda: tsum(tanh(a - b)),
         "mul": lambda: tsum(tanh(a * b)),
@@ -192,16 +220,59 @@ def test_grad_check_every_primitive(op_name):
         "slice": lambda: tsum(tanh(a[:, 1:3])),
         "bcast": lambda: tsum(tanh(a * b[0:1, :])),
     }
-    params = [p for p in (a, b, w) if _touches(op_name, p.name)]
+    params = [p for p in (a, b, w, c, *cell) if _touches(op_name, p.name)]
     assert grad_check(builders[op_name], params) <= 1e-4
 
 
 def _touches(op_name, pname):
     if op_name == "matmul":
         return pname in ("a", "w")
+    if op_name == "matmul3d":
+        return pname in ("c", "w")
+    if op_name == "gru":
+        return pname in GRU_SHAPES
     if op_name in ("exp", "tanh", "sigmoid", "relu", "maxs", "mins", "sum",
                    "mean", "reshape", "slice"):
         return pname == "a"
     if op_name == "log":
         return pname == "b"
     return pname in ("a", "b")
+
+
+def _composed_gru(x, h, wz, bz, wr, br, wh, bh):
+    xh = concat([x, h], axis=-1)
+    z = sigmoid(matmul(xh, wz) + bz)
+    r = sigmoid(matmul(xh, wr) + br)
+    cand = tanh(matmul(concat([x, r * h], axis=-1), wh) + bh)
+    return (1.0 - z) * h + z * cand
+
+
+@pytest.mark.parametrize("lead,n_x,n_h", [((2, 3), 3, 4), ((64, 10), 80, 256)])
+def test_gru_matches_composed_cell(lead, n_x, n_h):
+    """Forward bit-equal to the cell composed of primitives, with and
+    without the tape; gradients equal to it up to reassociation."""
+    rng = np.random.default_rng(n_h)
+    shapes = [lead + (n_x,), lead + (n_h,)] + [(n_x + n_h, n_h), (n_h,)] * 3
+    cell = [Parameter(f"p{i}", rng.normal(size=shape) / np.sqrt(shape[0]))
+            for i, shape in enumerate(shapes)]
+    composed = _composed_gru(*cell)
+    fused = gru(*cell)
+    assert fused.op == "gru" and fused.parents == tuple(cell)
+    assert np.array_equal(fused.data, composed.data)
+    with no_grad():
+        assert np.array_equal(gru(*cell).data, composed.data)
+    grads = []
+    for out in (composed, fused):
+        for p in cell:
+            p.zero_grad()
+        backward(tsum(tanh(out)))
+        grads.append([p.grad.copy() for p in cell])
+    for want, got in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gru_rejects_mismatched_shapes():
+    cell = [Tensor(np.ones(shape)) for shape in GRU_SHAPES.values()]
+    cell[1] = Tensor(np.ones((3, 2, 4)))
+    with pytest.raises(ShapeError, match="gru"):
+        gru(*cell)

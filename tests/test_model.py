@@ -221,6 +221,18 @@ def test_gru_zero_weights_zero_fixed_point():
     np.testing.assert_array_equal(out.data, np.zeros((2, 3, cfg.d_hidden)))
 
 
+def test_gru_step_records_one_tape_node():
+    model = TrajectoryModel(tiny_cfg(seed=18))
+    cfg = model.cfg
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(2, 3, cfg.d_graph + cfg.d_latent)))
+    h = Tensor(rng.normal(size=(2, 3, cfg.d_hidden)))
+    out = gru_step(x, h, model.rnn_main)
+    # its parents are the two inputs and the six leaf weights: one node
+    assert out.op == "gru" and out.parents == (x, h, *model.rnn_main)
+    assert all(p.parents == () for p in out.parents)
+
+
 def _gru_oracle(x, h, weights):
     wz, bz, wr, br, wh, bh = (p.data for p in weights)
     xh = np.concatenate([x, h], axis=-1)
