@@ -19,6 +19,10 @@ fires exactly once and accumulation order is fixed (bit-reproducible).
 - Fused cell: `gru` records a whole gated recurrent cell as one node with
   a hand-written backward of 2-D GEMMs; of its intermediates it keeps
   only the gate values, r * h and the candidate.
+- Linear: `linear` records an affine map over concatenated inputs,
+  `concat(inputs, -1) @ w + b`, as one node that keeps nothing but its
+  parents: neither the concatenation nor the product before the bias
+  stays on the tape.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -260,6 +264,14 @@ def _below(grad, out, a, value):
     return grad * (a < value)
 
 
+def _clip(a, lo, hi):
+    return np.minimum(np.maximum(a, lo), hi)
+
+
+def _inside(grad, out, a, lo, hi):
+    return grad * ((a > lo) & (a < hi))
+
+
 def add(a, b) -> Tensor:
     return _pointwise("add", np.add, (None, None), a, b)
 
@@ -306,7 +318,8 @@ def minimum_scalar(a, value: float) -> Tensor:
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
-    return minimum_scalar(maximum_scalar(a, lo), hi)
+    """Elementwise min(max(a, lo), hi); gradient is zero where a bound wins."""
+    return _pointwise("clamp", _clip, (_inside,), a, lo, hi)
 
 
 def matmul(a, b) -> Tensor:
@@ -406,7 +419,7 @@ def _gru_backward(parents, zr, rh, cand, grad):
     dxh += dr @ wr.data.T
     for w, b, d, below in ((wz, bz, dz, hs), (wr, br, dr, hs), (wh, bh, dc, rh)):
         if w.requires_grad:
-            _accumulate(w, _stacked_t_at(xs, below, d), owned=True)
+            _accumulate(w, _stacked_t_at((xs, below), d), owned=True)
         if b.requires_grad:
             _accumulate(b, _unbroadcast(d.reshape(grad.shape), b.shape), owned=True)
     if x.requires_grad:
@@ -418,13 +431,58 @@ def _gru_backward(parents, zr, rh, cand, grad):
         _accumulate(h, dh.reshape(h.shape), owned=True)
 
 
-def _stacked_t_at(top, bottom, d):
-    """[top, bottom].T @ d, where the operand is the column concatenation
-    of two row blocks: a weight gradient that skips building it."""
-    out = np.empty((top.shape[1] + bottom.shape[1], d.shape[1]))
-    np.matmul(top.T, d, out=out[:top.shape[1]])
-    np.matmul(bottom.T, d, out=out[top.shape[1]:])
+def _stacked_t_at(blocks, d):
+    """[b_1, ..., b_k].T @ d, where the operand is the column concatenation
+    of k row blocks: a weight gradient that skips building it."""
+    out = np.empty((sum(block.shape[1] for block in blocks), d.shape[1]))
+    start = 0
+    for block in blocks:
+        np.matmul(block.T, d, out=out[start:start + block.shape[1]])
+        start += block.shape[1]
     return out
+
+
+def linear(inputs, w, b) -> Tensor:
+    """Affine map `concat(inputs, -1) @ w + b` recorded as one tape node
+    with op "linear".
+
+    The inputs share their leading axes, their widths add up to w's rows,
+    and b is (w's columns,). The forward concatenates the inputs' rows
+    into a temporary 2-D buffer, runs one 2-D GEMM and adds the bias in
+    place, so its values are bit-identical to the composition of concat,
+    matmul and add. The node keeps only its parents: backward takes the
+    weight gradient block by block and input k's gradient from w's rows
+    for that input."""
+    parents = (*map(as_tensor, inputs), as_tensor(w), as_tensor(b))
+    xs, (w, b) = parents[:-2], (t.data for t in parents[-2:])
+    lead = xs[0].shape[:-1] if xs else None
+    if (not xs or any(x.ndim == 0 or x.shape[:-1] != lead for x in xs)
+            or w.ndim != 2 or sum(x.shape[-1] for x in xs) != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"linear: inputs {[x.shape for x in xs]} do not fit "
+                         f"weight {w.shape} and bias {b.shape}")
+    rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
+    out = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)) @ w
+    out += b
+    return _make(out.reshape(*lead, w.shape[1]), "linear", parents,
+                 partial(_linear_backward, parents))
+
+
+def _linear_backward(parents, grad):
+    *xs, w, b = parents
+    g = grad.reshape(-1, grad.shape[-1])
+    rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
+    if w.requires_grad:
+        _accumulate(w, _stacked_t_at(rows, g), owned=True)
+    if b.requires_grad:
+        gb = _unbroadcast(grad, b.shape)
+        _accumulate(b, gb, owned=gb is not grad)
+    start = 0
+    for x, r in zip(xs, rows):
+        stop = start + r.shape[1]
+        if x.requires_grad:
+            _accumulate(x, (g @ w.data[start:stop].T).reshape(x.shape), owned=True)
+        start = stop
 
 
 def concat(tensors, axis=-1) -> Tensor:

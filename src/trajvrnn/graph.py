@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, concat, matmul, relu, reshape, tanh, tmean, transpose
+from .autodiff import Tensor, linear, matmul, relu, reshape, tanh, tmean, transpose
 from .errors import CapacityError, ConfigError
 
 CAT_BOTH_VISIBLE = 0
@@ -176,7 +176,7 @@ class SpatialEncoder:
             w0, b0, w1, b1 = self.embed_future
         else:
             raise ConfigError(f"unknown phase {phase!r}")
-        return matmul(tanh(matmul(inp, w0) + b0), w1) + b1
+        return linear([tanh(linear([inp], w0, b0))], w1, b1)
 
     def edge_weight_matrices(self) -> Tensor:
         """Generate the three category weight matrices, shape (3, D_G, D).
@@ -186,8 +186,8 @@ class SpatialEncoder:
         """
         cfg = self.cfg
         onehots = Tensor(np.eye(3))
-        hidden = tanh(matmul(onehots, self.ec_w0) + self.ec_b0)
-        raw = matmul(hidden, self.ec_w1) + self.ec_b1
+        hidden = tanh(linear([onehots], self.ec_w0, self.ec_b0))
+        raw = linear([hidden], self.ec_w1, self.ec_b1)
         stacked = reshape(raw, (3, cfg.ec_pool, cfg.d_graph, cfg.d_embed))
         return tmean(stacked, axis=1)
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Parameter, Tensor, backward, clamp, concat, exp, log,
-                       matmul, maximum_scalar, new_parameter, no_grad, tanh,
-                       tmean, tsum)
+from .autodiff import (Parameter, Tensor, backward, clamp, concat, exp, linear,
+                       log, maximum_scalar, new_parameter, no_grad, tanh, tmean,
+                       tsum)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
@@ -256,32 +256,31 @@ class TrajectoryModel:
         c = np.asarray(self.cfg.coord_center, dtype=np.float64)
         return np.asarray(coords, dtype=np.float64) * self.cfg.coord_scale + c
 
-    def _gauss_head(self, x: Tensor, head) -> LatentDistribution:
+    def _gauss_head(self, inputs, head) -> LatentDistribution:
+        """Diagonal Gaussian from an MLP over the concatenated `inputs`."""
         w0, b0, w_mu, b_mu, w_lv, b_lv = head
-        hidden = tanh(matmul(x, w0) + b0)
-        mu = matmul(hidden, w_mu) + b_mu
-        lv = clamp(matmul(hidden, w_lv) + b_lv,
+        hidden = tanh(linear(inputs, w0, b0))
+        mu = linear([hidden], w_mu, b_mu)
+        lv = clamp(linear([hidden], w_lv, b_lv),
                    -self.cfg.logvar_limit, self.cfg.logvar_limit)
         return LatentDistribution(mu=mu, logvar=lv)
 
     def prior_params(self, h_prev: Tensor) -> LatentDistribution:
-        return self._gauss_head(h_prev, self.prior_head)
+        return self._gauss_head([h_prev], self.prior_head)
 
     def posterior_params(self, graph_features: Tensor, h_prev: Tensor) -> LatentDistribution:
-        return self._gauss_head(concat([graph_features, h_prev], axis=-1), self.post_head)
+        return self._gauss_head([graph_features, h_prev], self.post_head)
 
     def zfeat_past(self, z: Tensor) -> Tensor:
-        w, b = self.zfeat_past_w
-        return tanh(matmul(z, w) + b)
+        return tanh(linear([z], *self.zfeat_past_w))
 
     def zfeat_future(self, z: Tensor, z_tp: Tensor) -> Tensor:
-        w, b = self.zfeat_future_w
-        return tanh(matmul(concat([z, z_tp], axis=-1), w) + b)
+        return tanh(linear([z, z_tp], *self.zfeat_future_w))
 
     def _decode(self, features: Tensor, h_prev: Tensor, head) -> BiGaussianParams:
         w0, b0, w_out, b_out = head
-        hidden = tanh(matmul(concat([features, h_prev], axis=-1), w0) + b0)
-        return bigauss_split(matmul(hidden, w_out) + b_out)
+        hidden = tanh(linear([features, h_prev], w0, b0))
+        return bigauss_split(linear([hidden], w_out, b_out))
 
     def decode_imputation(self, z: Tensor, h_prev: Tensor, z_features=None) -> BiGaussianParams:
         zf = self.zfeat_past(z) if z_features is None else z_features

@@ -7,8 +7,8 @@ import pytest
 from trajvrnn import autodiff as ad
 from trajvrnn.autodiff import (
     Parameter, Tensor, backward, clamp, concat, div, exp, getitem, grad_check,
-    gru, log, matmul, maximum_scalar, minimum_scalar, mul, no_grad, relu,
-    reshape, sigmoid, tanh, tmean, transpose, tsum,
+    gru, linear, log, matmul, maximum_scalar, minimum_scalar, mul, no_grad,
+    relu, reshape, sigmoid, tanh, tmean, transpose, tsum,
 )
 from trajvrnn.errors import NumericError, ShapeError
 
@@ -177,7 +177,7 @@ GRU_SHAPES = {"x": (2, 3, 3), "h": (2, 3, 4), "wz": (7, 4), "bz": (4,),
 @pytest.mark.parametrize("op_name", [
     "matmul", "matmul3d", "add", "add_fanout", "sub", "mul", "div", "concat",
     "exp", "log", "tanh", "sigmoid", "relu", "maxs", "mins", "sum", "mean",
-    "reshape", "slice", "bcast", "gru",
+    "reshape", "slice", "bcast", "gru", "linear", "linear2", "clamp",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -186,6 +186,11 @@ def test_grad_check_every_primitive(op_name):
     w = Parameter("w", rng.normal(size=(4, 2)))
     c = Parameter("c", rng.normal(size=(2, 3, 4)))
     cell = [Parameter(name, rng.normal(size=shape)) for name, shape in GRU_SHAPES.items()]
+    # drawn after the parameters above, so their values do not depend on these
+    d = Parameter("d", rng.normal(size=(2, 3, 2)))
+    v = Parameter("v", rng.normal(size=(6, 2)))
+    lb = Parameter("lb", rng.normal(size=(2,)))
+    k = Parameter("k", np.linspace(-2.0, 2.0, 12).reshape(3, 4))  # both sides of +-1
 
     def add_fanout():
         # backward reaches the add first, which hands one gradient to the
@@ -202,6 +207,10 @@ def test_grad_check_every_primitive(op_name):
                              + tsum(tanh(matmul(transpose(c, 0, 1), w)))),
         "add_fanout": add_fanout,
         "gru": lambda: tsum(tanh(gru(*cell))),
+        "linear": lambda: tsum(tanh(linear([a], w, lb))),
+        # two inputs of different widths, so a block offset mix-up shows
+        "linear2": lambda: tsum(tanh(linear([c, d], v, lb))),
+        "clamp": lambda: tsum(tanh(clamp(k, -1.0, 1.0) * 1.5)),
         "add": lambda: tsum(tanh(a + b)),
         "sub": lambda: tsum(tanh(a - b)),
         "mul": lambda: tsum(tanh(a * b)),
@@ -220,7 +229,7 @@ def test_grad_check_every_primitive(op_name):
         "slice": lambda: tsum(tanh(a[:, 1:3])),
         "bcast": lambda: tsum(tanh(a * b[0:1, :])),
     }
-    params = [p for p in (a, b, w, c, *cell) if _touches(op_name, p.name)]
+    params = [p for p in (a, b, w, c, *cell, d, v, lb, k) if _touches(op_name, p.name)]
     assert grad_check(builders[op_name], params) <= 1e-4
 
 
@@ -231,6 +240,12 @@ def _touches(op_name, pname):
         return pname in ("c", "w")
     if op_name == "gru":
         return pname in GRU_SHAPES
+    if op_name == "linear":
+        return pname in ("a", "w", "lb")
+    if op_name == "linear2":
+        return pname in ("c", "d", "v", "lb")
+    if op_name == "clamp":
+        return pname == "k"
     if op_name in ("exp", "tanh", "sigmoid", "relu", "maxs", "mins", "sum",
                    "mean", "reshape", "slice"):
         return pname == "a"
@@ -276,3 +291,42 @@ def test_gru_rejects_mismatched_shapes():
     cell[1] = Tensor(np.ones((3, 2, 4)))
     with pytest.raises(ShapeError, match="gru"):
         gru(*cell)
+
+
+@pytest.mark.parametrize("widths", [(16,), (16, 256)])
+@pytest.mark.parametrize("lead", [(2, 3), (64, 10)])
+def test_linear_matches_composed_affine(lead, widths):
+    """Forward bit-equal to matmul(concat(inputs), w) + b, with and without
+    the tape; gradients equal to it up to reassociation."""
+    rng = np.random.default_rng(sum(widths) + lead[0])
+    shapes = [lead + (n,) for n in widths] + [(sum(widths), 64), (64,)]
+    params = [Parameter(f"p{i}", rng.normal(size=shape) / np.sqrt(shape[0]))
+              for i, shape in enumerate(shapes)]
+    *inputs, w, b = params
+    composed = matmul(concat(inputs, axis=-1), w) + b
+    fused = linear(inputs, w, b)
+    assert fused.op == "linear" and fused.parents == tuple(params)
+    assert np.array_equal(fused.data, composed.data)
+    with no_grad():
+        assert np.array_equal(linear(inputs, w, b).data, composed.data)
+    grads = []
+    for out in (composed, fused):
+        for p in params:
+            p.zero_grad()
+        backward(tsum(tanh(out)))
+        grads.append([p.grad.copy() for p in params])
+    for want, got in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 3), (4, 2), (5, 6), (6,)],   # leading axes differ
+    [(2, 3), (2, 2), (6, 6), (6,)],   # widths add up to 5, not 6 rows
+    [(2, 3), (2, 3), (6, 6), (5,)],   # bias does not match the columns
+])
+def test_linear_shape_error_names_every_shape(shapes):
+    *inputs, w, b = (Tensor(np.ones(shape)) for shape in shapes)
+    with pytest.raises(ShapeError) as err:
+        linear(inputs, w, b)
+    message = str(err.value)
+    assert message.startswith("linear") and all(str(s) in message for s in shapes)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trajvrnn.autodiff import Tensor, backward, grad_check, tsum
+from trajvrnn.autodiff import Parameter, Tensor, backward, grad_check, tsum
 from trajvrnn.checkpoint import load_model, save_checkpoint
 from trajvrnn.errors import ConfigError
 from trajvrnn.model import (
@@ -481,6 +481,40 @@ def test_full_model_gradient_check_small():
 
 # ---------------------------------------------------------------------------
 # training and inference drivers
+
+
+def _tape_nodes(root):
+    """Every recorded node behind `root` (nodes with parents), once each."""
+    seen, stack, nodes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if node.parents:
+            nodes.append(node)
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+def test_training_tape_holds_no_affine_intermediates():
+    """Every affine map is one `linear` node: the tape keeps no concat copy
+    other than the GRU inputs and no matmul output that only feeds a bias
+    add, and each log-variance clamp is one node."""
+    cfg = tiny_cfg(seed=37)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=38)
+    noise = model.draw_noise(np.random.default_rng(39), 2, 3)
+    nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
+    ops = [node.op for node in nodes]
+    steps = cfg.t_past + cfg.t_future
+    # one GRU input per step; the last future step's GRU does not reach the loss
+    assert ops.count("concat") == steps - 1
+    assert ops.count("clamp") == 2 * steps  # prior and posterior log-variance
+    bias_adds = [node for node in nodes if node.op == "add"
+                 and any(p.op == "matmul" for p in node.parents)
+                 and any(isinstance(p, Parameter) for p in node.parents)]
+    assert bias_adds == []
 
 
 def test_train_step_reduces_loss():
