@@ -17,8 +17,18 @@ show apart.
 Run it against two checkouts and compare the output:
 
     PYTHONPATH=<checkout>/src python scripts/bit_identity.py > digests.txt
+
+`--dump DIR` also saves the arrays behind the loss, gradient, parameter
+and inference digests to DIR/arrays.npz; `--compare A B` then prints,
+for every array that differs between two such dumps, its max-norm
+relative drift max|a - b| / max|a| and how many entries differ:
+
+    PYTHONPATH=<old>/src python scripts/bit_identity.py --dump old
+    PYTHONPATH=<new>/src python scripts/bit_identity.py --dump new
+    PYTHONPATH=<new>/src python scripts/bit_identity.py --compare old new
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -68,36 +78,45 @@ def file_digest(path) -> str:
         return digest(fh.read())
 
 
-def grad_digest(model, coords, masks, rng) -> str:
+def grad_digest(model, coords, masks, rng, arrays, tag) -> str:
     """Digest of every parameter's gradient after one backward."""
     model.zero_grad()
     noise = model.draw_noise(rng, coords.shape[0], coords.shape[2])
     backward(model.training_losses(coords, masks, noise)["total"])
+    for name, p in model.params.items():
+        arrays[f"{tag} grad {name}"] = p.grad.copy()
     return digest(b"".join(name.encode() + p.grad.tobytes()
                            for name, p in model.params.items()))
 
 
-def print_inference(tag, model, coords, masks, t_past):
+def print_inference(tag, model, coords, masks, t_past, arrays):
     past = coords[:, :t_past]
-    imputed, predicted = model.run_inference(past, masks, seed=2)
-    print(tag, "infer_batch", digest(imputed.tobytes() + predicted.tobytes()))
-    imputed, predicted = model.run_inference(past[0], masks[0], seed=3)
-    print(tag, "infer_single", digest(imputed.tobytes() + predicted.tobytes()))
+    for kind, args, seed in (("infer_batch", (past, masks), 2),
+                             ("infer_single", (past[0], masks[0]), 3)):
+        imputed, predicted = model.run_inference(*args, seed=seed)
+        arrays[f"{tag} {kind} imputed"] = imputed
+        arrays[f"{tag} {kind} predicted"] = predicted
+        print(tag, kind, digest(imputed.tobytes() + predicted.tobytes()))
 
 
-def train_and_infer(tag, cfg, coords, masks):
+def train_and_infer(tag, cfg, coords, masks, arrays):
     """Print the untrained model's run_inference digests, the losses of 4
     train steps, the gradient digest after one more backward and the
-    trained run_inference digests; returns model, optimizer."""
+    trained run_inference digests, recording the arrays behind them and
+    the trained parameters in `arrays`; returns model, optimizer."""
     model = TrajectoryModel(cfg.model_config())
-    print_inference(tag + " untrained", model, coords, masks, cfg.t_past)
+    print_inference(tag + " untrained", model, coords, masks, cfg.t_past, arrays)
     opt = Adam(model.parameters(), lr=0.01)
     rng = np.random.default_rng(1)
     for step in range(4):
         losses = model.train_step(coords, masks, opt, rng=rng)
+        for k, v in losses.items():
+            arrays[f"{tag} step {step} {k}"] = np.float64(v)
         print(tag, "step", step, " ".join(f"{k}={v!r}" for k, v in sorted(losses.items())))
-    print(tag, "grads", grad_digest(model, coords, masks, rng))
-    print_inference(tag, model, coords, masks, cfg.t_past)
+    for name, p in model.params.items():
+        arrays[f"{tag} param {name}"] = p.data.copy()
+    print(tag, "grads", grad_digest(model, coords, masks, rng, arrays, tag))
+    print_inference(tag, model, coords, masks, cfg.t_past, arrays)
     return model, opt
 
 
@@ -106,7 +125,7 @@ def run_cli(*argv):
         assert main(list(argv)) == 0
 
 
-def check(work):
+def check(work, arrays):
     cfg_path = os.path.join(work, "base.cfg")
     with open(cfg_path, "w") as fh:
         fh.write(CONFIG)
@@ -126,7 +145,7 @@ def check(work):
         for norm in ("symmetric", "literal"):
             tag = f"{feedback}/{norm}"
             cfg = parse_config(CONFIG + f"inference_feedback={feedback}\nstatic_norm={norm}\n")
-            model, opt = train_and_infer(tag, cfg, coords, masks)
+            model, opt = train_and_infer(tag, cfg, coords, masks, arrays)
 
             ck = os.path.join(work, f"{feedback}_{norm}.ckpt")
             save_checkpoint(ck, model, opt, epoch=4)
@@ -151,9 +170,47 @@ def check(work):
             print(tag, "result.trajset", file_digest(os.path.join(out, "result.trajset")))
 
     for variant in VARIANTS:
-        train_and_infer(variant, parse_config(CONFIG + variant + "\n"), coords, masks)
+        train_and_infer(variant, parse_config(CONFIG + variant + "\n"), coords, masks,
+                        arrays)
+
+
+def compare(dir_a, dir_b):
+    """Print each array that differs between two dumps with its max-norm
+    relative drift and its count of differing entries."""
+    with np.load(os.path.join(dir_a, "arrays.npz")) as za, \
+            np.load(os.path.join(dir_b, "arrays.npz")) as zb:
+        a, b = dict(za), dict(zb)
+    differ = 0
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            print(f"{key}: only in {dir_a if key in a else dir_b}")
+        elif a[key].shape != b[key].shape:
+            print(f"{key}: shape {a[key].shape} vs {b[key].shape}")
+        elif a[key].tobytes() != b[key].tobytes():
+            diff = np.abs(a[key] - b[key])
+            drift = diff.max() / max(np.abs(a[key]).max(), np.finfo(np.float64).tiny)
+            print(f"{key}: drift {drift:.3g}, {np.count_nonzero(a[key] != b[key])} "
+                  f"of {a[key].size} entries differ")
+        else:
+            continue
+        differ += 1
+    print(f"{differ} of {len(a.keys() | b.keys())} arrays differ")
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        check(work)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--dump", metavar="DIR",
+                       help="also save the arrays behind the digests to DIR/arrays.npz")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                       help="compare two --dump directories instead of running")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        arrays = {}
+        with tempfile.TemporaryDirectory() as work:
+            check(work, arrays)
+        if args.dump:
+            os.makedirs(args.dump, exist_ok=True)
+            np.savez(os.path.join(args.dump, "arrays.npz"), **arrays)

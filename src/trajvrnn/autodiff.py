@@ -7,10 +7,13 @@ per input (`_pointwise`). The recorded graph is the tape: `backward`
 walks it once in reverse topological order, so each node's backward
 fires exactly once and accumulation order is fixed (bit-reproducible).
 
-- Fold: a `(..., K) @ (K, H)` matmul, a batched left operand against a
-  2-D right one, runs as one 2-D GEMM over the rows of the batch axes,
-  forward and for both gradients. A batched right operand keeps
-  `np.matmul`.
+- Fold: every product of an activation with a weight matrix is a
+  `linear` node, `concat(inputs, -1) @ w (+ b)`, which runs as one 2-D
+  GEMM over the rows of the batch axes, forward and for both gradients,
+  and keeps nothing but its parents: neither the concatenation nor the
+  product before the bias stays on the tape. `matmul` is left with
+  products of two activations (adjacency times node features) and is
+  one `np.matmul` path.
 - Ownership: the first gradient to reach a node is stored as is when the
   op has just made it (a GEMM product, a scatter, a vjp result) and
   copied when it is a view, a broadcast or an array passed through to
@@ -19,10 +22,6 @@ fires exactly once and accumulation order is fixed (bit-reproducible).
 - Fused cell: `gru` records a whole gated recurrent cell as one node with
   a hand-written backward of 2-D GEMMs; of its intermediates it keeps
   only the gate values, r * h and the candidate.
-- Linear: `linear` records an affine map over concatenated inputs,
-  `concat(inputs, -1) @ w + b`, as one node that keeps nothing but its
-  parents: neither the concatenation nor the product before the bias
-  stays on the tape.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -323,37 +322,25 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes. A shared 2-D right operand
-    against a batched left one folds the batch axes into rows: one 2-D
-    GEMM forward and one per gradient."""
+    """Matrix product over the last two axes, batch axes broadcast. For
+    products of two activations; a weight matrix goes through `linear`."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    fold = b.ndim == 2 and a.ndim > 2
-    if fold:
-        out = (a.data.reshape(-1, b.shape[0]) @ b.data).reshape(*a.shape[:-1], b.shape[1])
-    else:
-        try:
-            out = np.matmul(a.data, b.data)
-        except ValueError:
-            raise ShapeError(f"matmul: batch shapes {a.shape} and {b.shape} "
-                             "do not broadcast") from None
+    try:
+        out = np.matmul(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"matmul: batch shapes {a.shape} and {b.shape} "
+                         "do not broadcast") from None
 
     def backward(grad):
-        rows = grad.reshape(-1, grad.shape[-1]) if fold else None
         if a.requires_grad:
-            if fold:
-                ga = (rows @ b.data.T).reshape(a.shape)
-            else:
-                ga = _unbroadcast(np.matmul(grad, np.swapaxes(b.data, -1, -2)), a.shape)
+            ga = _unbroadcast(np.matmul(grad, np.swapaxes(b.data, -1, -2)), a.shape)
             _accumulate(a, ga, owned=True)
         if b.requires_grad:
-            if fold:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ rows
-            else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), grad), b.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), grad), b.shape)
             _accumulate(b, gb, owned=True)
 
     return _make(out, "matmul", (a, b), backward)
@@ -442,9 +429,9 @@ def _stacked_t_at(blocks, d):
     return out
 
 
-def linear(inputs, w, b) -> Tensor:
+def linear(inputs, w, b=None) -> Tensor:
     """Affine map `concat(inputs, -1) @ w + b` recorded as one tape node
-    with op "linear".
+    with op "linear"; without `b` it is the product alone.
 
     The inputs share their leading axes, their widths add up to w's rows,
     and b is (w's columns,). The forward concatenates the inputs' rows
@@ -453,28 +440,30 @@ def linear(inputs, w, b) -> Tensor:
     matmul and add. The node keeps only its parents: backward takes the
     weight gradient block by block and input k's gradient from w's rows
     for that input."""
-    parents = (*map(as_tensor, inputs), as_tensor(w), as_tensor(b))
-    xs, (w, b) = parents[:-2], (t.data for t in parents[-2:])
+    xs, w = tuple(map(as_tensor, inputs)), as_tensor(w)
+    b = None if b is None else as_tensor(b)
     lead = xs[0].shape[:-1] if xs else None
     if (not xs or any(x.ndim == 0 or x.shape[:-1] != lead for x in xs)
             or w.ndim != 2 or sum(x.shape[-1] for x in xs) != w.shape[0]
-            or b.shape != w.shape[1:]):
+            or (b is not None and b.shape != w.shape[1:])):
+        bias = "no bias" if b is None else f"bias {b.shape}"
         raise ShapeError(f"linear: inputs {[x.shape for x in xs]} do not fit "
-                         f"weight {w.shape} and bias {b.shape}")
+                         f"weight {w.shape} and {bias}")
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    out = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)) @ w
-    out += b
+    out = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)) @ w.data
+    if b is not None:
+        out += b.data
+    parents = (*xs, w) if b is None else (*xs, w, b)
     return _make(out.reshape(*lead, w.shape[1]), "linear", parents,
-                 partial(_linear_backward, parents))
+                 partial(_linear_backward, xs, w, b))
 
 
-def _linear_backward(parents, grad):
-    *xs, w, b = parents
+def _linear_backward(xs, w, b, grad):
     g = grad.reshape(-1, grad.shape[-1])
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
     if w.requires_grad:
         _accumulate(w, _stacked_t_at(rows, g), owned=True)
-    if b.requires_grad:
+    if b is not None and b.requires_grad:
         gb = _unbroadcast(grad, b.shape)
         _accumulate(b, gb, owned=gb is not grad)
     start = 0

@@ -192,7 +192,8 @@ def _build_parser():
     common(p, checkpoint=True, data=True)
 
     p = sub.add_parser("export-plot", help="render a result file to SVG + CSV")
-    common(p, data=True)
+    p.add_argument("--data", help="result file")
+    p.add_argument("--out", default="out", help="output directory")
 
     return parser
 

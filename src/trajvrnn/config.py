@@ -21,7 +21,6 @@ class RunConfig(ModelConfig):
     # datasets and artifacts
     train_path: str = ""
     test_path: str = ""
-    out_dir: str = "out"
     # training loop
     epochs: int = 200
     batch_size: int = 64

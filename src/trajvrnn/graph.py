@@ -9,7 +9,10 @@ features and are fused by learned per-feature weights:
     sliced to the live agent count, one layer with ReLU;
   * edge conditioned: a per-edge weight matrix generated from the edge's
     visibility category (both / exactly one / neither endpoint visible),
-    averaged over all nodes. Past timesteps only.
+    averaged over all nodes. Past timesteps only. It runs as one
+    projection of every node by all three category matrices at once and
+    one gather: a product with a 0/1 indicator that picks, for each pair
+    (i, j), node j's projection under the category of (i, j).
 
 Visibility masks are plain numpy; only feature paths ride the tape.
 """
@@ -83,36 +86,26 @@ def edge_categories(mask):
     return cats[0] if squeeze else cats
 
 
-def category_masks(cats):
-    """One float indicator matrix per category, stacked list of 3."""
-    c = np.asarray(cats)
-    return [(c == k).astype(np.float64) for k in range(3)]
+def gcl_forward(features: Tensor, adj, weight: Tensor) -> Tensor:
+    """One graph-convolution layer: relu(adj @ F @ W), for the static
+    (normalised visibility) and the dynamic (learned) adjacency alike."""
+    return relu(linear([matmul(adj, features)], weight))
 
 
-def st_gcl_forward(features: Tensor, a_hat, weight: Tensor) -> Tensor:
-    """One static-topology layer: relu(A_hat @ F @ W)."""
-    a_hat = ad.as_tensor(a_hat)
-    return relu(matmul(matmul(a_hat, features), weight))
-
-
-def dl_gcl_forward(features: Tensor, adj: Tensor, weight: Tensor) -> Tensor:
-    """One dynamic-learnable layer: relu(A_dl @ F @ W)."""
-    return relu(matmul(matmul(adj, features), weight))
-
-
-def ec_gcl_forward(features: Tensor, cats, thetas, bias: Tensor) -> Tensor:
+def ec_gcl_forward(features: Tensor, cats, thetas: Tensor, bias: Tensor) -> Tensor:
     """Edge-conditioned update: mean over all nodes j of Theta[cat(i,j)] f_j.
 
-    `thetas` is a (3, D_G, D) tensor of category weight matrices; the
+    `thetas` is (D, 3 D_G), the three category matrices transposed side by
+    side, so one product projects every node under every category. The
     neighbourhood is every node including self, so the mean divisor is N.
     """
     n = features.shape[-2]
-    out = None
-    for k, cmask in enumerate(category_masks(cats)):
-        projected = matmul(features, transpose(thetas[k]))
-        term = matmul(Tensor(cmask), projected)
-        out = term if out is None else out + term
-    return out * (1.0 / n) + bias
+    cats = np.asarray(cats)
+    # gather[.., i, 3j + c] = 1 iff cat(i, j) == c, matching the rows of
+    # the projections laid out as (.., N, 3, D_G) -> (.., 3N, D_G)
+    gather = (cats[..., None] == np.arange(3)).astype(np.float64)
+    projected = reshape(linear([features], thetas), (*features.shape[:-2], 3 * n, -1))
+    return matmul(gather.reshape(*cats.shape[:-1], 3 * n), projected) * (1.0 / n) + bias
 
 
 def fuse(branch_outputs, weights) -> Tensor:
@@ -179,7 +172,8 @@ class SpatialEncoder:
         return linear([tanh(linear([inp], w0, b0))], w1, b1)
 
     def edge_weight_matrices(self) -> Tensor:
-        """Generate the three category weight matrices, shape (3, D_G, D).
+        """Generate the three (D_G, D) category weight matrices, laid out
+        transposed side by side as one (D, 3 D_G) tensor.
 
         Two affine maps with a tanh between produce pool_channels copies
         of each matrix, which are averaged (the pooling step).
@@ -189,12 +183,13 @@ class SpatialEncoder:
         hidden = tanh(linear([onehots], self.ec_w0, self.ec_b0))
         raw = linear([hidden], self.ec_w1, self.ec_b1)
         stacked = reshape(raw, (3, cfg.ec_pool, cfg.d_graph, cfg.d_embed))
-        return tmean(stacked, axis=1)
+        thetas = tmean(stacked, axis=1)
+        return transpose(reshape(thetas, (3 * cfg.d_graph, cfg.d_embed)))
 
     def st_branch(self, features: Tensor, a_hat) -> Tensor:
         out = features
         for w in self.st_weights:
-            out = st_gcl_forward(out, a_hat, w)
+            out = gcl_forward(out, a_hat, w)
         return out
 
     def dl_branch(self, features: Tensor) -> Tensor:
@@ -203,7 +198,7 @@ class SpatialEncoder:
             raise CapacityError(f"{n} agents exceed the configured maximum "
                                 f"{self.cfg.n_agents_max}")
         adj = self.dl_adj[0:n, 0:n]
-        return dl_gcl_forward(features, adj, self.dl_weight)
+        return gcl_forward(features, adj, self.dl_weight)
 
     def ec_branch(self, features: Tensor, cats, thetas=None) -> Tensor:
         if thetas is None:

@@ -96,8 +96,13 @@ class ModelConfig:
         if self.use_ec and not (self.use_st or self.use_dl) and self.t_future > 0:
             raise ConfigError("the edge-conditioned branch alone cannot encode "
                               "future steps; enable ST or DL as well")
-        if self.coord_scale <= 0:
-            raise ConfigError("coord_scale must be positive")
+        bad = [name for name in ("coord_center", "coord_scale", "logvar_limit", "lr",
+                                 "lr_decay", "lambda_imp_kl", "lambda_pre_kl", "lambda_pre")
+               if not np.all(np.isfinite(getattr(self, name)))]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
+        if self.coord_scale <= 0 or self.logvar_limit <= 0:
+            raise ConfigError("coord_scale and logvar_limit must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

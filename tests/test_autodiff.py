@@ -178,6 +178,7 @@ GRU_SHAPES = {"x": (2, 3, 3), "h": (2, 3, 4), "wz": (7, 4), "bz": (4,),
     "matmul", "matmul3d", "add", "add_fanout", "sub", "mul", "div", "concat",
     "exp", "log", "tanh", "sigmoid", "relu", "maxs", "mins", "sum", "mean",
     "reshape", "slice", "bcast", "gru", "linear", "linear2", "clamp",
+    "linear_nobias",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -191,6 +192,7 @@ def test_grad_check_every_primitive(op_name):
     v = Parameter("v", rng.normal(size=(6, 2)))
     lb = Parameter("lb", rng.normal(size=(2,)))
     k = Parameter("k", np.linspace(-2.0, 2.0, 12).reshape(3, 4))  # both sides of +-1
+    u = Parameter("u", rng.normal(size=(3, 4)))
 
     def add_fanout():
         # backward reaches the add first, which hands one gradient to the
@@ -202,7 +204,7 @@ def test_grad_check_every_primitive(op_name):
 
     builders = {
         "matmul": lambda: tsum(tanh(matmul(a, w))),
-        # a batched left operand against a 2-D weight, also non-contiguous
+        # a batched left operand against a 2-D right one, also non-contiguous
         "matmul3d": lambda: (tsum(tanh(matmul(c, w)))
                              + tsum(tanh(matmul(transpose(c, 0, 1), w)))),
         "add_fanout": add_fanout,
@@ -210,6 +212,8 @@ def test_grad_check_every_primitive(op_name):
         "linear": lambda: tsum(tanh(linear([a], w, lb))),
         # two inputs of different widths, so a block offset mix-up shows
         "linear2": lambda: tsum(tanh(linear([c, d], v, lb))),
+        # no bias, and a transposed (non-contiguous) weight off the tape
+        "linear_nobias": lambda: tsum(tanh(linear([c], transpose(u)))),
         "clamp": lambda: tsum(tanh(clamp(k, -1.0, 1.0) * 1.5)),
         "add": lambda: tsum(tanh(a + b)),
         "sub": lambda: tsum(tanh(a - b)),
@@ -229,7 +233,7 @@ def test_grad_check_every_primitive(op_name):
         "slice": lambda: tsum(tanh(a[:, 1:3])),
         "bcast": lambda: tsum(tanh(a * b[0:1, :])),
     }
-    params = [p for p in (a, b, w, c, *cell, d, v, lb, k) if _touches(op_name, p.name)]
+    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u) if _touches(op_name, p.name)]
     assert grad_check(builders[op_name], params) <= 1e-4
 
 
@@ -244,6 +248,8 @@ def _touches(op_name, pname):
         return pname in ("a", "w", "lb")
     if op_name == "linear2":
         return pname in ("c", "d", "v", "lb")
+    if op_name == "linear_nobias":
+        return pname in ("c", "u")
     if op_name == "clamp":
         return pname == "k"
     if op_name in ("exp", "tanh", "sigmoid", "relu", "maxs", "mins", "sum",
@@ -330,3 +336,16 @@ def test_linear_shape_error_names_every_shape(shapes):
         linear(inputs, w, b)
     message = str(err.value)
     assert message.startswith("linear") and all(str(s) in message for s in shapes)
+
+
+def test_linear_without_bias():
+    """The product alone, equal to a zero bias; a shape error names the
+    bias as absent."""
+    rng = np.random.default_rng(21)
+    x, w = Parameter("x", rng.normal(size=(2, 3, 4))), Parameter("w", rng.normal(size=(4, 5)))
+    out = linear([x], w)
+    assert out.parents == (x, w)
+    assert np.array_equal(out.data, linear([x], w, np.zeros(5)).data)
+    with pytest.raises(ShapeError) as err:
+        linear([x], Tensor(np.ones((5, 4))))
+    assert "(5, 4)" in str(err.value) and "no bias" in str(err.value)

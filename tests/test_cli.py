@@ -84,6 +84,19 @@ def test_unknown_config_key_exit_code(tmp_path):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("line", ["lr=nan", "coord_center=0.0,inf", "logvar_limit=-1.0",
+                                  "out_dir=results"])
+def test_bad_config_value_exit_code(tmp_path, line):
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_export_plot_takes_no_config(tiny_config, tmp_path):
+    assert main(["export-plot", "--config", str(tiny_config), "--data", "r.trajset",
+                 "--out", str(tmp_path / "plots")]) == 1
+
+
 def test_missing_dataset_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "train_path=/nonexistent/file.trajset\n")
     code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -259,6 +272,17 @@ MALFORMED = {
     "duplicate-tensor": ("ckpt", [(r"^(tensor td\.weight .*)$", r"\1\n\1")], True),
     "config-seed": ("ckpt", [(r"^config\.seed=.*$", "config.seed=-3")], True),
     "config-huge": ("ckpt", [(r"^config\.d_hidden=.*$", "config.d_hidden=4000000000")], True),
+    "config-scale-nan": ("ckpt", [(r"^config\.coord_scale=.*$", "config.coord_scale=nan")], True),
+    "config-logvar-nan": ("ckpt", [(r"^config\.logvar_limit=.*$", "config.logvar_limit=nan")],
+                          True),
+    "config-logvar-zero": ("ckpt", [(r"^config\.logvar_limit=.*$", "config.logvar_limit=0.0")],
+                           True),
+    "config-center-inf": ("ckpt", [(r"^config\.coord_center=.*$", "config.coord_center=inf,0.0")],
+                          True),
+    "config-lr-nan": ("ckpt", [(r"^config\.lr=.*$", "config.lr=nan")], True),
+    "config-lr-decay-inf": ("ckpt", [(r"^config\.lr_decay=.*$", "config.lr_decay=inf")], True),
+    "config-lambda-nan": ("ckpt", [(r"^config\.lambda_pre_kl=.*$", "config.lambda_pre_kl=nan")],
+                          True),
 }
 
 

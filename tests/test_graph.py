@@ -5,8 +5,8 @@ from trajvrnn.autodiff import Tensor, grad_check, tsum
 from trajvrnn.errors import CapacityError, ConfigError
 from trajvrnn.graph import (
     CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE, SpatialEncoder,
-    build_static_adjacency, dl_gcl_forward, ec_gcl_forward, edge_categories,
-    fuse, masked_input_vector, normalize_static, st_gcl_forward,
+    build_static_adjacency, ec_gcl_forward, edge_categories, fuse, gcl_forward,
+    masked_input_vector, normalize_static,
 )
 from trajvrnn.model import ModelConfig
 
@@ -123,37 +123,37 @@ def test_normalize_invisible_rows_and_columns_zero():
 
 def test_st_gcl_hand_product():
     a_hat = np.full((2, 2), 0.5)
-    out = st_gcl_forward(Tensor(np.eye(2)), a_hat, Tensor(np.eye(2)))
+    out = gcl_forward(Tensor(np.eye(2)), a_hat, Tensor(np.eye(2)))
     np.testing.assert_allclose(out.data, np.full((2, 2), 0.5))
 
 
 def test_st_gcl_all_invisible_zero():
-    out = st_gcl_forward(Tensor(np.ones((2, 2))), np.zeros((2, 2)), Tensor(np.eye(2)))
+    out = gcl_forward(Tensor(np.ones((2, 2))), np.zeros((2, 2)), Tensor(np.eye(2)))
     np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
 
 def test_st_gcl_zero_weight_zero():
-    out = st_gcl_forward(Tensor(np.ones((2, 2))), np.full((2, 2), 0.5),
-                         Tensor(np.zeros((2, 2))))
+    out = gcl_forward(Tensor(np.ones((2, 2))), np.full((2, 2), 0.5),
+                      Tensor(np.zeros((2, 2))))
     np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
 
 def test_dl_gcl_swap_adjacency():
     adj = Tensor([[0.0, 1.0], [1.0, 0.0]])
     f = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = dl_gcl_forward(f, adj, Tensor(np.eye(2)))
+    out = gcl_forward(f, adj, Tensor(np.eye(2)))
     np.testing.assert_array_equal(out.data, [[3.0, 4.0], [1.0, 2.0]])
 
 
 def test_dl_gcl_identity_propagation():
     f = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = dl_gcl_forward(f, Tensor(np.eye(2)), Tensor(np.eye(2)))
+    out = gcl_forward(f, Tensor(np.eye(2)), Tensor(np.eye(2)))
     np.testing.assert_array_equal(out.data, f.data)
 
 
 def test_dl_gcl_negative_adjacency_relu_zeros():
     f = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = dl_gcl_forward(f, Tensor(-np.ones((2, 2))), Tensor(np.eye(2)))
+    out = gcl_forward(f, Tensor(-np.ones((2, 2))), Tensor(np.eye(2)))
     np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
 
@@ -209,6 +209,39 @@ def test_ec_single_node_identity():
     f = Tensor([[1.5, -2.0, 3.0, 0.5]])
     out = enc.ec_branch(f, edge_categories([1]))
     np.testing.assert_allclose(out.data, f.data)
+
+
+@pytest.mark.parametrize("mask", [
+    [1], [0], [1, 0, 1, 1, 0],
+    [[1, 0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0, 1, 0], [1, 1, 0, 0, 1, 0, 1]],
+], ids=["n1-visible", "n1-missing", "n5", "batch3-n7"])
+def test_ec_matches_per_category_oracle(mask):
+    """mean_j Theta[c(i, j)] f_j + bias by a double loop, with the three
+    category matrices rebuilt in numpy from the generator weights, so they
+    are distinct: a category mix-up or a gather laid out wrongly shows."""
+    enc = make_encoder(seed=15)
+    cfg = enc.cfg
+    rng = np.random.default_rng(16)
+    enc.ec_bias.data[...] = rng.normal(size=cfg.d_graph)
+    mask = np.array(mask, dtype=float)
+    n = mask.shape[-1]
+    feats = rng.normal(size=mask.shape + (cfg.d_embed,))
+    out = enc.ec_branch(Tensor(feats), edge_categories(mask)).data
+
+    hidden = np.tanh(np.eye(3) @ enc.ec_w0.data + enc.ec_b0.data)
+    raw = hidden @ enc.ec_w1.data + enc.ec_b1.data
+    thetas = raw.reshape(3, cfg.ec_pool, cfg.d_graph, cfg.d_embed).mean(axis=1)
+    assert min(np.abs(thetas[a] - thetas[b]).max() for a, b in ((0, 1), (0, 2), (1, 2))) > 0.1
+    cats = edge_categories(mask).reshape(-1, n, n)
+    flat = feats.reshape(len(cats), n, cfg.d_embed)
+    expected = np.zeros((len(cats), n, cfg.d_graph))
+    for b in range(len(cats)):
+        for i in range(n):
+            for j in range(n):
+                expected[b, i] += thetas[cats[b, i, j]] @ flat[b, j]
+    expected = expected / n + enc.ec_bias.data
+    want = expected.reshape(out.shape)
+    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +383,7 @@ def test_st_all_visible_matches_bruteforce_gcn():
                     acc += norm * feats[j] @ w[:, c]
                 expected[r, c] = max(acc, 0.0)
 
-        out = st_gcl_forward(Tensor(feats), a_hat, Tensor(w))
+        out = gcl_forward(Tensor(feats), a_hat, Tensor(w))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 

@@ -517,6 +517,22 @@ def test_training_tape_holds_no_affine_intermediates():
     assert bias_adds == []
 
 
+def test_training_tape_weight_products_are_linear():
+    """Every product with a weight matrix is a `linear` node, so `matmul`
+    is left with the adjacency products (three ST layers and one DL layer
+    per step) and one EC gather per past step, and the EC category
+    matrices are transposed into their (D, 3 D_G) layout once."""
+    cfg = tiny_cfg(seed=40)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=41)
+    noise = model.draw_noise(np.random.default_rng(42), 2, 3)
+    nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
+    matmuls = [node for node in nodes if node.op == "matmul"]
+    assert len(matmuls) == 5 * cfg.t_past + 4 * cfg.t_future
+    assert not any(isinstance(p, Parameter) for node in matmuls for p in node.parents)
+    assert [node.op for node in nodes].count("transpose") == 1
+
+
 def test_train_step_reduces_loss():
     cfg = tiny_cfg(seed=30)
     model = TrajectoryModel(cfg)
