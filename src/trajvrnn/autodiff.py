@@ -20,8 +20,9 @@ fires exactly once and accumulation order is fixed (bit-reproducible).
   several parents, so a later in-place `+=` never writes into another
   node's gradient.
 - Fused cell: `gru` records a whole gated recurrent cell as one node with
-  a hand-written backward of 2-D GEMMs; of its intermediates it keeps
-  only the gate values, r * h and the candidate.
+  a hand-written backward of 2-D GEMMs; like `linear` it takes its inputs
+  as a list of blocks, and of its intermediates it keeps only the gate
+  values, r * h and the candidate.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -251,16 +252,8 @@ def _tanh_vjp(grad, out, a):
     return grad * (1.0 - out * out)
 
 
-def _sigmoid_vjp(grad, out, a):
-    return grad * out * (1.0 - out)
-
-
 def _above(grad, out, a, value):
     return grad * (a > value)
-
-
-def _below(grad, out, a, value):
-    return grad * (a < value)
 
 
 def _clip(a, lo, hi):
@@ -303,17 +296,9 @@ def tanh(a) -> Tensor:
     return _pointwise("tanh", np.tanh, (_tanh_vjp,), a)
 
 
-def sigmoid(a) -> Tensor:
-    return _pointwise("sigmoid", _sigmoid, (_sigmoid_vjp,), a)
-
-
 def maximum_scalar(a, value: float) -> Tensor:
     """Elementwise max(a, value); gradient is zero where the scalar wins."""
     return _pointwise("maximum_scalar", np.maximum, (_above,), a, value)
-
-
-def minimum_scalar(a, value: float) -> Tensor:
-    return _pointwise("minimum_scalar", np.minimum, (_below,), a, value)
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -346,28 +331,32 @@ def matmul(a, b) -> Tensor:
     return _make(out, "matmul", (a, b), backward)
 
 
-def gru(x, h, wz, bz, wr, br, wh, bh) -> Tensor:
-    """Gated recurrent cell recorded as one tape node with op "gru":
+def gru(inputs, h, wz, bz, wr, br, wh, bh) -> Tensor:
+    """Gated recurrent cell over x = concat(inputs, -1), one tape node "gru":
 
         z = sigmoid([x, h] @ wz + bz)      r = sigmoid([x, h] @ wr + br)
         c = tanh([x, r * h] @ wh + bh)     out = (1 - z) * h + z * c
 
-    x is (..., X) and h (..., H) with the same leading axes; the weights
-    are (X + H, H) and the biases (H,). The forward runs the 2-D GEMMs and
-    elementwise steps of that composition of primitives, so its values are
-    bit-identical to it, with bias, sigmoid and tanh applied in place. The
-    node keeps z|r, r * h and c for backward; x and h are its parents."""
-    parents = tuple(map(as_tensor, (x, h, wz, bz, wr, br, wh, bh)))
-    x, h, wz, bz, wr, br, wh, bh = (t.data for t in parents)
-    n_x, n_h = x.shape[-1], h.shape[-1]
-    if (x.shape[:-1] != h.shape[:-1]
+    The input blocks and h (..., H) share their leading axes; the weights
+    are (X + H, H) and the biases (H,). The forward copies the blocks and
+    h (then r * h) into the buffers of its 2-D GEMMs and applies bias,
+    sigmoid and tanh in place, so its values are bit-identical to that
+    formula composed of primitives. The node keeps z|r, r * h and c for
+    backward; the blocks and h are its parents."""
+    xs = tuple(map(as_tensor, inputs))
+    cell = tuple(map(as_tensor, (h, wz, bz, wr, br, wh, bh)))
+    h, wz, bz, wr, br, wh, bh = (t.data for t in cell)
+    n_x = sum(x.shape[-1] for x in xs if x.ndim)
+    n_h = h.shape[-1] if h.ndim else 0
+    if (not xs or h.ndim == 0 or any(x.ndim == 0 or x.shape[:-1] != h.shape[:-1] for x in xs)
             or any(w.shape != (n_x + n_h, n_h) for w in (wz, wr, wh))
             or any(b.shape != (n_h,) for b in (bz, br, bh))):
-        raise ShapeError(f"gru: x {x.shape} and h {h.shape} do not fit gate weights "
-                         f"{wz.shape}, {wr.shape}, {wh.shape} and biases "
+        raise ShapeError(f"gru: inputs {[x.shape for x in xs]} and h {h.shape} do not fit "
+                         f"gate weights {wz.shape}, {wr.shape}, {wh.shape} and biases "
                          f"{bz.shape}, {br.shape}, {bh.shape}")
-    xs, hs = x.reshape(-1, n_x), h.reshape(-1, n_h)
-    xh = np.concatenate([xs, hs], axis=1)
+    rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
+    hs = h.reshape(-1, n_h)
+    xh = np.concatenate([*rows, hs], axis=1)
     zr = np.empty((2, len(hs), n_h))
     np.matmul(xh, wz, out=zr[0])
     zr[0] += bz
@@ -376,20 +365,21 @@ def gru(x, h, wz, bz, wr, br, wh, bh) -> Tensor:
     del xh  # freed before the second concat: it sets the no-grad peak
     z, r = _sigmoid(zr, out=zr)
     rh = r * hs
-    cand = np.concatenate([xs, rh], axis=1) @ wh
+    cand = np.concatenate([*rows, rh], axis=1) @ wh
     cand += bh
     np.tanh(cand, out=cand)
     out = 1.0 - z
     out *= hs
     out += z * cand
-    return _make(out.reshape(h.shape), "gru", parents,
-                 partial(_gru_backward, parents, zr, rh, cand))
+    return _make(out.reshape(h.shape), "gru", (*xs, *cell),
+                 partial(_gru_backward, xs, cell, zr, rh, cand))
 
 
-def _gru_backward(parents, zr, rh, cand, grad):
-    x, h, wz, bz, wr, br, wh, bh = parents
-    xs, hs = x.data.reshape(-1, x.shape[-1]), h.data.reshape(-1, h.shape[-1])
-    n_x = xs.shape[1]
+def _gru_backward(xs, cell, zr, rh, cand, grad):
+    h, wz, bz, wr, br, wh, bh = cell
+    rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
+    hs = h.data.reshape(-1, h.shape[-1])
+    n_x = sum(row.shape[1] for row in rows)
     g = grad.reshape(cand.shape)
     z, r = zr
     dc = g * z  # through out = (1 - z) * h + z * c, then c = tanh(.)
@@ -406,11 +396,16 @@ def _gru_backward(parents, zr, rh, cand, grad):
     dxh += dr @ wr.data.T
     for w, b, d, below in ((wz, bz, dz, hs), (wr, br, dr, hs), (wh, bh, dc, rh)):
         if w.requires_grad:
-            _accumulate(w, _stacked_t_at((xs, below), d), owned=True)
+            _accumulate(w, _stacked_t_at((*rows, below), d), owned=True)
         if b.requires_grad:
             _accumulate(b, _unbroadcast(d.reshape(grad.shape), b.shape), owned=True)
-    if x.requires_grad:
-        _accumulate(x, (dxh[:, :n_x] + dxrh[:, :n_x]).reshape(x.shape), owned=True)
+    start = 0
+    for x, row in zip(xs, rows):
+        stop = start + row.shape[1]
+        if x.requires_grad:
+            dx = dxh[:, start:stop] + dxrh[:, start:stop]
+            _accumulate(x, dx.reshape(x.shape), owned=True)
+        start = stop
     if h.requires_grad:
         dh = g * (1.0 - z)
         dh += dxrh[:, n_x:] * r

@@ -74,6 +74,8 @@ def load_checkpoint(path) -> CheckpointData:
         epoch = int(manifest.get("epoch", 0))
         adam_step = int(manifest.get("adam.step", 0))
         adam_lr = float(manifest["adam.lr"])
+        if not 0.0 <= adam_lr < np.inf:  # false for nan too
+            raise DataError(f"{path}: adam.lr must be finite and >= 0, got {adam_lr}")
         for tag, spec in rows:
             name, dtype, shape, offset = spec.split(" ")
             if tag != "tensor" or dtype != "f8" or name in arrays:

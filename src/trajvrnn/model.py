@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Parameter, Tensor, backward, clamp, concat, exp, linear,
-                       log, maximum_scalar, new_parameter, no_grad, tanh, tmean,
-                       tsum)
+from .autodiff import (Parameter, Tensor, backward, clamp, exp, linear, log,
+                       maximum_scalar, new_parameter, no_grad, tanh, tmean, tsum)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
@@ -103,6 +102,8 @@ class ModelConfig:
             raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.coord_scale <= 0 or self.logvar_limit <= 0:
             raise ConfigError("coord_scale and logvar_limit must be positive")
+        if self.lr < 0 or self.lr_decay < 0:
+            raise ConfigError("lr and lr_decay must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -192,9 +193,10 @@ def gauss_kl(post: LatentDistribution, prior: LatentDistribution) -> Tensor:
     return tsum(per_dim, axis=-1)
 
 
-def gru_step(x: Tensor, h: Tensor, weights) -> Tensor:
-    """Standard gated recurrent cell; weights = (wz, bz, wr, br, wh, bh)."""
-    return ad.gru(x, h, *weights)
+def gru_step(inputs, h: Tensor, weights) -> Tensor:
+    """Standard gated recurrent cell over the concatenated `inputs`;
+    weights = (wz, bz, wr, br, wh, bh)."""
+    return ad.gru(inputs, h, *weights)
 
 
 class TrajectoryModel:
@@ -280,6 +282,8 @@ class TrajectoryModel:
         return tanh(linear([z], *self.zfeat_past_w))
 
     def zfeat_future(self, z: Tensor, z_tp: Tensor) -> Tensor:
+        if z_tp is None:
+            raise ConfigError("zfeat_future needs the last past-step latent")
         return tanh(linear([z, z_tp], *self.zfeat_future_w))
 
     def _decode(self, features: Tensor, h_prev: Tensor, head) -> BiGaussianParams:
@@ -287,31 +291,14 @@ class TrajectoryModel:
         hidden = tanh(linear([features, h_prev], w0, b0))
         return bigauss_split(linear([hidden], w_out, b_out))
 
-    def decode_imputation(self, z: Tensor, h_prev: Tensor, z_features=None) -> BiGaussianParams:
-        zf = self.zfeat_past(z) if z_features is None else z_features
+    def decode_imputation(self, zf: Tensor, h_prev: Tensor) -> BiGaussianParams:
         return self._decode(zf, h_prev, self.dec_impute)
 
-    def decode_prediction(self, z: Tensor, z_tp: Tensor, h_prev: Tensor,
-                          z_features=None) -> BiGaussianParams:
-        if z_tp is None:
-            raise ConfigError("decode_prediction needs the last past-step latent")
-        zf = self.zfeat_future(z, z_tp) if z_features is None else z_features
+    def decode_prediction(self, zf: Tensor, h_prev: Tensor) -> BiGaussianParams:
         return self._decode(zf, h_prev, self.dec_predict)
 
     def temporal_decay(self, delta) -> Tensor:
         return temporal_decay(delta, self.td_weight, self.td_bias)
-
-    def recurrence_impute(self, graph_features: Tensor, z: Tensor,
-                          h_decayed: Tensor, z_features=None) -> Tensor:
-        zf = self.zfeat_past(z) if z_features is None else z_features
-        return gru_step(concat([graph_features, zf], axis=-1), h_decayed, self.rnn_main)
-
-    def recurrence_predict(self, graph_features: Tensor, z: Tensor, z_tp: Tensor,
-                           h_prev: Tensor, z_features=None) -> Tensor:
-        if z_tp is None:
-            raise ConfigError("recurrence_predict needs the last past-step latent")
-        zf = self.zfeat_future(z, z_tp) if z_features is None else z_features
-        return gru_step(concat([graph_features, zf], axis=-1), h_prev, self.rnn_pred)
 
     # ------------------------------------------------------------------
     def _check_batch(self, coords, mask):
@@ -365,10 +352,10 @@ class TrajectoryModel:
             post = self.posterior_params(fg, h)
             z = sample_latent(post, noise["past"][t])
             zf = self.zfeat_past(z)
-            dec = self.decode_imputation(z, h, z_features=zf)
+            dec = self.decode_imputation(zf, h)
             imp_nll = imp_nll + tsum(bigauss_nll(x[:, t], dec), axis=-1)
             imp_kl = imp_kl + tsum(gauss_kl(post, prior), axis=-1)
-            h = self.recurrence_impute(fg, z, h_rec, z_features=zf)
+            h = gru_step([fg, zf], h_rec, self.rnn_main)
 
         losses = {}
         losses["imp_nll"] = tmean(imp_nll)
@@ -388,10 +375,11 @@ class TrajectoryModel:
                 post = self.posterior_params(fg, h_f)
                 z_f = sample_latent(post, noise["future"][t])
                 zf = self.zfeat_future(z_f, z_tp)
-                dec = self.decode_prediction(z_f, z_tp, h_f, z_features=zf)
+                dec = self.decode_prediction(zf, h_f)
                 pre_nll = pre_nll + tsum(bigauss_nll(y_t, dec), axis=-1)
                 pre_kl = pre_kl + tsum(gauss_kl(post, prior), axis=-1)
-                h_f = self.recurrence_predict(fg, z_f, z_tp, h_f, z_features=zf)
+                if t + 1 < cfg.t_future:  # the last step's state reaches no loss
+                    h_f = gru_step([fg, zf], h_f, self.rnn_pred)
             losses["pre_nll"] = tmean(pre_nll)
             losses["pre_kl"] = tmean(pre_kl)
             losses["pre"] = losses["pre_nll"] + cfg.lambda_pre_kl * losses["pre_kl"]
@@ -465,14 +453,14 @@ class TrajectoryModel:
                 prior = self.prior_params(h)
                 z = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
                 zf = self.zfeat_past(z)
-                dec = self.decode_imputation(z, h, z_features=zf)
+                dec = self.decode_imputation(zf, h)
                 m3 = m_t[..., None]
                 # copy observations through untouched (scene units)
                 imputed[:, t] = np.where(m3 > 0, coords_past[:, t],
                                          self._denormalize(dec.mu.data))
                 if fill is not None:
                     fill = m3 * x[:, t] + (1.0 - m3) * dec.mu.data
-                h = self.recurrence_impute(fg, z, h_rec, z_features=zf)
+                h = gru_step([fg, zf], h_rec, self.rnn_main)
 
             z_tp = z
             h_f = h if cfg.share_streams else Tensor(np.zeros((b, n, cfg.d_hidden)))
@@ -480,10 +468,11 @@ class TrajectoryModel:
                 prior = self.prior_params(h_f)
                 z_f = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
                 zf = self.zfeat_future(z_f, z_tp)
-                dec = self.decode_prediction(z_f, z_tp, h_f, z_features=zf)
+                dec = self.decode_prediction(zf, h_f)
                 predicted[:, t] = self._denormalize(dec.mu.data)
-                fg = self.encoder.forward(dec.mu.data, None, "future", thetas)
-                h_f = self.recurrence_predict(fg, z_f, z_tp, h_f, z_features=zf)
+                if t + 1 < cfg.t_future:  # the last step's state is never read
+                    fg = self.encoder.forward(dec.mu.data, None, "future", thetas)
+                    h_f = gru_step([fg, zf], h_f, self.rnn_pred)
 
         if single:
             return imputed[0], predicted[0]

@@ -25,7 +25,7 @@ from trajvrnn.data import (DynamicsParams, MaskingSpec, apply_camera_mask,
 from trajvrnn.graph import build_static_adjacency, edge_categories, normalize_static
 from trajvrnn.model import (BiGaussianParams, LatentDistribution, ModelConfig,
                             TrajectoryModel, bigauss_nll, decay_hidden,
-                            gauss_kl, sample_latent, temporal_decay,
+                            gauss_kl, gru_step, sample_latent, temporal_decay,
                             temporal_lag_update)
 from trajvrnn.optim import Adam
 from trajvrnn.training import (_noise_rng, _shuffle_rng, fit_normalization,
@@ -90,25 +90,30 @@ def test_criterion_1_gradient_correctness():
     def dec_scalar(dec):
         return tsum(dec.mu) + tsum(dec.sigma) + tsum(dec.rho)
 
+    def zf_past():
+        return model.zfeat_past(Tensor(z_in))
+
+    def zf_future():
+        return model.zfeat_future(Tensor(z_in), Tensor(z_in))
+
     errors["decoder_impute"] = grad_check(
-        lambda: dec_scalar(model.decode_imputation(Tensor(z_in), Tensor(h))), params)
+        lambda: dec_scalar(model.decode_imputation(zf_past(), Tensor(h))), params)
     errors["decoder_predict"] = grad_check(
-        lambda: dec_scalar(model.decode_prediction(Tensor(z_in), Tensor(z_in),
-                                                   Tensor(h))), params)
+        lambda: dec_scalar(model.decode_prediction(zf_future(), Tensor(h))), params)
 
     delta = np.array([[[0.0], [3.0]]])
     errors["recurrence_td"] = grad_check(
-        lambda: tsum(model.recurrence_impute(
-            Tensor(fg), Tensor(z_in),
-            decay_hidden(Tensor(h), model.temporal_decay(delta)))), params)
+        lambda: tsum(gru_step([Tensor(fg), zf_past()],
+                              decay_hidden(Tensor(h), model.temporal_decay(delta)),
+                              model.rnn_main)), params)
     errors["recurrence_predict"] = grad_check(
-        lambda: tsum(model.recurrence_predict(Tensor(fg), Tensor(z_in),
-                                              Tensor(z_in), Tensor(h))), params)
+        lambda: tsum(gru_step([Tensor(fg), zf_future()], Tensor(h), model.rnn_pred)),
+        params)
 
     target = rng.normal(size=(1, n, 2))
     errors["bigauss_nll"] = grad_check(
-        lambda: tsum(bigauss_nll(target, model.decode_imputation(
-            Tensor(z_in), Tensor(h)))), params)
+        lambda: tsum(bigauss_nll(target, model.decode_imputation(zf_past(), Tensor(h)))),
+        params)
     errors["gauss_kl"] = grad_check(
         lambda: tsum(gauss_kl(model.posterior_params(Tensor(fg), Tensor(h)),
                               model.prior_params(Tensor(h)))), params)

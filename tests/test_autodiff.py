@@ -7,8 +7,8 @@ import pytest
 from trajvrnn import autodiff as ad
 from trajvrnn.autodiff import (
     Parameter, Tensor, backward, clamp, concat, div, exp, getitem, grad_check,
-    gru, linear, log, matmul, maximum_scalar, minimum_scalar, mul, no_grad,
-    relu, reshape, sigmoid, tanh, tmean, transpose, tsum,
+    gru, linear, log, matmul, maximum_scalar, mul, no_grad, relu, reshape,
+    tanh, tmean, transpose, tsum,
 )
 from trajvrnn.errors import NumericError, ShapeError
 
@@ -46,9 +46,7 @@ def test_elementwise_forward_matches_numpy():
     np.testing.assert_allclose(exp(Tensor(x)).data, np.exp(x))
     np.testing.assert_allclose(log(Tensor(y)).data, np.log(y))
     np.testing.assert_allclose(tanh(Tensor(x)).data, np.tanh(x))
-    np.testing.assert_allclose(sigmoid(Tensor(x)).data, 1 / (1 + np.exp(-x)))
     np.testing.assert_allclose(maximum_scalar(Tensor(x), 0.1).data, np.maximum(x, 0.1))
-    np.testing.assert_allclose(minimum_scalar(Tensor(x), 0.1).data, np.minimum(x, 0.1))
     np.testing.assert_allclose(clamp(Tensor(x), -0.5, 0.5).data, np.clip(x, -0.5, 0.5))
     np.testing.assert_allclose(tsum(Tensor(x), axis=1).data, x.sum(axis=1))
     np.testing.assert_allclose(tmean(Tensor(x)).data, x.mean())
@@ -113,9 +111,16 @@ def test_non_finite_forward_raises():
 
 
 def test_exp_and_sigmoid_overflow_is_silent():
+    """The in-place sigmoid that the `gru` gates use overflows exp(-a) to
+    inf without a warning and gives 0.0; a closed update gate then passes
+    h through unchanged."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sigmoid(Tensor([-1000.0])).data[0] == 0.0
+        assert ad._sigmoid(np.array([-1000.0]))[0] == 0.0
+        h = np.array([[0.5, -2.0]])
+        closed = gru([np.ones((1, 1))], h, np.zeros((3, 2)), np.full(2, -1000.0),
+                     np.zeros((3, 2)), np.zeros(2), np.ones((3, 2)), np.zeros(2))
+        assert np.array_equal(closed.data, h)
         with pytest.raises(NumericError, match="'exp'"):
             exp(Tensor([1000.0]))
 
@@ -172,13 +177,15 @@ def test_grad_check_constant_is_zero():
 
 GRU_SHAPES = {"x": (2, 3, 3), "h": (2, 3, 4), "wz": (7, 4), "bz": (4,),
               "wr": (7, 4), "br": (4,), "wh": (7, 4), "bh": (4,)}
+# two input blocks of unequal widths, 2 + 5 + H = 11 weight rows
+GRU2_SHAPES = {"x1": (2, 3, 2), "x2": (2, 3, 5), "h2": (2, 3, 4), "wz2": (11, 4),
+               "bz2": (4,), "wr2": (11, 4), "br2": (4,), "wh2": (11, 4), "bh2": (4,)}
 
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "matmul3d", "add", "add_fanout", "sub", "mul", "div", "concat",
-    "exp", "log", "tanh", "sigmoid", "relu", "maxs", "mins", "sum", "mean",
-    "reshape", "slice", "bcast", "gru", "linear", "linear2", "clamp",
-    "linear_nobias",
+    "exp", "log", "tanh", "relu", "maxs", "sum", "mean", "reshape", "slice",
+    "bcast", "gru", "gru2", "linear", "linear2", "clamp", "linear_nobias",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -193,6 +200,7 @@ def test_grad_check_every_primitive(op_name):
     lb = Parameter("lb", rng.normal(size=(2,)))
     k = Parameter("k", np.linspace(-2.0, 2.0, 12).reshape(3, 4))  # both sides of +-1
     u = Parameter("u", rng.normal(size=(3, 4)))
+    cell2 = [Parameter(name, rng.normal(size=shape)) for name, shape in GRU2_SHAPES.items()]
 
     def add_fanout():
         # backward reaches the add first, which hands one gradient to the
@@ -208,7 +216,9 @@ def test_grad_check_every_primitive(op_name):
         "matmul3d": lambda: (tsum(tanh(matmul(c, w)))
                              + tsum(tanh(matmul(transpose(c, 0, 1), w)))),
         "add_fanout": add_fanout,
-        "gru": lambda: tsum(tanh(gru(*cell))),
+        "gru": lambda: tsum(tanh(gru([cell[0]], *cell[1:]))),
+        # two blocks of different widths, so a block offset mix-up shows
+        "gru2": lambda: tsum(tanh(gru(cell2[:2], *cell2[2:]))),
         "linear": lambda: tsum(tanh(linear([a], w, lb))),
         # two inputs of different widths, so a block offset mix-up shows
         "linear2": lambda: tsum(tanh(linear([c, d], v, lb))),
@@ -223,17 +233,16 @@ def test_grad_check_every_primitive(op_name):
         "exp": lambda: tsum(exp(a * 0.3)),
         "log": lambda: tsum(log(b)),
         "tanh": lambda: tsum(tanh(a)),
-        "sigmoid": lambda: tsum(sigmoid(a)),
         "relu": lambda: tsum(relu(a + 0.05)),
         "maxs": lambda: tsum(maximum_scalar(a, 0.25)),
-        "mins": lambda: tsum(minimum_scalar(a, -0.25)),
         "sum": lambda: tsum(tanh(tsum(a, axis=0))),
         "mean": lambda: tsum(tanh(tmean(a, axis=1))),
         "reshape": lambda: tsum(tanh(reshape(a, (2, 6)))),
         "slice": lambda: tsum(tanh(a[:, 1:3])),
         "bcast": lambda: tsum(tanh(a * b[0:1, :])),
     }
-    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u) if _touches(op_name, p.name)]
+    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u, *cell2)
+              if _touches(op_name, p.name)]
     assert grad_check(builders[op_name], params) <= 1e-4
 
 
@@ -244,6 +253,8 @@ def _touches(op_name, pname):
         return pname in ("c", "w")
     if op_name == "gru":
         return pname in GRU_SHAPES
+    if op_name == "gru2":
+        return pname in GRU2_SHAPES
     if op_name == "linear":
         return pname in ("a", "w", "lb")
     if op_name == "linear2":
@@ -252,36 +263,45 @@ def _touches(op_name, pname):
         return pname in ("c", "u")
     if op_name == "clamp":
         return pname == "k"
-    if op_name in ("exp", "tanh", "sigmoid", "relu", "maxs", "mins", "sum",
-                   "mean", "reshape", "slice"):
+    if op_name in ("exp", "tanh", "relu", "maxs", "sum", "mean", "reshape", "slice"):
         return pname == "a"
     if op_name == "log":
         return pname == "b"
     return pname in ("a", "b")
 
 
-def _composed_gru(x, h, wz, bz, wr, br, wh, bh):
-    xh = concat([x, h], axis=-1)
-    z = sigmoid(matmul(xh, wz) + bz)
-    r = sigmoid(matmul(xh, wr) + br)
-    cand = tanh(matmul(concat([x, r * h], axis=-1), wh) + bh)
+def _sigmoid(a):
+    return 1.0 / (1.0 + exp(0.0 - a))
+
+
+def _composed_gru(inputs, h, wz, bz, wr, br, wh, bh):
+    xh = concat([*inputs, h], axis=-1)
+    z = _sigmoid(matmul(xh, wz) + bz)
+    r = _sigmoid(matmul(xh, wr) + br)
+    cand = tanh(matmul(concat([*inputs, r * h], axis=-1), wh) + bh)
     return (1.0 - z) * h + z * cand
 
 
-@pytest.mark.parametrize("lead,n_x,n_h", [((2, 3), 3, 4), ((64, 10), 80, 256)])
+# the last case is the model's [graph features, latent features] at H=256
+@pytest.mark.parametrize("lead,n_x,n_h", [((2, 3), 3, 4), ((64, 10), 80, 256),
+                                          ((64, 10), (16, 64), 256)])
 def test_gru_matches_composed_cell(lead, n_x, n_h):
     """Forward bit-equal to the cell composed of primitives, with and
-    without the tape; gradients equal to it up to reassociation."""
-    rng = np.random.default_rng(n_h)
-    shapes = [lead + (n_x,), lead + (n_h,)] + [(n_x + n_h, n_h), (n_h,)] * 3
+    without the tape; gradients equal to it up to reassociation. `n_x` is
+    one input's width or a tuple of block widths."""
+    widths = n_x if isinstance(n_x, tuple) else (n_x,)
+    rng = np.random.default_rng(n_h + len(widths) - 1)
+    shapes = ([lead + (n,) for n in widths] + [lead + (n_h,)]
+              + [(sum(widths) + n_h, n_h), (n_h,)] * 3)
     cell = [Parameter(f"p{i}", rng.normal(size=shape) / np.sqrt(shape[0]))
             for i, shape in enumerate(shapes)]
-    composed = _composed_gru(*cell)
-    fused = gru(*cell)
+    inputs, rest = cell[:len(widths)], cell[len(widths):]
+    composed = _composed_gru(inputs, *rest)
+    fused = gru(inputs, *rest)
     assert fused.op == "gru" and fused.parents == tuple(cell)
     assert np.array_equal(fused.data, composed.data)
     with no_grad():
-        assert np.array_equal(gru(*cell).data, composed.data)
+        assert np.array_equal(gru(inputs, *rest).data, composed.data)
     grads = []
     for out in (composed, fused):
         for p in cell:
@@ -296,7 +316,20 @@ def test_gru_rejects_mismatched_shapes():
     cell = [Tensor(np.ones(shape)) for shape in GRU_SHAPES.values()]
     cell[1] = Tensor(np.ones((3, 2, 4)))
     with pytest.raises(ShapeError, match="gru"):
-        gru(*cell)
+        gru([cell[0]], *cell[1:])
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 3), (3, 2), (5, 2), (2,), (5, 2), (2,), (5, 2), (2,)],  # leading axes differ
+    [(3, 3), (3, 1), (3, 2), (5, 2), (2,), (5, 2), (2,), (5, 2), (2,)],  # 3 + 1 + 2 rows
+    [(3, 3), (3, 2), (5, 2), (2,), (5, 2), (3,), (5, 2), (2,)],  # a bias is not (H,)
+])
+def test_gru_shape_error_names_every_shape(shapes):
+    *inputs, h = (Tensor(np.ones(shape)) for shape in shapes[:-6])
+    with pytest.raises(ShapeError) as err:
+        gru(inputs, h, *(Tensor(np.ones(shape)) for shape in shapes[-6:]))
+    message = str(err.value)
+    assert message.startswith("gru") and all(str(s) in message for s in shapes)
 
 
 @pytest.mark.parametrize("widths", [(16,), (16, 256)])

@@ -85,7 +85,7 @@ def test_unknown_config_key_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["lr=nan", "coord_center=0.0,inf", "logvar_limit=-1.0",
-                                  "out_dir=results"])
+                                  "out_dir=results", "lr=-1.0", "lr_decay=-2.0"])
 def test_bad_config_value_exit_code(tmp_path, line):
     cfg = write_cfg(tmp_path, line + "\n")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
@@ -253,6 +253,9 @@ def test_seed_override_changes_generation(tiny_config, tmp_path):
 MALFORMED = {
     "epoch": ("ckpt", [(r"^epoch=.*$", "epoch=x")], True),
     "adam-lr": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=x")], True),
+    "adam-lr-negative": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=-0.5")], True),
+    "adam-lr-nan": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=nan")], True),
+    "adam-lr-inf": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=inf")], True),
     "ckpt-payload-bytes": ("ckpt", [(r"^payload_bytes=.*$", "payload_bytes=x")], True),
     "config-no-equals": ("ckpt", [(r"^config\.use_td=.*$", "config.use_td")], True),
     "tensor-shape": ("ckpt", [(r"^(tensor \S+ f8) \S+", r"\1 4xq")], True),
@@ -280,6 +283,7 @@ MALFORMED = {
     "config-center-inf": ("ckpt", [(r"^config\.coord_center=.*$", "config.coord_center=inf,0.0")],
                           True),
     "config-lr-nan": ("ckpt", [(r"^config\.lr=.*$", "config.lr=nan")], True),
+    "config-lr-negative": ("ckpt", [(r"^config\.lr=.*$", "config.lr=-1.0")], True),
     "config-lr-decay-inf": ("ckpt", [(r"^config\.lr_decay=.*$", "config.lr_decay=inf")], True),
     "config-lambda-nan": ("ckpt", [(r"^config\.lambda_pre_kl=.*$", "config.lambda_pre_kl=nan")],
                           True),

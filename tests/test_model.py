@@ -217,7 +217,7 @@ def test_gru_zero_weights_zero_fixed_point():
     model = zero_model()
     x = Tensor(np.random.default_rng(9).normal(size=(2, 3, cfg.d_graph + cfg.d_latent)))
     h = Tensor(np.zeros((2, 3, cfg.d_hidden)))
-    out = gru_step(x, h, model.rnn_main)
+    out = gru_step([x], h, model.rnn_main)
     np.testing.assert_array_equal(out.data, np.zeros((2, 3, cfg.d_hidden)))
 
 
@@ -225,11 +225,12 @@ def test_gru_step_records_one_tape_node():
     model = TrajectoryModel(tiny_cfg(seed=18))
     cfg = model.cfg
     rng = np.random.default_rng(19)
-    x = Tensor(rng.normal(size=(2, 3, cfg.d_graph + cfg.d_latent)))
+    fg = Tensor(rng.normal(size=(2, 3, cfg.d_graph)))
+    zf = Tensor(rng.normal(size=(2, 3, cfg.d_latent)))
     h = Tensor(rng.normal(size=(2, 3, cfg.d_hidden)))
-    out = gru_step(x, h, model.rnn_main)
-    # its parents are the two inputs and the six leaf weights: one node
-    assert out.op == "gru" and out.parents == (x, h, *model.rnn_main)
+    out = gru_step([fg, zf], h, model.rnn_main)
+    # its parents are the two input blocks, h and the six leaf weights: one node
+    assert out.op == "gru" and out.parents == (fg, zf, h, *model.rnn_main)
     assert all(p.parents == () for p in out.parents)
 
 
@@ -249,7 +250,7 @@ def test_recurrence_matches_bruteforce_gru():
     fg = rng.normal(size=(2, 3, cfg.d_graph))
     z = rng.normal(size=(2, 3, cfg.d_latent))
     h = rng.normal(size=(2, 3, cfg.d_hidden))
-    out = model.recurrence_impute(Tensor(fg), Tensor(z), Tensor(h))
+    out = gru_step([Tensor(fg), model.zfeat_past(Tensor(z))], Tensor(h), model.rnn_main)
     zf = np.tanh(z @ model.zfeat_past_w[0].data + model.zfeat_past_w[1].data)
     expected = _gru_oracle(np.concatenate([fg, zf], axis=-1), h, model.rnn_main)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -259,11 +260,14 @@ def test_recurrence_deterministic():
     model = TrajectoryModel(tiny_cfg(seed=13))
     rng = np.random.default_rng(14)
     cfg = model.cfg
-    args = (Tensor(rng.normal(size=(1, 2, cfg.d_graph))),
-            Tensor(rng.normal(size=(1, 2, cfg.d_latent))),
-            Tensor(rng.normal(size=(1, 2, cfg.d_hidden))))
-    assert np.array_equal(model.recurrence_impute(*args).data,
-                          model.recurrence_impute(*args).data)
+    fg = Tensor(rng.normal(size=(1, 2, cfg.d_graph)))
+    z = Tensor(rng.normal(size=(1, 2, cfg.d_latent)))
+    h = Tensor(rng.normal(size=(1, 2, cfg.d_hidden)))
+
+    def step():
+        return gru_step([fg, model.zfeat_past(z)], h, model.rnn_main).data
+
+    assert np.array_equal(step(), step())
 
 
 def test_shared_cell_aliasing():
@@ -275,11 +279,17 @@ def test_shared_cell_aliasing():
     z = Tensor(rng.normal(size=(1, 2, cfg.d_latent)))
     z_tp = Tensor(rng.normal(size=(1, 2, cfg.d_latent)))
     h = Tensor(rng.normal(size=(1, 2, cfg.d_hidden)))
-    imp_before = model.recurrence_impute(fg, z, h).data.copy()
-    pre_before = model.recurrence_predict(fg, z, z_tp, h).data.copy()
+
+    def impute():
+        return gru_step([fg, model.zfeat_past(z)], h, model.rnn_main).data
+
+    def predict():
+        return gru_step([fg, model.zfeat_future(z, z_tp)], h, model.rnn_pred).data
+
+    imp_before, pre_before = impute(), predict()
     model.rnn_main[0].data[...] += 0.5  # one mutation moves both streams
-    assert not np.array_equal(model.recurrence_impute(fg, z, h).data, imp_before)
-    assert not np.array_equal(model.recurrence_predict(fg, z, z_tp, h).data, pre_before)
+    assert not np.array_equal(impute(), imp_before)
+    assert not np.array_equal(predict(), pre_before)
 
 
 def test_unshared_prediction_loss_has_no_imputation_gradient():
@@ -300,14 +310,12 @@ def test_unshared_prediction_loss_has_no_imputation_gradient():
 
 
 def test_recurrence_predict_requires_z_tp():
+    """The future stream's latent features, which feed both its decoder and
+    its recurrence, need the last past-step latent."""
     model = TrajectoryModel(tiny_cfg())
-    t = Tensor(np.zeros((1, 2, 4)))
     z = Tensor(np.zeros((1, 2, 8)))
-    h = Tensor(np.zeros((1, 2, 8)))
     with pytest.raises(ConfigError):
-        model.recurrence_predict(t, z, None, h)
-    with pytest.raises(ConfigError):
-        model.decode_prediction(z, None, h)
+        model.zfeat_future(z, None)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +326,11 @@ def test_decoder_zero_weights_unit_gaussian():
     model = zero_model()
     z = Tensor(np.random.default_rng(19).normal(size=(2, 3, 8)))
     h = Tensor(np.random.default_rng(20).normal(size=(2, 3, 8)))
-    out = model.decode_imputation(z, h)
+    out = model.decode_imputation(model.zfeat_past(z), h)
     np.testing.assert_array_equal(out.mu.data, np.zeros((2, 3, 2)))
     np.testing.assert_array_equal(out.sigma.data, np.ones((2, 3, 2)))
     np.testing.assert_array_equal(out.rho.data, np.zeros((2, 3, 1)))
-    out_f = model.decode_prediction(z, z, h)
+    out_f = model.decode_prediction(model.zfeat_future(z, z), h)
     np.testing.assert_array_equal(out_f.mu.data, np.zeros((2, 3, 2)))
     np.testing.assert_array_equal(out_f.sigma.data, np.ones((2, 3, 2)))
 
@@ -332,7 +340,7 @@ def test_decoder_matches_bruteforce_mlp():
     rng = np.random.default_rng(22)
     z = rng.normal(size=(3, 8))
     h = rng.normal(size=(3, 8))
-    out = model.decode_imputation(Tensor(z), Tensor(h))
+    out = model.decode_imputation(model.zfeat_past(Tensor(z)), Tensor(h))
     zf = np.tanh(z @ model.zfeat_past_w[0].data + model.zfeat_past_w[1].data)
     w0, b0, w_out, b_out = (p.data for p in model.dec_impute)
     raw = np.tanh(np.concatenate([zf, h], axis=-1) @ w0 + b0) @ w_out + b_out
@@ -353,8 +361,8 @@ def test_prediction_decoder_conditions_on_z_tp():
     rng = np.random.default_rng(25)
     z = Tensor(rng.normal(size=(2, 8)))
     h = Tensor(rng.normal(size=(2, 8)))
-    out1 = model.decode_prediction(z, Tensor(rng.normal(size=(2, 8))), h)
-    out2 = model.decode_prediction(z, Tensor(rng.normal(size=(2, 8))), h)
+    out1 = model.decode_prediction(model.zfeat_future(z, Tensor(rng.normal(size=(2, 8)))), h)
+    out2 = model.decode_prediction(model.zfeat_future(z, Tensor(rng.normal(size=(2, 8)))), h)
     assert not np.array_equal(out1.mu.data, out2.mu.data)
 
 
@@ -498,9 +506,9 @@ def _tape_nodes(root):
 
 
 def test_training_tape_holds_no_affine_intermediates():
-    """Every affine map is one `linear` node: the tape keeps no concat copy
-    other than the GRU inputs and no matmul output that only feeds a bias
-    add, and each log-variance clamp is one node."""
+    """Every affine map is one `linear` node and the GRU takes its inputs as
+    blocks: the tape keeps no concat copy and no matmul output that only
+    feeds a bias add, and each log-variance clamp is one node."""
     cfg = tiny_cfg(seed=37)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=38)
@@ -508,8 +516,9 @@ def test_training_tape_holds_no_affine_intermediates():
     nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
     ops = [node.op for node in nodes]
     steps = cfg.t_past + cfg.t_future
-    # one GRU input per step; the last future step's GRU does not reach the loss
-    assert ops.count("concat") == steps - 1
+    assert ops.count("concat") == 0
+    # one GRU per step but the last, whose state would reach no loss
+    assert ops.count("gru") == steps - 1
     assert ops.count("clamp") == 2 * steps  # prior and posterior log-variance
     bias_adds = [node for node in nodes if node.op == "add"
                  and any(p.op == "matmul" for p in node.parents)
