@@ -2,33 +2,43 @@
 (prediction) streams of a multi-agent scene.
 
 Each past step: update the per-agent temporal lag from the visibility
-mask, shrink the previous hidden state by the learned decay, encode the
-masked coordinates on the agent graph, form prior (from the hidden
-state) and posterior (from graph features + hidden state) latents,
-decode a bivariate Gaussian over the true position, and advance a GRU.
-Future steps mirror this without decay, conditioning the decoder and the
-recurrence on the latent from the last past step.
+mask, encode the masked coordinates on the agent graph, form prior (from
+the hidden state) and posterior (from graph features + hidden state)
+latents, decode a bivariate Gaussian over the true position, then shrink
+the hidden state by the learned decay and advance a GRU. Future steps
+mirror this without decay, conditioning the decoder and the recurrence
+on the latent from the last past step. A recurrence whose state reaches
+no loss (the last step of the last window trained) is not run.
 
 Training maximises the sequential evidence lower bound: reconstruction
 negative log-likelihood plus a weighted KL between posterior and prior,
-accumulated over both windows. Inference samples latents from the prior,
-copies observations through at visible steps, and rolls the future
-autoregressively on its own decoded means.
+accumulated over both windows. Each of the three per-step terms is one
+tape node with a closed-form backward: `sample_latent` (the
+reparameterised draw), `bigauss_nll` (the split of the decoder's 5 raw
+outputs and the NLL) and `gauss_kl`. Their forwards keep the evaluation
+order of the primitive ops they replace, so the losses are bit-identical
+to that composition, and they keep no (B, N, Z) intermediate for
+backward. Inference samples latents from the prior, copies observations
+through at visible steps, and rolls the future autoregressively on its
+own decoded means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Parameter, Tensor, backward, clamp, exp, linear, log,
-                       maximum_scalar, new_parameter, no_grad, tanh, tmean, tsum)
+from .autodiff import (Parameter, Tensor, _accumulate, _make, backward, clamp, exp,
+                       linear, maximum_scalar, new_parameter, no_grad, tanh, tmean,
+                       tsum)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+RHO_LIMIT = 0.999  # |correlation| bound of the decoded bivariate Gaussian
 
 MODES = ("joint", "impute-only", "predict-only")
 
@@ -117,22 +127,30 @@ class LatentDistribution:
     mu: Tensor
     logvar: Tensor
 
-    @property
-    def sigma(self) -> Tensor:
-        return exp(self.logvar * 0.5)
-
-
-@dataclass
-class BiGaussianParams:
-    """Bivariate Gaussian over 2D positions: mean, std pair, correlation."""
-    mu: Tensor
-    sigma: Tensor
-    rho: Tensor
-
 
 def sample_latent(dist: LatentDistribution, noise) -> Tensor:
-    """Reparameterised draw z = mu + sigma * noise (noise supplied)."""
-    return dist.mu + dist.sigma * Tensor(np.asarray(noise, dtype=np.float64))
+    """Reparameterised draw z = mu + exp(logvar * 0.5) * noise (noise
+    supplied), one tape node "sample_latent" with parents (mu, logvar).
+    It keeps only the noise array; backward recomputes exp(logvar * 0.5)."""
+    mu, logvar = dist.mu, dist.logvar
+    noise = np.asarray(noise, dtype=np.float64)
+    if not mu.shape == logvar.shape == noise.shape:
+        raise ShapeError(f"sample_latent: mu {mu.shape}, logvar {logvar.shape} and "
+                         f"noise {noise.shape} differ")
+    with np.errstate(over="ignore", invalid="ignore"):  # _make rejects non-finite
+        out = mu.data + np.exp(logvar.data * 0.5) * noise
+    return _make(out, "sample_latent", (mu, logvar),
+                 partial(_sample_latent_backward, mu, logvar, noise))
+
+
+def _sample_latent_backward(mu, logvar, noise, grad):
+    if mu.requires_grad:
+        _accumulate(mu, grad)
+    if logvar.requires_grad:
+        g = grad * noise
+        g *= np.exp(logvar.data * 0.5)
+        g *= 0.5
+        _accumulate(logvar, g, owned=True)
 
 
 def temporal_lag_update(delta, step_index: int, mask_step):
@@ -160,37 +178,93 @@ def decay_hidden(h: Tensor, decay: Tensor) -> Tensor:
     return h * decay
 
 
-def bigauss_split(raw: Tensor, rho_limit: float = 0.999) -> BiGaussianParams:
-    """Map 5 raw decoder outputs to valid bivariate Gaussian parameters."""
-    mu = raw[..., 0:2]
-    sigma = exp(raw[..., 2:4])
-    rho = tanh(raw[..., 4:5]) * rho_limit
-    return BiGaussianParams(mu=mu, sigma=sigma, rho=rho)
+def bigauss_nll(target, raw) -> Tensor:
+    """Per-agent negative log density of the bivariate Gaussian that the
+    decoder's 5 raw outputs (.., 5) describe: mu_x, mu_y, log sigma_x,
+    log sigma_y and the pre-tanh correlation, rho = 0.999 tanh(.).
+
+    One tape node "bigauss_nll" whose only parent is `raw`; the target
+    (.., 2) is data. The node keeps `raw` and the target and nothing else:
+    backward recomputes the split and takes the closed-form gradient
+    (Graves 2013, arXiv:1308.0850, section 4.1)."""
+    raw = ad.as_tensor(raw)
+    target = ad.as_tensor(target).data
+    if raw.ndim == 0 or raw.shape[-1] != 5 or target.shape != raw.shape[:-1] + (2,):
+        raise ShapeError(f"bigauss_nll: target {target.shape} does not fit raw "
+                         f"outputs {raw.shape}")
+    nll, _ = _bigauss_terms(target, raw.data)
+    return _make(nll, "bigauss_nll", (raw,), partial(_bigauss_nll_backward, target, raw))
 
 
-def bigauss_nll(target, params: BiGaussianParams) -> Tensor:
-    """Per-agent negative log density of the bivariate Gaussian."""
-    t = ad.as_tensor(target)
-    d = t - params.mu
-    zx = d[..., 0:1] / params.sigma[..., 0:1]
-    zy = d[..., 1:2] / params.sigma[..., 1:2]
-    rho = params.rho
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # _make rejects non-finite
+def _bigauss_terms(target, raw):
+    """The NLL summed over the last axis, composed in the order of the
+    primitive ops it replaces, and the terms its gradient reads."""
+    sigma = np.exp(raw[..., 2:4])
+    tanh_rho = np.tanh(raw[..., 4:5])
+    rho = tanh_rho * RHO_LIMIT
+    z = (target - raw[..., 0:2]) / sigma
+    zx, zy = z[..., 0:1], z[..., 1:2]
     one_minus = 1.0 - rho * rho
     quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
-    nll = (LOG_2PI + log(params.sigma[..., 0:1]) + log(params.sigma[..., 1:2])
-           + 0.5 * log(one_minus) + quad / (2.0 * one_minus))
-    return tsum(nll, axis=-1)
+    nll = (LOG_2PI + np.log(sigma[..., 0:1]) + np.log(sigma[..., 1:2])
+           + 0.5 * np.log(one_minus) + quad / (2.0 * one_minus))
+    return nll.sum(axis=-1), (sigma, tanh_rho, rho, z, one_minus, quad)
+
+
+def _bigauss_nll_backward(target, raw, grad):
+    _, (sigma, tanh_rho, rho, z, one_minus, quad) = _bigauss_terms(target, raw.data)
+    zx, zy = z[..., 0:1], z[..., 1:2]
+    g = grad[..., None] / one_minus
+    dz = np.concatenate([zx - rho * zy, zy - rho * zx], axis=-1) * g
+    out = np.empty(raw.shape)
+    out[..., 0:2] = -dz / sigma
+    out[..., 2:4] = grad[..., None] - z * dz
+    drho = (rho * (quad / one_minus - 1.0) - zx * zy) * g
+    out[..., 4:5] = drho * (RHO_LIMIT * (1.0 - tanh_rho * tanh_rho))
+    _accumulate(raw, out, owned=True)
 
 
 def gauss_kl(post: LatentDistribution, prior: LatentDistribution) -> Tensor:
     """Closed-form KL(post || prior) for diagonal Gaussians, summed over
-    the latent axis; one value per agent."""
-    lv_q, lv_p = post.logvar, prior.logvar
-    dmu = post.mu - prior.mu
+    the latent axis; one value per agent.
+
+    One tape node "gauss_kl" with parents (post.mu, post.logvar, prior.mu,
+    prior.logvar), all of one shape. It keeps nothing but its parents:
+    backward recomputes exp(logvar) and the mean offset from them (Kingma
+    and Welling 2014, appendix B)."""
+    parents = (post.mu, post.logvar, prior.mu, prior.logvar)
+    if len({p.shape for p in parents}) != 1:
+        raise ShapeError(f"gauss_kl: shapes {[p.shape for p in parents]} differ")
+    return _make(_kl_forward(*(p.data for p in parents)), "gauss_kl", parents,
+                 partial(_gauss_kl_backward, parents))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # _make rejects non-finite
+def _kl_forward(mu_q, lv_q, mu_p, lv_p):
+    dmu = mu_q - mu_p
     per_dim = (0.5 * (lv_p - lv_q)
-               + (exp(lv_q) + dmu * dmu) / (2.0 * exp(lv_p))
+               + (np.exp(lv_q) + dmu * dmu) / (2.0 * np.exp(lv_p))
                - 0.5)
-    return tsum(per_dim, axis=-1)
+    return per_dim.sum(axis=-1)
+
+
+def _gauss_kl_backward(parents, grad):
+    mu_q, lv_q, mu_p, lv_p = parents
+    g = grad[..., None]
+    var_p = np.exp(lv_p.data)
+    diff = mu_q.data - mu_p.data
+    dmu = diff / var_p
+    ratio = np.exp(lv_q.data) / var_p
+    if lv_q.requires_grad:
+        _accumulate(lv_q, 0.5 * (ratio - 1.0) * g, owned=True)
+    if lv_p.requires_grad:
+        _accumulate(lv_p, 0.5 * (1.0 - ratio - dmu * diff) * g, owned=True)
+    dmu *= g
+    if mu_p.requires_grad:
+        _accumulate(mu_p, -dmu, owned=True)
+    if mu_q.requires_grad:
+        _accumulate(mu_q, dmu, owned=True)
 
 
 def gru_step(inputs, h: Tensor, weights) -> Tensor:
@@ -286,15 +360,17 @@ class TrajectoryModel:
             raise ConfigError("zfeat_future needs the last past-step latent")
         return tanh(linear([z, z_tp], *self.zfeat_future_w))
 
-    def _decode(self, features: Tensor, h_prev: Tensor, head) -> BiGaussianParams:
+    def _decode(self, features: Tensor, h_prev: Tensor, head) -> Tensor:
+        """The 5 raw outputs (.., 5) that `bigauss_nll` takes; the first
+        two are the mean."""
         w0, b0, w_out, b_out = head
         hidden = tanh(linear([features, h_prev], w0, b0))
-        return bigauss_split(linear([hidden], w_out, b_out))
+        return linear([hidden], w_out, b_out)
 
-    def decode_imputation(self, zf: Tensor, h_prev: Tensor) -> BiGaussianParams:
+    def decode_imputation(self, zf: Tensor, h_prev: Tensor) -> Tensor:
         return self._decode(zf, h_prev, self.dec_impute)
 
-    def decode_prediction(self, zf: Tensor, h_prev: Tensor) -> BiGaussianParams:
+    def decode_prediction(self, zf: Tensor, h_prev: Tensor) -> Tensor:
         return self._decode(zf, h_prev, self.dec_predict)
 
     def temporal_decay(self, delta) -> Tensor:
@@ -342,27 +418,28 @@ class TrajectoryModel:
         imp_nll = Tensor(np.zeros(b))
         imp_kl = Tensor(np.zeros(b))
         z = None
+        run_future = cfg.mode != "impute-only" and cfg.t_future > 0
 
         for t in range(cfg.t_past):
             m_t = mask[:, t, :]
             delta = temporal_lag_update(delta, t, self._lag_gate_mask(mask, t))
-            h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
             fg = self.encoder.forward(x[:, t], m_t, "past", thetas)
             prior = self.prior_params(h)
             post = self.posterior_params(fg, h)
             z = sample_latent(post, noise["past"][t])
             zf = self.zfeat_past(z)
-            dec = self.decode_imputation(zf, h)
-            imp_nll = imp_nll + tsum(bigauss_nll(x[:, t], dec), axis=-1)
+            raw = self.decode_imputation(zf, h)
+            imp_nll = imp_nll + tsum(bigauss_nll(x[:, t], raw), axis=-1)
             imp_kl = imp_kl + tsum(gauss_kl(post, prior), axis=-1)
-            h = gru_step([fg, zf], h_rec, self.rnn_main)
+            if t + 1 < cfg.t_past or run_future:  # else the state reaches no loss
+                h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
+                h = gru_step([fg, zf], h_rec, self.rnn_main)
 
         losses = {}
         losses["imp_nll"] = tmean(imp_nll)
         losses["imp_kl"] = tmean(imp_kl)
         losses["imp"] = losses["imp_nll"] + cfg.lambda_imp_kl * losses["imp_kl"]
 
-        run_future = cfg.mode != "impute-only" and cfg.t_future > 0
         if run_future:
             z_tp = z if cfg.share_streams else z.detach()
             h_f = h if cfg.share_streams else Tensor(np.zeros((b, n, cfg.d_hidden)))
@@ -375,8 +452,8 @@ class TrajectoryModel:
                 post = self.posterior_params(fg, h_f)
                 z_f = sample_latent(post, noise["future"][t])
                 zf = self.zfeat_future(z_f, z_tp)
-                dec = self.decode_prediction(zf, h_f)
-                pre_nll = pre_nll + tsum(bigauss_nll(y_t, dec), axis=-1)
+                raw = self.decode_prediction(zf, h_f)
+                pre_nll = pre_nll + tsum(bigauss_nll(y_t, raw), axis=-1)
                 pre_kl = pre_kl + tsum(gauss_kl(post, prior), axis=-1)
                 if t + 1 < cfg.t_future:  # the last step's state reaches no loss
                     h_f = gru_step([fg, zf], h_f, self.rnn_pred)
@@ -453,13 +530,12 @@ class TrajectoryModel:
                 prior = self.prior_params(h)
                 z = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
                 zf = self.zfeat_past(z)
-                dec = self.decode_imputation(zf, h)
+                mean = self.decode_imputation(zf, h).data[..., 0:2]
                 m3 = m_t[..., None]
                 # copy observations through untouched (scene units)
-                imputed[:, t] = np.where(m3 > 0, coords_past[:, t],
-                                         self._denormalize(dec.mu.data))
+                imputed[:, t] = np.where(m3 > 0, coords_past[:, t], self._denormalize(mean))
                 if fill is not None:
-                    fill = m3 * x[:, t] + (1.0 - m3) * dec.mu.data
+                    fill = m3 * x[:, t] + (1.0 - m3) * mean
                 h = gru_step([fg, zf], h_rec, self.rnn_main)
 
             z_tp = z
@@ -468,10 +544,10 @@ class TrajectoryModel:
                 prior = self.prior_params(h_f)
                 z_f = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
                 zf = self.zfeat_future(z_f, z_tp)
-                dec = self.decode_prediction(zf, h_f)
-                predicted[:, t] = self._denormalize(dec.mu.data)
+                mean = self.decode_prediction(zf, h_f).data[..., 0:2]
+                predicted[:, t] = self._denormalize(mean)
                 if t + 1 < cfg.t_future:  # the last step's state is never read
-                    fg = self.encoder.forward(dec.mu.data, None, "future", thetas)
+                    fg = self.encoder.forward(mean, None, "future", thetas)
                     h_f = gru_step([fg, zf], h_f, self.rnn_pred)
 
         if single:

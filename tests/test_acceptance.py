@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from trajvrnn.autodiff import Tensor, grad_check, tsum
+from trajvrnn.autodiff import Tensor, exp, grad_check, tsum
 from trajvrnn.baselines import (impute_linear_fit, impute_mean, impute_median,
                                 metric_i_l2, metric_p_l2,
                                 predict_constant_velocity)
@@ -23,10 +23,9 @@ from trajvrnn.data import (DynamicsParams, MaskingSpec, apply_camera_mask,
                            apply_circle_mask, build_dataset,
                            generate_sequences, stack_arrays)
 from trajvrnn.graph import build_static_adjacency, edge_categories, normalize_static
-from trajvrnn.model import (BiGaussianParams, LatentDistribution, ModelConfig,
-                            TrajectoryModel, bigauss_nll, decay_hidden,
-                            gauss_kl, gru_step, sample_latent, temporal_decay,
-                            temporal_lag_update)
+from trajvrnn.model import (LatentDistribution, ModelConfig, TrajectoryModel,
+                            bigauss_nll, decay_hidden, gauss_kl, gru_step,
+                            temporal_decay)
 from trajvrnn.optim import Adam
 from trajvrnn.training import (_noise_rng, _shuffle_rng, fit_normalization,
                                loss_rows_to_csv, train)
@@ -80,15 +79,15 @@ def test_criterion_1_gradient_correctness():
     params = model.parameters()
 
     def head_scalar(dist):
-        return tsum(dist.mu) + tsum(dist.sigma)
+        return tsum(dist.mu) + tsum(exp(dist.logvar * 0.5))
 
     errors["prior_head"] = grad_check(
         lambda: head_scalar(model.prior_params(Tensor(h))), params)
     errors["posterior_head"] = grad_check(
         lambda: head_scalar(model.posterior_params(Tensor(fg), Tensor(h))), params)
 
-    def dec_scalar(dec):
-        return tsum(dec.mu) + tsum(dec.sigma) + tsum(dec.rho)
+    def dec_scalar(raw):
+        return tsum(raw)
 
     def zf_past():
         return model.zfeat_past(Tensor(z_in))
@@ -137,10 +136,8 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_closed_forms():
-    nll = bigauss_nll(Tensor([[0.0, 0.0]]),
-                      BiGaussianParams(mu=Tensor([[0.0, 0.0]]),
-                                       sigma=Tensor([[1.0, 1.0]]),
-                                       rho=Tensor([[0.0]]))).item()
+    # raw decoder outputs: mean (0, 0), log sigma (0, 0), pre-tanh rho 0
+    nll = bigauss_nll(Tensor([[0.0, 0.0]]), Tensor([[0.0, 0.0, 0.0, 0.0, 0.0]])).item()
     kl = gauss_kl(LatentDistribution(mu=Tensor([[1.0]]), logvar=Tensor([[0.0]])),
                   LatentDistribution(mu=Tensor([[0.0]]), logvar=Tensor([[0.0]]))).item()
     decay = temporal_decay(np.array([[[1.0]]]), Tensor([math.log(2.0)]),

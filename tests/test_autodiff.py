@@ -11,6 +11,7 @@ from trajvrnn.autodiff import (
     tanh, tmean, transpose, tsum,
 )
 from trajvrnn.errors import NumericError, ShapeError
+from trajvrnn.model import LatentDistribution, bigauss_nll, gauss_kl, sample_latent
 
 
 def test_matmul_manual_product():
@@ -125,6 +126,22 @@ def test_exp_and_sigmoid_overflow_is_silent():
             exp(Tensor([1000.0]))
 
 
+def test_fused_loss_non_finite_forward_raises_silently():
+    """An overflow inside a fused loss node raises NumericError naming that
+    node, without a numpy warning: a log sigma of 800 makes sigma infinite,
+    a log-variance of 1000 the variance."""
+    unit = LatentDistribution(mu=Tensor([[0.0]]), logvar=Tensor([[0.0]]))
+    wide = LatentDistribution(mu=Tensor([[0.0]]), logvar=Tensor([[1000.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="'bigauss_nll'"):
+            bigauss_nll(np.zeros((1, 2)), Tensor([[0.0, 0.0, 800.0, 0.0, 0.0]]))
+        with pytest.raises(NumericError, match="'gauss_kl'"):
+            gauss_kl(wide, unit)
+        with pytest.raises(NumericError, match="'gauss_kl'"):
+            gauss_kl(wide, wide)  # inf / inf
+
+
 def test_tensor_axis_limit():
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 2, 2, 2, 2)))
@@ -180,12 +197,15 @@ GRU_SHAPES = {"x": (2, 3, 3), "h": (2, 3, 4), "wz": (7, 4), "bz": (4,),
 # two input blocks of unequal widths, 2 + 5 + H = 11 weight rows
 GRU2_SHAPES = {"x1": (2, 3, 2), "x2": (2, 3, 5), "h2": (2, 3, 4), "wz2": (11, 4),
                "bz2": (4,), "wr2": (11, 4), "br2": (4,), "wh2": (11, 4), "bh2": (4,)}
+# posterior then prior mean and log-variance
+KL_NAMES = ("mu_q", "lv_q", "mu_p", "lv_p")
 
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "matmul3d", "add", "add_fanout", "sub", "mul", "div", "concat",
     "exp", "log", "tanh", "relu", "maxs", "sum", "mean", "reshape", "slice",
     "bcast", "gru", "gru2", "linear", "linear2", "clamp", "linear_nobias",
+    "bigauss_nll", "gauss_kl", "sample_latent",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -201,6 +221,11 @@ def test_grad_check_every_primitive(op_name):
     k = Parameter("k", np.linspace(-2.0, 2.0, 12).reshape(3, 4))  # both sides of +-1
     u = Parameter("u", rng.normal(size=(3, 4)))
     cell2 = [Parameter(name, rng.normal(size=shape)) for name, shape in GRU2_SHAPES.items()]
+    raw = Parameter("raw", rng.normal(size=(2, 3, 5)))
+    target = rng.normal(size=(2, 3, 2))
+    dists = [Parameter(name, rng.normal(size=(2, 3, 4))) for name in KL_NAMES]
+    noise = rng.normal(size=(2, 3, 4))
+    post, prior = LatentDistribution(*dists[:2]), LatentDistribution(*dists[2:])
 
     def add_fanout():
         # backward reaches the add first, which hands one gradient to the
@@ -240,8 +265,11 @@ def test_grad_check_every_primitive(op_name):
         "reshape": lambda: tsum(tanh(reshape(a, (2, 6)))),
         "slice": lambda: tsum(tanh(a[:, 1:3])),
         "bcast": lambda: tsum(tanh(a * b[0:1, :])),
+        "bigauss_nll": lambda: tsum(tanh(bigauss_nll(target, raw) * 0.3)),
+        "gauss_kl": lambda: tsum(tanh(gauss_kl(post, prior) * 0.3)),
+        "sample_latent": lambda: tsum(tanh(sample_latent(post, noise))),
     }
-    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u, *cell2)
+    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u, *cell2, raw, *dists)
               if _touches(op_name, p.name)]
     assert grad_check(builders[op_name], params) <= 1e-4
 
@@ -263,6 +291,12 @@ def _touches(op_name, pname):
         return pname in ("c", "u")
     if op_name == "clamp":
         return pname == "k"
+    if op_name == "bigauss_nll":
+        return pname == "raw"
+    if op_name == "gauss_kl":
+        return pname in KL_NAMES
+    if op_name == "sample_latent":
+        return pname in KL_NAMES[:2]
     if op_name in ("exp", "tanh", "relu", "maxs", "sum", "mean", "reshape", "slice"):
         return pname == "a"
     if op_name == "log":

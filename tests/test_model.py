@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from trajvrnn.autodiff import Parameter, Tensor, backward, grad_check, tsum
+from trajvrnn import model as model_module
+from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, log, no_grad,
+                               tanh, tsum)
 from trajvrnn.checkpoint import load_model, save_checkpoint
-from trajvrnn.errors import ConfigError
+from trajvrnn.errors import ConfigError, ShapeError
 from trajvrnn.model import (
-    BiGaussianParams, LatentDistribution, ModelConfig, TrajectoryModel,
-    bigauss_nll, bigauss_split, decay_hidden, gauss_kl, gru_step,
-    sample_latent, temporal_decay, temporal_lag_update,
+    LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, decay_hidden,
+    gauss_kl, gru_step, sample_latent, temporal_decay, temporal_lag_update,
 )
 from trajvrnn.optim import Adam
 
@@ -51,14 +52,14 @@ def test_prior_zero_weights_standard_normal():
     model = zero_model()
     dist = model.prior_params(Tensor(np.random.default_rng(0).normal(size=(3, 8))))
     np.testing.assert_array_equal(dist.mu.data, np.zeros((3, 8)))
-    np.testing.assert_array_equal(dist.sigma.data, np.ones((3, 8)))
+    np.testing.assert_array_equal(dist.logvar.data, np.zeros((3, 8)))
 
 
 def test_prior_zero_hidden_zero_bias():
     model = TrajectoryModel(tiny_cfg())
     dist = model.prior_params(Tensor(np.zeros((2, 8))))
     np.testing.assert_array_equal(dist.mu.data, np.zeros((2, 8)))
-    np.testing.assert_array_equal(dist.sigma.data, np.ones((2, 8)))
+    np.testing.assert_array_equal(dist.logvar.data, np.zeros((2, 8)))
 
 
 def _head_oracle(x, head, limit):
@@ -82,7 +83,7 @@ def test_posterior_zero_weights_standard_normal():
     model = zero_model()
     dist = model.posterior_params(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 8))))
     np.testing.assert_array_equal(dist.mu.data, np.zeros((3, 8)))
-    np.testing.assert_array_equal(dist.sigma.data, np.ones((3, 8)))
+    np.testing.assert_array_equal(dist.logvar.data, np.zeros((3, 8)))
 
 
 def test_posterior_hidden_invariance_when_columns_zeroed():
@@ -326,13 +327,11 @@ def test_decoder_zero_weights_unit_gaussian():
     model = zero_model()
     z = Tensor(np.random.default_rng(19).normal(size=(2, 3, 8)))
     h = Tensor(np.random.default_rng(20).normal(size=(2, 3, 8)))
+    # mean 0, log sigma 0 (sigma 1) and pre-tanh correlation 0 (rho 0)
     out = model.decode_imputation(model.zfeat_past(z), h)
-    np.testing.assert_array_equal(out.mu.data, np.zeros((2, 3, 2)))
-    np.testing.assert_array_equal(out.sigma.data, np.ones((2, 3, 2)))
-    np.testing.assert_array_equal(out.rho.data, np.zeros((2, 3, 1)))
+    np.testing.assert_array_equal(out.data, np.zeros((2, 3, 5)))
     out_f = model.decode_prediction(model.zfeat_future(z, z), h)
-    np.testing.assert_array_equal(out_f.mu.data, np.zeros((2, 3, 2)))
-    np.testing.assert_array_equal(out_f.sigma.data, np.ones((2, 3, 2)))
+    np.testing.assert_array_equal(out_f.data, np.zeros((2, 3, 5)))
 
 
 def test_decoder_matches_bruteforce_mlp():
@@ -344,16 +343,17 @@ def test_decoder_matches_bruteforce_mlp():
     zf = np.tanh(z @ model.zfeat_past_w[0].data + model.zfeat_past_w[1].data)
     w0, b0, w_out, b_out = (p.data for p in model.dec_impute)
     raw = np.tanh(np.concatenate([zf, h], axis=-1) @ w0 + b0) @ w_out + b_out
-    np.testing.assert_allclose(out.mu.data, raw[:, 0:2], atol=1e-12)
-    np.testing.assert_allclose(out.sigma.data, np.exp(raw[:, 2:4]), atol=1e-12)
-    np.testing.assert_allclose(out.rho.data, 0.999 * np.tanh(raw[:, 4:5]), atol=1e-12)
+    assert out.shape == (3, 5)
+    np.testing.assert_allclose(out.data, raw, atol=1e-12)
 
 
 def test_decoder_rho_always_in_open_interval():
-    raw = Tensor(np.random.default_rng(23).normal(scale=50.0, size=(10_000, 5)))
-    params = bigauss_split(raw)
-    assert (np.abs(params.rho.data) < 0.999 + 1e-12).all()
-    assert (params.sigma.data > 0).all()
+    """rho = 0.999 tanh(.) stays inside (-1, 1) even where tanh rounds to
+    +-1, so the fused NLL's log(1 - rho^2) and 1 / (1 - rho^2) stay finite."""
+    rng = np.random.default_rng(23)
+    raw = rng.normal(size=(2, 5))
+    raw[:, 4] = [50.0, -50.0]
+    assert np.isfinite(bigauss_nll(rng.normal(size=(2, 2)), Tensor(raw)).data).all()
 
 
 def test_prediction_decoder_conditions_on_z_tp():
@@ -363,35 +363,34 @@ def test_prediction_decoder_conditions_on_z_tp():
     h = Tensor(rng.normal(size=(2, 8)))
     out1 = model.decode_prediction(model.zfeat_future(z, Tensor(rng.normal(size=(2, 8)))), h)
     out2 = model.decode_prediction(model.zfeat_future(z, Tensor(rng.normal(size=(2, 8)))), h)
-    assert not np.array_equal(out1.mu.data, out2.mu.data)
+    assert not np.array_equal(out1.data[..., 0:2], out2.data[..., 0:2])
 
 
 # ---------------------------------------------------------------------------
 # densities
 
 
+# raw decoder outputs are [mu_x, mu_y, log sigma_x, log sigma_y, pre-tanh rho]
+
+
 def test_nll_at_mean_unit_sigma():
-    params = BiGaussianParams(mu=Tensor([[0.0, 0.0]]), sigma=Tensor([[1.0, 1.0]]),
-                              rho=Tensor([[0.0]]))
-    nll = bigauss_nll(Tensor([[0.0, 0.0]]), params)
+    nll = bigauss_nll(Tensor([[0.0, 0.0]]), Tensor([[0.0, 0.0, 0.0, 0.0, 0.0]]))
     assert abs(nll.item() - LOG_2PI) < 1e-12
 
 
 def test_nll_one_sigma_offset():
-    params = BiGaussianParams(mu=Tensor([[1.0, 2.0]]), sigma=Tensor([[1.0, 1.0]]),
-                              rho=Tensor([[0.0]]))
-    nll = bigauss_nll(Tensor([[2.0, 2.0]]), params)
+    nll = bigauss_nll(Tensor([[2.0, 2.0]]), Tensor([[1.0, 2.0, 0.0, 0.0, 0.0]]))
     assert abs(nll.item() - (LOG_2PI + 0.5)) < 1e-12
 
 
 def test_nll_factorises_when_uncorrelated():
     rng = np.random.default_rng(26)
     mu = rng.normal(size=(5, 2))
-    sigma = np.exp(rng.normal(size=(5, 2)))
+    log_sigma = rng.normal(size=(5, 2))
+    sigma = np.exp(log_sigma)
     target = rng.normal(size=(5, 2))
-    params = BiGaussianParams(mu=Tensor(mu), sigma=Tensor(sigma),
-                              rho=Tensor(np.zeros((5, 1))))
-    joint = bigauss_nll(Tensor(target), params).data
+    raw = np.concatenate([mu, log_sigma, np.zeros((5, 1))], axis=-1)
+    joint = bigauss_nll(Tensor(target), Tensor(raw)).data
     uni = (0.5 * np.log(2 * np.pi) + np.log(sigma)
            + (target - mu) ** 2 / (2 * sigma ** 2)).sum(axis=-1)
     np.testing.assert_allclose(joint, uni, atol=1e-12)
@@ -417,6 +416,86 @@ def test_kl_nonnegative_randomised():
     p = LatentDistribution(mu=Tensor(rng.normal(size=(10_000, 4))),
                            logvar=Tensor(rng.normal(size=(10_000, 4))))
     assert (gauss_kl(q, p).data >= -1e-12).all()
+
+
+# the three loss-term nodes against the primitive ops they replace
+
+
+def _composed_nll(target, raw):
+    mu = raw[..., 0:2]
+    sigma = exp(raw[..., 2:4])
+    rho = tanh(raw[..., 4:5]) * 0.999
+    d = Tensor(target) - mu
+    zx = d[..., 0:1] / sigma[..., 0:1]
+    zy = d[..., 1:2] / sigma[..., 1:2]
+    one_minus = 1.0 - rho * rho
+    quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
+    nll = (LOG_2PI + log(sigma[..., 0:1]) + log(sigma[..., 1:2])
+           + 0.5 * log(one_minus) + quad / (2.0 * one_minus))
+    return tsum(nll, axis=-1)
+
+
+def _composed_kl(post, prior):
+    lv_q, lv_p = post.logvar, prior.logvar
+    dmu = post.mu - prior.mu
+    per_dim = (0.5 * (lv_p - lv_q)
+               + (exp(lv_q) + dmu * dmu) / (2.0 * exp(lv_p))
+               - 0.5)
+    return tsum(per_dim, axis=-1)
+
+
+def _composed_draw(dist, noise):
+    return dist.mu + exp(dist.logvar * 0.5) * Tensor(noise)
+
+
+# the last case is the reference scale: B=64, N=10, Z=64
+@pytest.mark.parametrize("lead,z_dim", [((2, 3), 5), ((64, 10), 64)])
+def test_fused_loss_terms_match_composed_ops(lead, z_dim):
+    """Forward bit-equal to the composition of primitives, with and without
+    the tape; gradients equal to it up to reassociation."""
+    rng = np.random.default_rng(z_dim)
+    raw = Parameter("raw", rng.normal(size=lead + (5,)))
+    target = rng.normal(size=lead + (2,))
+    dists = [Parameter(name, rng.normal(size=lead + (z_dim,)))
+             for name in ("mu_q", "lv_q", "mu_p", "lv_p")]
+    noise = rng.normal(size=lead + (z_dim,))
+    post, prior = LatentDistribution(*dists[:2]), LatentDistribution(*dists[2:])
+    cases = [("bigauss_nll", lambda: bigauss_nll(target, raw),
+              lambda: _composed_nll(target, raw), [raw]),
+             ("gauss_kl", lambda: gauss_kl(post, prior),
+              lambda: _composed_kl(post, prior), dists),
+             ("sample_latent", lambda: sample_latent(post, noise),
+              lambda: _composed_draw(post, noise), dists[:2])]
+    for op, fused_fn, composed_fn, params in cases:
+        composed, fused = composed_fn(), fused_fn()
+        assert fused.op == op and fused.parents == tuple(params)
+        assert np.array_equal(fused.data, composed.data), op
+        with no_grad():
+            assert np.array_equal(fused_fn().data, composed.data), op
+        upstream = Tensor(rng.normal(size=fused.shape))
+        grads = []
+        for out in (composed, fused):
+            for p in params:
+                p.zero_grad()
+            backward(tsum(out * upstream))
+            grads.append([p.grad.copy() for p in params])
+        for want, got in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), op
+
+
+def test_fused_loss_terms_reject_mismatched_shapes():
+    """The fused nodes do not broadcast: a shape mix-up is a ShapeError
+    that names the shapes, not a wrongly shaped gradient."""
+    ones = [Tensor(np.ones((2, 3, 4))) for _ in range(3)]
+    short = Tensor(np.ones((2, 3, 1)))
+    with pytest.raises(ShapeError, match=r"bigauss_nll.*\(2, 3\).*\(2, 3, 5\)"):
+        bigauss_nll(np.zeros((2, 3)), Tensor(np.zeros((2, 3, 5))))
+    with pytest.raises(ShapeError, match="bigauss_nll"):
+        bigauss_nll(np.zeros((2, 3, 2)), Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(ShapeError, match=r"gauss_kl.*\(2, 3, 1\)"):
+        gauss_kl(LatentDistribution(*ones[:2]), LatentDistribution(ones[2], short))
+    with pytest.raises(ShapeError, match=r"sample_latent.*\(2, 3, 1\)"):
+        sample_latent(LatentDistribution(*ones[:2]), np.ones((2, 3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +603,48 @@ def test_training_tape_holds_no_affine_intermediates():
                  and any(p.op == "matmul" for p in node.parents)
                  and any(isinstance(p, Parameter) for p in node.parents)]
     assert bias_adds == []
+
+
+def test_impute_only_skips_the_last_recurrence(monkeypatch):
+    """Without a future window the last past step's state reaches no loss,
+    so neither its decay nor its GRU runs: the tape walk alone would not
+    show that, since an unused node is not reachable from the loss."""
+    cfg = tiny_cfg(mode="impute-only", seed=43)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=44)
+    noise = model.draw_noise(np.random.default_rng(45), 2, 3)
+    calls = {"gru_step": 0, "temporal_decay": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(model_module, "gru_step", counted("gru_step", gru_step))
+    monkeypatch.setattr(model, "temporal_decay", counted("temporal_decay", model.temporal_decay))
+    ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
+    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1}
+    assert ops.count("gru") == ops.count("exp") == cfg.t_past - 1
+    assert ops.count("bigauss_nll") == cfg.t_past
+
+
+def test_training_tape_fuses_loss_terms():
+    """Each step's latent draw, reconstruction NLL and KL is one node, so
+    no exp, log, sub or div is left on the tape outside the decay,
+    1 / exp(max(0, w * lag + b)), which runs before each past-step GRU."""
+    cfg = tiny_cfg(seed=46)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=47)
+    noise = model.draw_noise(np.random.default_rng(48), 2, 3)
+    nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
+    ops = [node.op for node in nodes]
+    steps = cfg.t_past + cfg.t_future
+    for op in ("sample_latent", "bigauss_nll", "gauss_kl"):
+        assert ops.count(op) == steps, op
+    assert ops.count("log") == ops.count("sub") == 0
+    assert ops.count("exp") == ops.count("div") == cfg.t_past
+    assert all(node.parents[0].op == "maximum_scalar" for node in nodes if node.op == "exp")
 
 
 def test_training_tape_weight_products_are_linear():

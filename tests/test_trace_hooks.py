@@ -4,8 +4,8 @@
 timed wrappers, looked up by name; a renamed or deleted one would only
 show when the benchmark runs with `--trace 1`. This test installs the
 tracer, runs one small train step and one inference, and checks the call
-counts of the recurrence and the encoder and that `close` puts every
-original back.
+counts of the recurrence, the encoder and the two loss terms and that
+`close` puts every original back.
 """
 
 import importlib.util
@@ -53,6 +53,9 @@ def test_tracer_hooks_wrap_and_restore_the_library():
     # the last future step's recurrence is skipped: its state is never read
     assert spans["train"]["model.gru"][2] == steps - 1
     assert spans["train"]["graph.encoder"][2] == steps
+    # the loss terms are looked up through the module on every step
+    assert spans["train"]["model.nll"][2] == steps
+    assert spans["train"]["model.kl"][2] == steps
     assert spans["infer"]["model.gru"][2] == steps - 1
     assert spans["infer"]["graph.encoder"][2] == steps - 1
     assert tracer.counts["train"]["tape.nodes"] > 0
