@@ -12,8 +12,7 @@ from .checkpoint import load_checkpoint, load_model, restore_model, save_checkpo
 from .config import RunConfig, load_config, parse_config
 from .data import (Dataset, DynamicsParams, MaskingSpec, TrajectorySequence,
                    apply_camera_mask, apply_circle_mask, build_dataset,
-                   generate_sequences, read_dataset, split_dataset,
-                   write_dataset)
+                   generate_sequences, read_dataset, write_dataset)
 from .errors import (CapacityError, ConfigError, DataError, NumericError,
                      ShapeError, TrajvrnnError)
 from .model import (LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll,

@@ -296,11 +296,6 @@ def tanh(a) -> Tensor:
     return _pointwise("tanh", np.tanh, (_tanh_vjp,), a)
 
 
-def maximum_scalar(a, value: float) -> Tensor:
-    """Elementwise max(a, value); gradient is zero where the scalar wins."""
-    return _pointwise("maximum_scalar", np.maximum, (_above,), a, value)
-
-
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Elementwise min(max(a, lo), hi); gradient is zero where a bound wins."""
     return _pointwise("clamp", _clip, (_inside,), a, lo, hi)
@@ -491,23 +486,21 @@ def concat(tensors, axis=-1) -> Tensor:
     return _make(out, "concat", tuple(ts), backward)
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def backward(grad):
         if a.requires_grad:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+            g = grad if axis is None else np.expand_dims(grad, axis)
             _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make(out, "sum", (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+    out = a.data.mean(axis=axis)
     if axis is None:
         count = a.data.size
     elif isinstance(axis, tuple):
@@ -517,9 +510,7 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 
     def backward(grad):
         if a.requires_grad:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+            g = grad if axis is None else np.expand_dims(grad, axis)
             _accumulate(a, np.broadcast_to(g, a.shape) / count, owned=True)
 
     return _make(out, "mean", (a,), backward)

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .checkpoint import load_checkpoint, restore_model
 from .config import RunConfig, load_config
 from .data import (Dataset, MaskingSpec, build_dataset, generate_sequences,
-                   read_dataset, split_dataset, write_dataset)
+                   read_dataset, write_dataset)
 from .errors import ConfigError, DataError, NumericError, TrajvrnnError
 from .plotting import render_svg, result_points_csv
 from .report import (baseline_infer_fns, evaluate_methods, model_infer_fn,
@@ -43,39 +44,28 @@ def _scenario_filename(spec: MaskingSpec, split: str) -> str:
 
 
 def cmd_gen_data(config: RunConfig, out_dir, force=False) -> list:
-    """One dataset file per (mode, parameter) scenario and split, plus a
-    manifest. The same generated pool is masked per scenario."""
+    """One dataset file per (mode, parameter) scenario, plus a manifest.
+    One generated pool is masked per scenario: from `seed` for the train
+    split, from `seed + TEST_SEED_OFFSET` for the test split."""
     specs = _scenario_specs(config)
     os.makedirs(out_dir, exist_ok=True)
-
-    pools = {}
-    if config.gen_split == "both":
-        seqs = generate_sequences(config.gen_count, config.gen_n_agents,
-                                  config.t_past, config.t_future, config.seed)
-        train_seqs, test_seqs = split_dataset(seqs, config.gen_train_fraction,
-                                              config.seed)
-        pools = {"train": (train_seqs, config.seed),
-                 "test": (test_seqs, config.seed)}
-    else:
-        seed = config.seed if config.gen_split == "train" \
-            else config.seed + TEST_SEED_OFFSET
-        pools = {config.gen_split: (generate_sequences(
-            config.gen_count, config.gen_n_agents, config.t_past,
-            config.t_future, seed), seed)}
+    split = config.gen_split
+    seed = config.seed + (TEST_SEED_OFFSET if split == "test" else 0)
+    seqs = generate_sequences(config.gen_count, config.gen_n_agents,
+                              config.t_past, config.t_future, seed)
 
     written = []
     manifest = []
     for spec in specs:
-        for split, (seqs, seed) in pools.items():
-            path = os.path.join(out_dir, _scenario_filename(spec, split))
-            if os.path.exists(path) and not force:
-                raise ConfigError(f"{path} exists; pass --force to overwrite")
-            ds = build_dataset(seqs, spec, split=split, seed=seed)
-            write_dataset(path, ds)
-            written.append(path)
-            manifest.append(f"mode={spec.mode} parameter={spec.parameter:g} "
-                            f"split={split} missing_rate={ds.missing_rate():.4f} "
-                            f"file={os.path.basename(path)}")
+        path = os.path.join(out_dir, _scenario_filename(spec, split))
+        if os.path.exists(path) and not force:
+            raise ConfigError(f"{path} exists; pass --force to overwrite")
+        ds = build_dataset(seqs, spec, split=split, seed=seed)
+        write_dataset(path, ds)
+        written.append(path)
+        manifest.append(f"mode={spec.mode} parameter={spec.parameter:g} "
+                        f"split={split} missing_rate={ds.missing_rate():.4f} "
+                        f"file={os.path.basename(path)}")
     manifest_path = os.path.join(out_dir, "manifest.txt")
     if os.path.exists(manifest_path) and not force:
         raise ConfigError(f"{manifest_path} exists; pass --force to overwrite")
@@ -106,7 +96,8 @@ def _check_compatible(model, ds: Dataset):
     if ds.t_past != cfg.t_past or ds.t_future != cfg.t_future:
         raise DataError(f"dataset windows T=({ds.t_past}+{ds.t_future}) do not match "
                         f"checkpoint T=({cfg.t_past}+{cfg.t_future})")
-    if ds.n_agents > cfg.n_agents_max:
+    # n_agents_max sizes only the learned DL adjacency; ST and EC take any N
+    if cfg.use_dl and ds.n_agents > cfg.n_agents_max:
         raise DataError(f"dataset has N={ds.n_agents} agents, checkpoint supports "
                         f"at most N={cfg.n_agents_max}")
 
@@ -201,7 +192,7 @@ def _build_parser():
 def _load_run_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
-        config = config.with_updates(seed=args.seed)
+        config = replace(config, seed=args.seed)
     return config
 
 

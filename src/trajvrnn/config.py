@@ -33,13 +33,12 @@ class RunConfig(ModelConfig):
     gen_circle_radii: tuple = (3.0, 5.0, 7.0)
     gen_camera_angles: tuple = (10.0, 20.0, 30.0)
     gen_camera: tuple = DEFAULT_CAMERA
-    gen_split: str = "train"          # train | test | both
-    gen_train_fraction: float = 0.8
+    gen_split: str = "train"          # or "test", drawn from seed + cli.TEST_SEED_OFFSET
 
     def __post_init__(self):
         super().__post_init__()
-        if self.gen_split not in ("train", "test", "both"):
-            raise ConfigError(f"gen_split must be train/test/both, got {self.gen_split!r}")
+        if self.gen_split not in ("train", "test"):
+            raise ConfigError(f"gen_split must be train or test, got {self.gen_split!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         for mode in self.gen_modes:

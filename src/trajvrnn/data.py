@@ -173,8 +173,7 @@ def _simulate_agents(rng, track, n_agents, p: DynamicsParams, seq_id):
 
 
 def generate_sequences(count, n_agents, t_past, t_future, seed,
-                       dynamics: DynamicsParams | None = None,
-                       id_prefix="seq"):
+                       dynamics: DynamicsParams | None = None):
     """Deterministic batch of interacting sequences for one seed."""
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -184,9 +183,10 @@ def generate_sequences(count, n_agents, t_past, t_future, seed,
     out = []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
+        seq_id = f"seq{i:05d}"
         track = _simulate_reference(rng, t_total, dynamics)
-        coords = _simulate_agents(rng, track, n_agents, dynamics, f"{id_prefix}{i:05d}")
-        out.append(TrajectorySequence(id=f"{id_prefix}{i:05d}", coords=coords,
+        coords = _simulate_agents(rng, track, n_agents, dynamics, seq_id)
+        out.append(TrajectorySequence(id=seq_id, coords=coords,
                                       reference_track=track,
                                       t_past=t_past, t_future=t_future))
     return out
@@ -231,20 +231,6 @@ def apply_mask(seq: TrajectorySequence, spec: MaskingSpec) -> np.ndarray:
     if spec.mode == "circle":
         return apply_circle_mask(seq, spec.radius)
     return apply_camera_mask(seq, spec.angle, spec.camera)
-
-
-def split_dataset(sequences, train_fraction: float, seed: int):
-    """Deterministic shuffled split into (train, test) lists."""
-    if not (0 < train_fraction < 1):
-        raise ConfigError("train_fraction must be in (0, 1)")
-    order = np.random.default_rng(seed).permutation(len(sequences))
-    n_train = int(round(train_fraction * len(sequences)))
-    if n_train == 0 or n_train == len(sequences):
-        raise ConfigError(f"split {train_fraction} leaves one side empty "
-                          f"for {len(sequences)} sequences")
-    train = [sequences[i] for i in order[:n_train]]
-    test = [sequences[i] for i in order[n_train:]]
-    return train, test
 
 
 # ---------------------------------------------------------------------------

@@ -43,21 +43,15 @@ def masked_input_vector(coords, mask, fill=None):
 def build_static_adjacency(mask):
     """Visibility adjacency and self-loop matrix from a binary mask.
 
-    mask: (N,) or (B, N). Returns (A, I) with shape (..., N, N):
+    mask: (..., N). Returns (A, I) with shape (..., N, N):
     A[i, j] = 1 iff i != j and both visible; I = diag(mask).
     """
     m = np.asarray(mask, dtype=np.float64)
-    squeeze = m.ndim == 1
-    if squeeze:
-        m = m[None, :]
-    n = m.shape[-1]
-    a = m[:, :, None] * m[:, None, :]
-    eye = np.eye(n, dtype=bool)
-    a[:, eye] = 0.0
+    a = m[..., :, None] * m[..., None, :]
+    eye = np.eye(m.shape[-1], dtype=bool)
+    a[..., eye] = 0.0
     i = np.zeros_like(a)
-    i[:, eye] = m
-    if squeeze:
-        return a[0], i[0]
+    i[..., eye] = m
     return a, i
 
 
@@ -77,13 +71,9 @@ def normalize_static(a, i, literal=False):
 
 
 def edge_categories(mask):
-    """Per-pair visibility category codes, symmetric in (i, j)."""
+    """Per-pair visibility category codes (..., N, N), symmetric in (i, j)."""
     m = np.asarray(mask, dtype=np.int64)
-    squeeze = m.ndim == 1
-    if squeeze:
-        m = m[None, :]
-    cats = 2 - (m[:, :, None] + m[:, None, :])
-    return cats[0] if squeeze else cats
+    return 2 - (m[..., :, None] + m[..., None, :])
 
 
 def gcl_forward(features: Tensor, adj, weight: Tensor) -> Tensor:
@@ -128,14 +118,14 @@ def fuse(branch_outputs, weights) -> Tensor:
 class SpatialEncoder:
     """Owns the graph parameters and runs the full per-timestep encoding."""
 
-    def __init__(self, cfg, rng: np.random.Generator, prefix="msgnn", load=None):
+    def __init__(self, cfg, rng: np.random.Generator, load=None):
         self.cfg = cfg
         d, dg = cfg.d_embed, cfg.d_graph
         e, k = cfg.ec_hidden, cfg.ec_pool
         self.params = {}
 
         def param(name, shape, fill=None):
-            return ad.new_parameter(self.params, f"{prefix}.{name}", shape, rng, fill, load)
+            return ad.new_parameter(self.params, f"msgnn.{name}", shape, rng, fill, load)
 
         def embedding(name, d_in):
             return (param(f"{name}.w0", (d_in, d)), param(f"{name}.b0", (d,), fill=0),

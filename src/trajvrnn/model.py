@@ -7,8 +7,9 @@ the hidden state) and posterior (from graph features + hidden state)
 latents, decode a bivariate Gaussian over the true position, then shrink
 the hidden state by the learned decay and advance a GRU. Future steps
 mirror this without decay, conditioning the decoder and the recurrence
-on the latent from the last past step. A recurrence whose state reaches
-no loss (the last step of the last window trained) is not run.
+on the latent from the last past step. A recurrence whose state nothing
+reads (the last step of the last window run) is skipped, in training and
+inference alike.
 
 Training maximises the sequential evidence lower bound: reconstruction
 negative log-likelihood plus a weighted KL between posterior and prior,
@@ -25,15 +26,14 @@ own decoded means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (Parameter, Tensor, _accumulate, _make, backward, clamp, exp,
-                       linear, maximum_scalar, new_parameter, no_grad, tanh, tmean,
-                       tsum)
+                       linear, new_parameter, no_grad, relu, tanh, tmean, tsum)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
@@ -117,9 +117,6 @@ class ModelConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
-    def with_updates(self, **kw) -> "ModelConfig":
-        return replace(self, **kw)
-
 
 @dataclass
 class LatentDistribution:
@@ -170,7 +167,7 @@ def temporal_lag_update(delta, step_index: int, mask_step):
 def temporal_decay(delta, weight: Tensor, bias: Tensor) -> Tensor:
     """Decay factor 1 / exp(max(0, w * lag + b)) in (0, 1]."""
     pre = Tensor(np.asarray(delta, dtype=np.float64)) * weight + bias
-    return 1.0 / exp(maximum_scalar(pre, 0.0))
+    return 1.0 / exp(relu(pre))
 
 
 def decay_hidden(h: Tensor, decay: Tensor) -> Tensor:
@@ -525,7 +522,6 @@ class TrajectoryModel:
             for t in range(cfg.t_past):
                 m_t = mask[:, t, :]
                 delta = temporal_lag_update(delta, t, self._lag_gate_mask(mask, t))
-                h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
                 fg = self.encoder.forward(x[:, t], m_t, "past", thetas, fill)
                 prior = self.prior_params(h)
                 z = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
@@ -536,7 +532,9 @@ class TrajectoryModel:
                 imputed[:, t] = np.where(m3 > 0, coords_past[:, t], self._denormalize(mean))
                 if fill is not None:
                     fill = m3 * x[:, t] + (1.0 - m3) * mean
-                h = gru_step([fg, zf], h_rec, self.rnn_main)
+                if t + 1 < cfg.t_past or cfg.t_future > 0:  # else the state is never read
+                    h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
+                    h = gru_step([fg, zf], h_rec, self.rnn_main)
 
             z_tp = z
             h_f = h if cfg.share_streams else Tensor(np.zeros((b, n, cfg.d_hidden)))

@@ -11,17 +11,16 @@ import numpy as np
 
 from .errors import ConfigError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moment decays and denominator guard
+
 
 class Adam:
-    def __init__(self, params, lr=0.001, betas=(0.9, 0.999), eps=1e-8,
-                 decay_factor=0.9, decay_interval=20):
+    def __init__(self, params, lr=0.001, decay_factor=0.9, decay_interval=20):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate parameter names passed to Adam")
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.decay_factor = float(decay_factor)
         self.decay_interval = int(decay_interval)
         self.step_count = 0
@@ -36,21 +35,21 @@ class Adam:
         """One Adam update from the gradients currently held by the parameters."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for p in self.params:
             g = p.grad
             if g is None or g.shape != p.data.shape:
                 raise ConfigError(f"parameter {p.name!r} has no gradient of shape {p.data.shape}")
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def epoch_tick(self, epoch: int):
         """Signal that `epoch` (1-based) just finished; applies lr decay."""

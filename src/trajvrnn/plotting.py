@@ -13,6 +13,7 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 CSV_HEADER = "agent,t,x,y,kind"
+SIZE, MARGIN = 640, 30  # square canvas side and inner margin, in pixels
 
 
 def result_points_csv(mask, imputed, predicted) -> str:
@@ -34,15 +35,15 @@ def result_points_csv(mask, imputed, predicted) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _projector(points, size, margin):
+def _projector(points):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    scale = (size - 2 * margin) / span.max()
+    scale = (SIZE - 2 * MARGIN) / span.max()
 
     def project(p):
-        x = margin + (p[0] - lo[0]) * scale
-        y = size - margin - (p[1] - lo[1]) * scale  # flip y for svg
+        x = MARGIN + (p[0] - lo[0]) * scale
+        y = SIZE - MARGIN - (p[1] - lo[1]) * scale  # flip y for svg
         return x, y
 
     return project
@@ -52,17 +53,17 @@ def _poly(points, project):
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in (project(p) for p in points))
 
 
-def render_svg(mask, imputed, predicted, size=640, margin=30) -> str:
+def render_svg(mask, imputed, predicted) -> str:
     mask = np.asarray(mask)
     imputed = np.asarray(imputed)
     predicted = np.asarray(predicted)
     t_past, n, _ = imputed.shape
     everything = np.concatenate([imputed.reshape(-1, 2), predicted.reshape(-1, 2)])
-    project = _projector(everything, size, margin)
+    project = _projector(everything)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+             f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+             f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>']
     for agent in range(n):
         color = PALETTE[agent % len(PALETTE)]
         parts.append(f'<g class="agent" id="agent-{agent}">')

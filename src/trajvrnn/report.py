@@ -61,7 +61,7 @@ def csv_to_reports(text) -> list:
     return out
 
 
-def report_table(reports, annotations=None) -> str:
+def report_table(reports) -> str:
     """Aligned text table: one row per method, one I-L2/P-L2 column pair
     per scenario, one section per metric variant."""
     reports = list(reports)
@@ -96,8 +96,6 @@ def report_table(reports, annotations=None) -> str:
                     row += f"{r.i_l2:.4f}".center(col_w) + f"{r.p_l2:.4f}".center(col_w)
             lines.append(row)
         lines.append("")
-    for note in annotations or []:
-        lines.append(f"# {note}")
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -105,7 +103,7 @@ def report_table(reports, annotations=None) -> str:
 # dataset-level evaluation
 
 
-def baseline_infer_fns(t_future, scene_center=(0.0, 0.0)):
+def baseline_infer_fns(t_future):
     """Batched (past, mask) -> (imputed, predicted) for each baseline.
     Prediction is constant-velocity extrapolation of the imputed past."""
     imputers = {"mean": impute_mean, "median": impute_median,
@@ -113,7 +111,7 @@ def baseline_infer_fns(t_future, scene_center=(0.0, 0.0)):
 
     def make(imputer):
         def infer(past_batch, mask_batch):
-            imputed = np.stack([imputer(p, m, scene_center)
+            imputed = np.stack([imputer(p, m)
                                 for p, m in zip(past_batch, mask_batch)])
             predicted = np.stack([predict_constant_velocity(p, t_future)
                                   for p in imputed])

@@ -9,7 +9,7 @@ run continues exactly as the uninterrupted one would have.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class TrainResult:
     model: TrajectoryModel
     optimizer: Adam
     loss_rows: list = field(default_factory=list)
-    checkpoint_paths: list = field(default_factory=list)
     final_path: str = ""
 
 
@@ -80,7 +79,7 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
         model_cfg = config.model_config()
         if config.normalize:
             center, scale = fit_normalization(dataset)
-            model_cfg = model_cfg.with_updates(coord_center=center, coord_scale=scale)
+            model_cfg = replace(model_cfg, coord_center=center, coord_scale=scale)
         model = TrajectoryModel(model_cfg)
         optimizer = Adam(model.parameters(), lr=model_cfg.lr,
                          decay_factor=model_cfg.lr_decay,
@@ -120,9 +119,8 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
             log_fn(row)
         if (out_dir is not None and config.checkpoint_every > 0
                 and epoch % config.checkpoint_every == 0 and epoch < config.epochs):
-            path = os.path.join(out_dir, f"checkpoint_epoch_{epoch:04d}.ckpt")
-            save_checkpoint(path, model, optimizer, epoch=epoch)
-            result.checkpoint_paths.append(path)
+            save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch_{epoch:04d}.ckpt"),
+                            model, optimizer, epoch=epoch)
 
     if out_dir is not None:
         result.final_path = os.path.join(out_dir, "checkpoint_final.ckpt")

@@ -7,7 +7,7 @@ import pytest
 from trajvrnn import autodiff as ad
 from trajvrnn.autodiff import (
     Parameter, Tensor, backward, clamp, concat, div, exp, getitem, grad_check,
-    gru, linear, log, matmul, maximum_scalar, mul, no_grad, relu, reshape,
+    gru, linear, log, matmul, mul, no_grad, relu, reshape,
     tanh, tmean, transpose, tsum,
 )
 from trajvrnn.errors import NumericError, ShapeError
@@ -47,7 +47,6 @@ def test_elementwise_forward_matches_numpy():
     np.testing.assert_allclose(exp(Tensor(x)).data, np.exp(x))
     np.testing.assert_allclose(log(Tensor(y)).data, np.log(y))
     np.testing.assert_allclose(tanh(Tensor(x)).data, np.tanh(x))
-    np.testing.assert_allclose(maximum_scalar(Tensor(x), 0.1).data, np.maximum(x, 0.1))
     np.testing.assert_allclose(clamp(Tensor(x), -0.5, 0.5).data, np.clip(x, -0.5, 0.5))
     np.testing.assert_allclose(tsum(Tensor(x), axis=1).data, x.sum(axis=1))
     np.testing.assert_allclose(tmean(Tensor(x)).data, x.mean())
@@ -203,7 +202,7 @@ KL_NAMES = ("mu_q", "lv_q", "mu_p", "lv_p")
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "matmul3d", "add", "add_fanout", "sub", "mul", "div", "concat",
-    "exp", "log", "tanh", "relu", "maxs", "sum", "mean", "reshape", "slice",
+    "exp", "log", "tanh", "relu", "sum", "mean", "reshape", "slice",
     "bcast", "gru", "gru2", "linear", "linear2", "clamp", "linear_nobias",
     "bigauss_nll", "gauss_kl", "sample_latent",
 ])
@@ -259,7 +258,6 @@ def test_grad_check_every_primitive(op_name):
         "log": lambda: tsum(log(b)),
         "tanh": lambda: tsum(tanh(a)),
         "relu": lambda: tsum(relu(a + 0.05)),
-        "maxs": lambda: tsum(maximum_scalar(a, 0.25)),
         "sum": lambda: tsum(tanh(tsum(a, axis=0))),
         "mean": lambda: tsum(tanh(tmean(a, axis=1))),
         "reshape": lambda: tsum(tanh(reshape(a, (2, 6)))),
@@ -297,7 +295,7 @@ def _touches(op_name, pname):
         return pname in KL_NAMES
     if op_name == "sample_latent":
         return pname in KL_NAMES[:2]
-    if op_name in ("exp", "tanh", "relu", "maxs", "sum", "mean", "reshape", "slice"):
+    if op_name in ("exp", "tanh", "relu", "sum", "mean", "reshape", "slice"):
         return pname == "a"
     if op_name == "log":
         return pname == "b"

@@ -188,11 +188,6 @@ def test_table_orders_scenarios_and_methods():
     assert table.index("linear_fit") < table.index("\nmean")
 
 
-def test_table_annotations_round():
-    table = report_table(sample_reports(), annotations=["reference values go here"])
-    assert "# reference values go here" in table
-
-
 def test_csv_roundtrip():
     reports = sample_reports()
     text = reports_to_csv(reports)

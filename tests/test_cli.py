@@ -4,13 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from trajvrnn.checkpoint import save_checkpoint
-from trajvrnn.cli import main
+from trajvrnn.checkpoint import load_checkpoint, save_checkpoint
+from trajvrnn.cli import TEST_SEED_OFFSET, main
 from trajvrnn.config import load_config
 from trajvrnn.data import (MaskingSpec, build_dataset, generate_sequences,
-                           read_dataset, write_dataset)
+                           read_dataset, validate_dataset, write_dataset)
 from trajvrnn.model import TrajectoryModel
 from trajvrnn.report import csv_to_reports
+from trajvrnn.training import fit_normalization
 
 TINY = """
 # tiny end-to-end setup
@@ -78,6 +79,39 @@ def test_gen_data_empty_grid_is_config_error(tmp_path):
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
 
+def test_gen_data_test_split_draws_its_own_pool(tiny_config, tmp_path):
+    assert main(["gen-data", "--config", str(tiny_config),
+                 "--out", str(tmp_path / "train")]) == 0
+    cfg = write_cfg(tmp_path, "gen_split=test\n")
+    out = tmp_path / "test"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["circle_3_test.trajset", "circle_5_test.trajset",
+                                       "circle_7_test.trajset", "manifest.txt"]
+    assert (out / "manifest.txt").read_text().count("split=test") == 3
+    test = read_dataset(out / "circle_5_test.trajset")
+    train = read_dataset(tmp_path / "train" / "circle_5_train.trajset")
+    assert test.split == "test" and train.split == "train"
+    assert test.seed == train.seed + TEST_SEED_OFFSET
+    expected = generate_sequences(8, 3, 6, 2, seed=5 + TEST_SEED_OFFSET)
+    for seq, want, other in zip(test.sequences, expected, train.sequences):
+        np.testing.assert_array_equal(seq.coords, want.coords)
+        assert not np.array_equal(seq.coords, other.coords)
+
+
+def test_gen_data_camera_grid_uses_configured_camera(tmp_path):
+    cfg = write_cfg(tmp_path, "gen_modes=camera\ngen_camera_angles=15.0,40.0\n"
+                              "gen_camera=4.0,-28.0\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["camera_15_train.trajset", "camera_40_train.trajset",
+                                       "manifest.txt"]
+    for angle in (15, 40):
+        ds = read_dataset(out / f"camera_{angle}_train.trajset")
+        assert ds.spec.mode == "camera" and ds.spec.angle == angle
+        assert ds.spec.camera == (4.0, -28.0)
+        validate_dataset(ds)
+
+
 def test_unknown_config_key_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochss=3\n")
@@ -123,6 +157,34 @@ def test_train_smoke_writes_artifacts(tmp_path):
     log = (out_dir / "loss_log.csv").read_text()
     assert log.startswith("epoch,total,imputation,prediction\n")
     assert len(log.strip().split("\n")) == 3
+
+
+def test_normalize_switch_sets_the_checkpoint_scaling(tmp_path):
+    _, fitted = _gen_and_train(tmp_path, epochs=1, out="fitted")
+    train_file = tmp_path / "data" / "circle_5_train.trajset"
+    center, scale = fit_normalization(read_dataset(train_file))
+    ck = load_checkpoint(fitted / "checkpoint_final.ckpt")
+    assert (ck.config.coord_center, ck.config.coord_scale) == (center, scale)
+
+    cfg = write_cfg(tmp_path, f"train_path={train_file}\nepochs=1\nnormalize=false\n"
+                              "coord_center=1.5,-2.0\ncoord_scale=3.0\n", name="fixed.cfg")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "fixed")]) == 0
+    ck = load_checkpoint(tmp_path / "fixed" / "checkpoint_final.ckpt")
+    assert (ck.config.coord_center, ck.config.coord_scale) == ((1.5, -2.0), 3.0)
+
+
+def test_optimizer_schedule_reaches_the_checkpoint(tmp_path):
+    """2 epochs of 8 sequences in batches of 3 make 6 Adam steps, and the
+    rate halves after each epoch."""
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(write_cfg(tmp_path, "", name="gen.cfg")),
+                 "--out", str(data_dir)]) == 0
+    cfg = write_cfg(tmp_path, f"train_path={data_dir / 'circle_5_train.trajset'}\n"
+                              "batch_size=3\nlr=0.004\nlr_decay=0.5\nlr_decay_every=1\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    ck = load_checkpoint(tmp_path / "out" / "checkpoint_final.ckpt")
+    assert (ck.epoch, ck.adam_step) == (2, 6)
+    assert ck.adam_lr == 0.004 * 0.25
 
 
 def test_train_rerun_identical_loss_log(tmp_path):
@@ -173,6 +235,40 @@ def test_eval_writes_reports_and_is_deterministic(tmp_path):
     methods = {r.method for r in reports}
     assert methods == {"mean", "median", "linear_fit", "model"}
     assert (ev1 / "report.txt").read_text().startswith("[all]")
+
+
+def test_eval_defaults_to_test_path(tmp_path):
+    cfg, out_dir = _gen_and_train(tmp_path)
+    ck = out_dir / "checkpoint_final.ckpt"
+    data = tmp_path / "data" / "circle_3_train.trajset"
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck),
+                 "--data", str(data), "--out", str(tmp_path / "flag")]) == 0
+    with_test_path = write_cfg(tmp_path, f"test_path={data}\n", name="eval.cfg")
+    assert main(["eval", "--config", str(with_test_path), "--checkpoint", str(ck),
+                 "--out", str(tmp_path / "key")]) == 0
+    assert (tmp_path / "key" / "report.csv").read_bytes() == \
+        (tmp_path / "flag" / "report.csv").read_bytes()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck),
+                 "--out", str(tmp_path / "none")]) == 1
+    assert not (tmp_path / "none").exists()
+
+
+def test_eval_bounds_agent_count_only_for_the_dl_branch(tmp_path):
+    """n_agents_max sizes only the learned DL adjacency: without DL, a
+    model trains on and evaluates more agents than that."""
+    data_dir = tmp_path / "data"
+    gen = write_cfg(tmp_path, "gen_n_agents=6\n", name="gen.cfg")
+    assert main(["gen-data", "--config", str(gen), "--out", str(data_dir)]) == 0
+    data = data_dir / "circle_5_train.trajset"
+    no_dl = write_cfg(tmp_path, f"train_path={data}\nepochs=1\nuse_dl=false\n")
+    assert main(["train", "--config", str(no_dl), "--out", str(tmp_path / "out")]) == 0
+    assert main(["eval", "--config", str(no_dl), "--data", str(data), "--out",
+                 str(tmp_path / "ev"), "--checkpoint",
+                 str(tmp_path / "out" / "checkpoint_final.ckpt")]) == 0
+    with_dl = tmp_path / "dl.ckpt"
+    save_checkpoint(with_dl, TrajectoryModel(load_config(gen).model_config()))
+    assert main(["eval", "--config", str(gen), "--checkpoint", str(with_dl),
+                 "--data", str(data), "--out", str(tmp_path / "ev_dl")]) == 2
 
 
 def test_eval_shape_mismatch_is_data_error(tmp_path):

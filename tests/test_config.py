@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
+from trajvrnn.checkpoint import load_checkpoint, save_checkpoint
 from trajvrnn.config import RunConfig, format_config, parse_config
 from trajvrnn.errors import ConfigError
+from trajvrnn.model import TrajectoryModel
 
 
 def test_defaults_follow_reported_setup():
@@ -55,11 +59,46 @@ def test_bad_value_rejected():
 def test_mode_validation():
     with pytest.raises(ConfigError):
         parse_config("mode=everything\n")
-    with pytest.raises(ConfigError):
-        parse_config("gen_split=validation\n")
+    for split in ("validation", "both"):
+        with pytest.raises(ConfigError):
+            parse_config(f"gen_split={split}\n")
+
+
+# Every RunConfig field at a valid non-default value. The graph branches
+# cannot all be off at once, so the EC-only setup (no future window, hence
+# impute-only) keeps use_ec on and a second config turns it off.
+NON_DEFAULT = dict(
+    n_agents_max=3, d_embed=5, d_graph=6, d_hidden=7, d_latent=3, ec_hidden=2,
+    ec_pool=3, t_past=5, t_future=0, use_st=False, use_dl=False, use_ec=True,
+    use_td=False, share_streams=False, mode="impute-only", lambda_imp_kl=0.1 + 0.2,
+    lambda_pre_kl=1e-7, lambda_pre=2.5, static_norm="literal", lag_mode="previous",
+    inference_feedback="decoded", logvar_limit=7.25, coord_center=(1.5, -2.0 / 3.0),
+    coord_scale=1.0 / 3.0, lr=3.5e-3, lr_decay=0.5, lr_decay_every=7, seed=11,
+    train_path="data/circle_5_train.trajset", test_path="data/circle_5_test.trajset",
+    epochs=7, batch_size=5, checkpoint_every=3, normalize=False, gen_count=9,
+    gen_n_agents=4, gen_modes=("camera",), gen_circle_radii=(2.5,),
+    gen_camera_angles=(12.5, 45.0), gen_camera=(3.0, -20.5), gen_split="test",
+)
+EC_OFF = dict(use_st=True, use_ec=False, t_future=2, mode="predict-only")
+
+
+def every_field_configs():
+    return [RunConfig(**NON_DEFAULT), RunConfig(**{**NON_DEFAULT, **EC_OFF})]
 
 
 def test_format_parse_roundtrip():
-    cfg = RunConfig(epochs=7, lr=0.0035, use_ec=False,
-                    gen_modes=("circle",), gen_circle_radii=(5.0,))
-    assert parse_config(format_config(cfg)) == cfg
+    configs = every_field_configs()
+    defaults = RunConfig()
+    assert {f.name for f in fields(RunConfig)} == set(NON_DEFAULT)
+    for name in NON_DEFAULT:
+        assert any(getattr(cfg, name) != getattr(defaults, name) for cfg in configs), name
+    for cfg in configs:
+        assert parse_config(format_config(cfg)) == cfg
+
+
+def test_model_config_survives_checkpoint(tmp_path):
+    for k, cfg in enumerate(every_field_configs()):
+        model_cfg = cfg.model_config()
+        path = tmp_path / f"model_{k}.ckpt"
+        save_checkpoint(path, TrajectoryModel(model_cfg))
+        assert load_checkpoint(path).config == model_cfg

@@ -4,7 +4,7 @@ import pytest
 from trajvrnn.data import (
     Dataset, DynamicsParams, MaskingSpec, TrajectorySequence,
     apply_camera_mask, apply_circle_mask, apply_mask, build_dataset,
-    generate_sequences, read_dataset, split_dataset, validate_dataset,
+    generate_sequences, read_dataset, validate_dataset,
     write_dataset,
 )
 from trajvrnn.errors import ConfigError, DataError
@@ -147,34 +147,6 @@ def test_masking_spec_validation():
         MaskingSpec(mode="camera", angle=200.0)
     with pytest.raises(ConfigError):
         MaskingSpec(mode="square", radius=1.0)
-
-
-# ---------------------------------------------------------------------------
-# splitting
-
-
-def test_split_sizes_and_partition():
-    seqs = generate_sequences(10, 3, 6, 2, seed=23)
-    train, test = split_dataset(seqs, 0.8, seed=5)
-    assert len(train) == 8 and len(test) == 2
-    ids = {s.id for s in train} | {s.id for s in test}
-    assert ids == {s.id for s in seqs}
-    assert not ({s.id for s in train} & {s.id for s in test})
-
-
-def test_split_deterministic():
-    seqs = generate_sequences(10, 3, 6, 2, seed=23)
-    a = split_dataset(seqs, 0.7, seed=9)
-    b = split_dataset(seqs, 0.7, seed=9)
-    assert [s.id for s in a[0]] == [s.id for s in b[0]]
-
-
-def test_split_rejects_empty_side():
-    seqs = generate_sequences(3, 3, 6, 2, seed=23)
-    with pytest.raises(ConfigError):
-        split_dataset(seqs, 0.01, seed=0)
-    with pytest.raises(ConfigError):
-        split_dataset(seqs, 1.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,20 @@ def test_edge_categories_symmetric():
         np.testing.assert_array_equal(cats, cats.T)
 
 
+def test_graph_helpers_broadcast_over_leading_axes():
+    """A (B, T, N) mask gives, slice by slice, the (N,) results."""
+    mask = (np.random.default_rng(12).random((2, 3, 5)) > 0.4).astype(np.float64)
+    a, i = build_static_adjacency(mask)
+    cats = edge_categories(mask)
+    assert a.shape == i.shape == cats.shape == (2, 3, 5, 5)
+    for b in range(2):
+        for t in range(3):
+            a_bt, i_bt = build_static_adjacency(mask[b, t])
+            np.testing.assert_array_equal(a[b, t], a_bt)
+            np.testing.assert_array_equal(i[b, t], i_bt)
+            np.testing.assert_array_equal(cats[b, t], edge_categories(mask[b, t]))
+
+
 def _force_identity_thetas(enc):
     """Zero the generator and plant identity matrices in its final bias."""
     cfg = enc.cfg

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -519,7 +520,7 @@ def test_kl_weight_linearity():
     coords, mask = toy_batch(cfg, seed=4)
     noise = TrajectoryModel(cfg).draw_noise(np.random.default_rng(5), 2, 3)
     with_kl = TrajectoryModel(cfg).training_losses(coords, mask, noise)
-    without = TrajectoryModel(cfg.with_updates(lambda_imp_kl=0.0)) \
+    without = TrajectoryModel(replace(cfg, lambda_imp_kl=0.0)) \
         .training_losses(coords, mask, noise)
     diff = with_kl["imp"].item() - without["imp"].item()
     np.testing.assert_allclose(diff, with_kl["imp_kl"].item(), rtol=1e-12)
@@ -534,7 +535,7 @@ def test_total_additivity_and_lambda3():
     np.testing.assert_allclose(losses["total"].item(),
                                losses["imp"].item() + losses["pre"].item(),
                                rtol=1e-12)
-    no_pre = TrajectoryModel(cfg.with_updates(lambda_pre=0.0)) \
+    no_pre = TrajectoryModel(replace(cfg, lambda_pre=0.0)) \
         .training_losses(coords, mask, noise)
     np.testing.assert_allclose(no_pre["total"].item(), no_pre["imp"].item(), rtol=1e-12)
 
@@ -605,14 +606,8 @@ def test_training_tape_holds_no_affine_intermediates():
     assert bias_adds == []
 
 
-def test_impute_only_skips_the_last_recurrence(monkeypatch):
-    """Without a future window the last past step's state reaches no loss,
-    so neither its decay nor its GRU runs: the tape walk alone would not
-    show that, since an unused node is not reachable from the loss."""
-    cfg = tiny_cfg(mode="impute-only", seed=43)
-    model = TrajectoryModel(cfg)
-    coords, mask = toy_batch(cfg, seed=44)
-    noise = model.draw_noise(np.random.default_rng(45), 2, 3)
+def _count_recurrence_calls(monkeypatch, model):
+    """Count the `gru_step` and `temporal_decay` calls `model` makes."""
     calls = {"gru_step": 0, "temporal_decay": 0}
 
     def counted(name, fn):
@@ -623,16 +618,52 @@ def test_impute_only_skips_the_last_recurrence(monkeypatch):
 
     monkeypatch.setattr(model_module, "gru_step", counted("gru_step", gru_step))
     monkeypatch.setattr(model, "temporal_decay", counted("temporal_decay", model.temporal_decay))
+    return calls
+
+
+def test_impute_only_skips_the_last_recurrence(monkeypatch):
+    """Without a future window the last past step's state reaches no loss,
+    so neither its decay nor its GRU runs: the tape walk alone would not
+    show that, since an unused node is not reachable from the loss."""
+    cfg = tiny_cfg(mode="impute-only", seed=43)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=44)
+    noise = model.draw_noise(np.random.default_rng(45), 2, 3)
+    calls = _count_recurrence_calls(monkeypatch, model)
     ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
     assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1}
     assert ops.count("gru") == ops.count("exp") == cfg.t_past - 1
     assert ops.count("bigauss_nll") == cfg.t_past
 
 
+def test_inference_without_future_skips_the_last_recurrence(monkeypatch):
+    """With no future window nothing reads the state after the last past
+    step, so `run_inference` runs neither its decay nor its GRU; the
+    outputs and the draws from the rng are those of the full loop."""
+    cfg = tiny_cfg(t_future=0, mode="impute-only", seed=49)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=50)
+    past = coords[:, :cfg.t_past]
+    rng = np.random.default_rng(51)
+    calls = _count_recurrence_calls(monkeypatch, model)
+    imputed, predicted = model.run_inference(past, mask, rng=rng)
+    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1}
+    assert predicted.shape == (2, 0, 3, 2)
+    # a model that also runs the last GRU (same parameters) imputes the same
+    full = TrajectoryModel(replace(cfg, t_future=1, mode="joint"))
+    ref_imputed, _ = full.run_inference(past, mask, rng=np.random.default_rng(51))
+    np.testing.assert_array_equal(imputed, ref_imputed)
+    # one prior draw per past step, as before
+    ref_rng = np.random.default_rng(51)
+    for _ in range(cfg.t_past):
+        ref_rng.standard_normal((2, 3, cfg.d_latent))
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_training_tape_fuses_loss_terms():
     """Each step's latent draw, reconstruction NLL and KL is one node, so
     no exp, log, sub or div is left on the tape outside the decay,
-    1 / exp(max(0, w * lag + b)), which runs before each past-step GRU."""
+    1 / exp(relu(w * lag + b)), which runs before each past-step GRU."""
     cfg = tiny_cfg(seed=46)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=47)
@@ -644,7 +675,7 @@ def test_training_tape_fuses_loss_terms():
         assert ops.count(op) == steps, op
     assert ops.count("log") == ops.count("sub") == 0
     assert ops.count("exp") == ops.count("div") == cfg.t_past
-    assert all(node.parents[0].op == "maximum_scalar" for node in nodes if node.op == "exp")
+    assert all(node.parents[0].op == "relu" for node in nodes if node.op == "exp")
 
 
 def test_training_tape_weight_products_are_linear():
