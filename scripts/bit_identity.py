@@ -4,10 +4,10 @@ several train steps, every parameter's gradient after one backward,
 batched and single-sequence run_inference outputs of the untrained and
 the trained model, the .ckpt bytes, the bytes of a load_checkpoint ->
 save_checkpoint round trip of that .ckpt, eval's report.csv / report.txt
-and the result.trajset that `run` writes, for every inference_feedback x
-static_norm combination. The losses, gradients and inference outputs are
-also printed for the switches lag_mode=previous, share_streams=false,
-use_td=false, mode=impute-only and mode=predict-only.
+and the result.trajset that `run` writes, all for the default config. The
+losses, gradients and inference outputs are also printed for the switches
+lag_mode=previous, share_streams=false, use_td=false, mode=impute-only and
+mode=predict-only.
 
 The untrained digests and the step-0 losses depend on the forward pass
 alone; the later losses and the trained digests also carry any low-bit
@@ -141,33 +141,27 @@ def check(work, arrays):
     write_dataset(single_path, single)
     coords, masks = stack_arrays(read_dataset(data_path))
 
-    for feedback in ("zero", "decoded"):
-        for norm in ("symmetric", "literal"):
-            tag = f"{feedback}/{norm}"
-            cfg = parse_config(CONFIG + f"inference_feedback={feedback}\nstatic_norm={norm}\n")
-            model, opt = train_and_infer(tag, cfg, coords, masks, arrays)
-
-            ck = os.path.join(work, f"{feedback}_{norm}.ckpt")
-            save_checkpoint(ck, model, opt, epoch=4)
-            print(tag, "ckpt", file_digest(ck))
-            stored = load_checkpoint(ck)
-            restored = restore_model(stored)
-            again = os.path.join(work, f"{feedback}_{norm}_again.ckpt")
-            save_checkpoint(again, restored, restore_optimizer(stored, restored),
-                            epoch=stored.epoch)
-            print(tag, "ckpt round trip", file_digest(again))
-            run_cfg = os.path.join(work, f"{feedback}_{norm}.cfg")
-            with open(run_cfg, "w") as fh:
-                fh.write(format_config(cfg))
-            out = os.path.join(work, f"eval_{feedback}_{norm}")
-            run_cli("eval", "--config", run_cfg, "--checkpoint", ck,
-                    "--data", data_path, "--out", out)
-            print(tag, "report.csv", file_digest(os.path.join(out, "report.csv")),
-                  "report.txt", file_digest(os.path.join(out, "report.txt")))
-            out = os.path.join(work, f"run_{feedback}_{norm}")
-            run_cli("run", "--config", run_cfg, "--checkpoint", ck,
-                    "--data", single_path, "--out", out)
-            print(tag, "result.trajset", file_digest(os.path.join(out, "result.trajset")))
+    tag = "default"
+    cfg = parse_config(CONFIG)
+    model, opt = train_and_infer(tag, cfg, coords, masks, arrays)
+    ck = os.path.join(work, "default.ckpt")
+    save_checkpoint(ck, model, opt, epoch=4)
+    print(tag, "ckpt", file_digest(ck))
+    stored = load_checkpoint(ck)
+    restored = restore_model(stored)
+    again = os.path.join(work, "again.ckpt")
+    save_checkpoint(again, restored, restore_optimizer(stored, restored), epoch=stored.epoch)
+    print(tag, "ckpt round trip", file_digest(again))
+    run_cfg = os.path.join(work, "run.cfg")
+    with open(run_cfg, "w") as fh:
+        fh.write(format_config(cfg))
+    out = os.path.join(work, "eval")
+    run_cli("eval", "--config", run_cfg, "--checkpoint", ck, "--data", data_path, "--out", out)
+    print(tag, "report.csv", file_digest(os.path.join(out, "report.csv")),
+          "report.txt", file_digest(os.path.join(out, "report.txt")))
+    out = os.path.join(work, "run")
+    run_cli("run", "--config", run_cfg, "--checkpoint", ck, "--data", single_path, "--out", out)
+    print(tag, "result.trajset", file_digest(os.path.join(out, "result.trajset")))
 
     for variant in VARIANTS:
         train_and_infer(variant, parse_config(CONFIG + variant + "\n"), coords, masks,

@@ -8,7 +8,7 @@ a synthetic benchmark generator, classical baselines, and metrics.
 from .autodiff import Parameter, Tensor, backward, grad_check, no_grad
 from .baselines import (impute_linear_fit, impute_mean, impute_median,
                         metric_i_l2, metric_p_l2, predict_constant_velocity)
-from .checkpoint import load_checkpoint, load_model, restore_model, save_checkpoint
+from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .config import RunConfig, load_config, parse_config
 from .data import (Dataset, DynamicsParams, MaskingSpec, TrajectorySequence,
                    apply_camera_mask, apply_circle_mask, build_dataset,

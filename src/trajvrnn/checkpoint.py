@@ -116,7 +116,3 @@ def restore_optimizer(ck: CheckpointData, model: TrajectoryModel) -> Adam:
     except ConfigError as exc:
         raise DataError(f"checkpoint optimizer state: {exc}") from None
     return opt
-
-
-def load_model(path) -> TrajectoryModel:
-    return restore_model(load_checkpoint(path))

@@ -74,10 +74,6 @@ class TrajectorySequence:
     def past(self) -> np.ndarray:
         return self.coords[: self.t_past]
 
-    @property
-    def future(self) -> np.ndarray:
-        return self.coords[self.t_past:]
-
 
 @dataclass
 class MaskingSpec:

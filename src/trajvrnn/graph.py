@@ -30,14 +30,12 @@ CAT_ONE_VISIBLE = 1
 CAT_NONE_VISIBLE = 2
 
 
-def masked_input_vector(coords, mask, fill=None):
-    """Raw past-phase embedding input: masked coordinates with the mask
-    bit appended, so a missing agent contributes (0, 0, 0), or its `fill`
-    coordinates and a 0 bit when `fill` (.., N, 2) is given."""
+def masked_input_vector(coords, mask):
+    """Raw past-step embedding input: masked coordinates with the mask
+    bit appended, so a missing agent contributes (0, 0, 0)."""
     x = np.asarray(coords, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)[..., None]
-    shown = x * m if fill is None else x * m + (1.0 - m) * fill
-    return np.concatenate([shown, m], axis=-1)
+    return np.concatenate([x * m, m], axis=-1)
 
 
 def build_static_adjacency(mask):
@@ -55,19 +53,15 @@ def build_static_adjacency(mask):
     return a, i
 
 
-def normalize_static(a, i, literal=False):
-    """Degree-normalise A + I. Zero degrees are clamped to 1 first, so
-    fully invisible nodes keep all-zero rows and columns.
-
-    By default the symmetric form D^{-1/2} (A + I) D^{-1/2} is used;
-    `literal=True` selects D^{-1/2} (A + I) D^{+1/2} instead.
-    """
+def normalize_static(a, i):
+    """Symmetric degree normalisation D^{-1/2} (A + I) D^{-1/2}. Zero
+    degrees are clamped to 1 first, so fully invisible nodes keep
+    all-zero rows and columns."""
     s = np.asarray(a, dtype=np.float64) + np.asarray(i, dtype=np.float64)
     deg = s.sum(axis=-1)
     deg = np.maximum(deg, 1.0)
-    left = 1.0 / np.sqrt(deg)
-    right = np.sqrt(deg) if literal else left
-    return left[..., :, None] * s * right[..., None, :]
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return inv_sqrt[..., :, None] * s * inv_sqrt[..., None, :]
 
 
 def edge_categories(mask):
@@ -146,19 +140,16 @@ class SpatialEncoder:
         self.fuse_beta = param("fuse.beta", (dg,), fill=1)
         self.fuse_gamma = param("fuse.gamma", (dg,), fill=1)
 
-    def embed(self, coords, mask, phase, fill=None) -> Tensor:
-        """Project inputs to node features. Past steps mask the coordinates
-        (missing agents take `fill`, default 0) and append the mask bit;
-        future steps embed the raw coordinates."""
-        x = np.asarray(coords, dtype=np.float64)
-        if phase == "past":
-            inp = Tensor(masked_input_vector(x, mask, fill))
-            w0, b0, w1, b1 = self.embed_past
-        elif phase == "future":
-            inp = Tensor(x)
+    def embed(self, coords, mask) -> Tensor:
+        """Project inputs to node features. A past step (`mask` given)
+        masks the coordinates and appends the mask bit; a future step
+        (`mask` None) embeds the raw coordinates."""
+        if mask is None:
+            inp = Tensor(np.asarray(coords, dtype=np.float64))
             w0, b0, w1, b1 = self.embed_future
         else:
-            raise ConfigError(f"unknown phase {phase!r}")
+            inp = Tensor(masked_input_vector(coords, mask))
+            w0, b0, w1, b1 = self.embed_past
         return linear([tanh(linear([inp], w0, b0))], w1, b1)
 
     def edge_weight_matrices(self) -> Tensor:
@@ -195,26 +186,25 @@ class SpatialEncoder:
             thetas = self.edge_weight_matrices()
         return ec_gcl_forward(features, cats, thetas, self.ec_bias)
 
-    def forward(self, coords, mask, phase, thetas=None, fill=None) -> Tensor:
-        """Embed, run the enabled branches, fuse. `coords` (.., N, 2),
-        `mask` (.., N) and the optional past-step `fill` for missing agents
-        (.., N, 2) are numpy; the result is an (.., N, D_G) tensor.
+    def forward(self, coords, mask, thetas=None) -> Tensor:
+        """Embed, run the enabled branches, fuse. `coords` (.., N, 2) and
+        `mask` (.., N) are numpy; the result is an (.., N, D_G) tensor.
 
-        The edge-conditioned branch only runs on past steps. Future steps
-        treat every agent as visible.
+        `mask` None marks a future step: every agent is visible and the
+        edge-conditioned branch, which only runs on past steps, is skipped.
         """
         cfg = self.cfg
-        if phase == "future":
+        past = mask is not None
+        features = self.embed(coords, mask)
+        if not past:
             mask = np.ones(np.asarray(coords).shape[:-1])
-        features = self.embed(coords, mask, phase, fill)
         f_st = f_dl = f_ec = None
         if cfg.use_st:
             a, i = build_static_adjacency(mask)
-            a_hat = normalize_static(a, i, literal=(cfg.static_norm == "literal"))
-            f_st = self.st_branch(features, a_hat)
+            f_st = self.st_branch(features, normalize_static(a, i))
         if cfg.use_dl:
             f_dl = self.dl_branch(features)
-        if cfg.use_ec and phase == "past":
+        if cfg.use_ec and past:
             f_ec = self.ec_branch(features, edge_categories(mask), thetas)
         return fuse([f_st, f_dl, f_ec],
                     [self.fuse_alpha, self.fuse_beta, self.fuse_gamma])

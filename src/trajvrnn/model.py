@@ -9,7 +9,8 @@ the hidden state by the learned decay and advance a GRU. Future steps
 mirror this without decay, conditioning the decoder and the recurrence
 on the latent from the last past step. A recurrence whose state nothing
 reads (the last step of the last window run) is skipped, in training and
-inference alike.
+inference alike; at inference, so is that step's encoding, which feeds
+only the recurrence.
 
 Training maximises the sequential evidence lower bound: reconstruction
 negative log-likelihood plus a weighted KL between posterior and prior,
@@ -67,12 +68,8 @@ class ModelConfig:
     lambda_imp_kl: float = 1.0
     lambda_pre_kl: float = 1.0
     lambda_pre: float = 1.0
-    # alternative-form switches
-    static_norm: str = "symmetric"      # or "literal"
+    # alternative-form switch
     lag_mode: str = "current"           # or "previous"
-    # "decoded": at inference a missing past agent's encoder input is its
-    # previous-step position (observed, else decoded mean), not (0, 0)
-    inference_feedback: str = "zero"    # or "decoded"
     logvar_limit: float = 10.0
     # coordinate standardisation applied inside the model
     coord_center: tuple = (0.0, 0.0)
@@ -86,12 +83,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.static_norm not in ("symmetric", "literal"):
-            raise ConfigError(f"bad static_norm {self.static_norm!r}")
         if self.lag_mode not in ("current", "previous"):
             raise ConfigError(f"bad lag_mode {self.lag_mode!r}")
-        if self.inference_feedback not in ("zero", "decoded"):
-            raise ConfigError(f"bad inference_feedback {self.inference_feedback!r}")
         if min(self.n_agents_max, self.d_embed, self.d_graph, self.d_hidden,
                self.d_latent, self.ec_hidden, self.ec_pool, self.t_past) < 1:
             raise ConfigError("model sizes and t_past must be >= 1")
@@ -420,7 +413,7 @@ class TrajectoryModel:
         for t in range(cfg.t_past):
             m_t = mask[:, t, :]
             delta = temporal_lag_update(delta, t, self._lag_gate_mask(mask, t))
-            fg = self.encoder.forward(x[:, t], m_t, "past", thetas)
+            fg = self.encoder.forward(x[:, t], m_t, thetas)
             prior = self.prior_params(h)
             post = self.posterior_params(fg, h)
             z = sample_latent(post, noise["past"][t])
@@ -444,7 +437,7 @@ class TrajectoryModel:
             pre_kl = Tensor(np.zeros(b))
             for t in range(cfg.t_future):
                 y_t = x[:, cfg.t_past + t]
-                fg = self.encoder.forward(y_t, None, "future", thetas)
+                fg = self.encoder.forward(y_t, None, thetas)
                 prior = self.prior_params(h_f)
                 post = self.posterior_params(fg, h_f)
                 z_f = sample_latent(post, noise["future"][t])
@@ -469,9 +462,6 @@ class TrajectoryModel:
         else:
             losses["total"] = losses["imp"] + cfg.lambda_pre * losses["pre"]
         return losses
-
-    def loss_total(self, coords, mask, noise) -> Tensor:
-        return self.training_losses(coords, mask, noise)["total"]
 
     def train_step(self, coords, mask, optimizer, noise=None, rng=None):
         """One optimisation step; returns the pre-update loss values."""
@@ -517,22 +507,19 @@ class TrajectoryModel:
             thetas = self.encoder.edge_weight_matrices() if cfg.use_ec else None
             h = Tensor(np.zeros((b, n, cfg.d_hidden)))
             delta = np.zeros((b, n, 1))
-            fill = np.zeros((b, n, 2)) if cfg.inference_feedback == "decoded" else None
             z = None
             for t in range(cfg.t_past):
                 m_t = mask[:, t, :]
                 delta = temporal_lag_update(delta, t, self._lag_gate_mask(mask, t))
-                fg = self.encoder.forward(x[:, t], m_t, "past", thetas, fill)
                 prior = self.prior_params(h)
                 z = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
                 zf = self.zfeat_past(z)
                 mean = self.decode_imputation(zf, h).data[..., 0:2]
-                m3 = m_t[..., None]
                 # copy observations through untouched (scene units)
-                imputed[:, t] = np.where(m3 > 0, coords_past[:, t], self._denormalize(mean))
-                if fill is not None:
-                    fill = m3 * x[:, t] + (1.0 - m3) * mean
+                imputed[:, t] = np.where(m_t[..., None] > 0, coords_past[:, t],
+                                         self._denormalize(mean))
                 if t + 1 < cfg.t_past or cfg.t_future > 0:  # else the state is never read
+                    fg = self.encoder.forward(x[:, t], m_t, thetas)
                     h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
                     h = gru_step([fg, zf], h_rec, self.rnn_main)
 
@@ -545,7 +532,7 @@ class TrajectoryModel:
                 mean = self.decode_prediction(zf, h_f).data[..., 0:2]
                 predicted[:, t] = self._denormalize(mean)
                 if t + 1 < cfg.t_future:  # the last step's state is never read
-                    fg = self.encoder.forward(mean, None, "future", thetas)
+                    fg = self.encoder.forward(mean, None, thetas)
                     h_f = gru_step([fg, zf], h_f, self.rnn_pred)
 
         if single:

@@ -57,8 +57,8 @@ def test_criterion_1_gradient_correctness():
 
     enc_params = list(enc.params.values())
     errors["embed_inputs"] = max(
-        grad_check(lambda: tsum(enc.embed(coords, mask, "past")), enc_params),
-        grad_check(lambda: tsum(enc.embed(coords, None, "future")), enc_params))
+        grad_check(lambda: tsum(enc.embed(coords, mask)), enc_params),
+        grad_check(lambda: tsum(enc.embed(coords, None)), enc_params))
 
     feats = rng.normal(size=(n, 4))
     a, i = build_static_adjacency(mask)
@@ -71,7 +71,7 @@ def test_criterion_1_gradient_correctness():
     errors["ec_gcl"] = grad_check(
         lambda: tsum(enc.ec_branch(Tensor(feats), cats)), enc_params)
     errors["fuse"] = grad_check(
-        lambda: tsum(enc.forward(coords, mask, "past")), enc_params)
+        lambda: tsum(enc.forward(coords, mask)), enc_params)
 
     h = rng.normal(size=(1, n, 8))
     fg = rng.normal(size=(1, n, 4))
@@ -122,7 +122,7 @@ def test_criterion_1_gradient_correctness():
     mask_b = (batch_rng.random((1, 4, n)) > 0.4).astype(float)
     noise = model.draw_noise(np.random.default_rng(14), 1, n)
     errors["loss_total"] = grad_check(
-        lambda: model.loss_total(coords_b, mask_b, noise), params)
+        lambda: model.training_losses(coords_b, mask_b, noise)["total"], params)
 
     elapsed = time.time() - t0
     worst = max(errors.values())
@@ -205,8 +205,8 @@ def test_criterion_4_structural_invariants():
         coords = rng.normal(size=(6, 2))
         mask = rng.integers(0, 2, size=6).astype(float)
         perm = rng.permutation(6)
-        feats = enc.embed(coords, mask, "past")
-        feats_p = enc.embed(coords[perm], mask[perm], "past")
+        feats = enc.embed(coords, mask)
+        feats_p = enc.embed(coords[perm], mask[perm])
         a, i = build_static_adjacency(mask)
         a_p, i_p = build_static_adjacency(mask[perm])
         # exact up to float summation reorder (deviations are ~2e-16 ulps)

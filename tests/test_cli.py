@@ -119,7 +119,8 @@ def test_unknown_config_key_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["lr=nan", "coord_center=0.0,inf", "logvar_limit=-1.0",
-                                  "out_dir=results", "lr=-1.0", "lr_decay=-2.0"])
+                                  "out_dir=results", "lr=-1.0", "lr_decay=-2.0",
+                                  "static_norm=literal", "inference_feedback=decoded"])
 def test_bad_config_value_exit_code(tmp_path, line):
     cfg = write_cfg(tmp_path, line + "\n")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
@@ -360,6 +361,8 @@ MALFORMED = {
     "config-bool": ("ckpt", [(r"^config\.use_td=.*$", "config.use_td=maybe")], True),
     "config-mode": ("ckpt", [(r"^config\.mode=.*$", "config.mode=jnt")], True),
     "config-size": ("ckpt", [(r"^config\.d_hidden=.*$", "config.d_hidden=-3")], True),
+    "config-removed-key": ("ckpt", [(r"^(config\.lag_mode=.*)$",
+                                     r"\1\nconfig.static_norm=symmetric")], True),
     "no-split": ("trajset", [(r"^split=.*\n", "")], True),
     "no-units": ("trajset", [(r"^units=.*\n", "")], True),
     "other-units": ("trajset", [(r"^units=.*$", "units=pixels")], True),

@@ -45,7 +45,7 @@ def valid_files(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     ds = build_dataset(generate_sequences(2, 3, 4, 2, seed=3),
                        MaskingSpec(mode="camera", angle=20.0), split="test", seed=3)
-    ds.results = [(seq.past + 0.5, seq.future - 0.5) for seq in ds.sequences]
+    ds.results = [(seq.past + 0.5, seq.coords[seq.t_past:] - 0.5) for seq in ds.sequences]
     write_dataset(work / "valid.trajset", ds)
     model = TrajectoryModel(ModelConfig(n_agents_max=3, d_embed=2, d_graph=2, d_hidden=10,
                                         d_latent=2, ec_hidden=2, ec_pool=2, t_past=4,

@@ -36,30 +36,14 @@ def test_masked_input_vector_missing():
         masked_input_vector([[2.0, 3.0]], [0.0]), [[0.0, 0.0, 0.0]])
 
 
-def test_masked_input_vector_fill_replaces_missing_only():
-    np.testing.assert_array_equal(
-        masked_input_vector([[2.0, 3.0], [4.0, 5.0]], [1.0, 0.0],
-                            fill=[[7.0, 8.0], [9.0, 6.0]]),
-        [[2.0, 3.0, 1.0], [9.0, 6.0, 0.0]])
-
-
-def test_encoder_zero_fill_matches_default():
-    enc = make_encoder()
-    coords = np.random.default_rng(5).normal(size=(2, 4, 2))
-    mask = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
-    np.testing.assert_array_equal(
-        enc.forward(coords, mask, "past", fill=np.zeros((2, 4, 2))).data,
-        enc.forward(coords, mask, "past").data)
-
-
 def test_future_routing_uses_only_future_weights():
     enc = make_encoder()
     y = np.array([[[1.0, 1.0]]])
-    base = enc.embed(y, None, "future").data.copy()
+    base = enc.embed(y, None).data.copy()
     enc.embed_past[0].data[...] += 10.0  # past projection must not matter
-    np.testing.assert_array_equal(enc.embed(y, None, "future").data, base)
+    np.testing.assert_array_equal(enc.embed(y, None).data, base)
     enc.embed_future[0].data[...] += 1.0
-    assert not np.array_equal(enc.embed(y, None, "future").data, base)
+    assert not np.array_equal(enc.embed(y, None).data, base)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +81,6 @@ def test_normalize_single_visible_node():
 def test_normalize_invisible_pair_is_zero():
     a, i = build_static_adjacency([0, 0])
     np.testing.assert_array_equal(normalize_static(a, i), np.zeros((2, 2)))
-
-
-def test_normalize_literal_variant():
-    # literal form D^{-1/2} (A+I) D^{+1/2}: with equal degrees (2, 2) the
-    # scalings cancel and every entry is 1
-    a, i = build_static_adjacency([1, 1])
-    np.testing.assert_allclose(normalize_static(a, i, literal=True), np.ones((2, 2)))
 
 
 def test_normalize_invisible_rows_and_columns_zero():
@@ -285,8 +262,8 @@ def test_encoder_st_only_matches_weighted_branch():
     rng = np.random.default_rng(2)
     coords = rng.normal(size=(3, 2))
     mask = np.array([1.0, 1.0, 0.0])
-    out = enc.forward(coords, mask, "past")
-    feats = enc.embed(coords, mask, "past")
+    out = enc.forward(coords, mask)
+    feats = enc.embed(coords, mask)
     a, i = build_static_adjacency(mask)
     expected = enc.st_branch(feats, normalize_static(a, i)).data * enc.fuse_alpha.data
     np.testing.assert_allclose(out.data, expected)
@@ -297,9 +274,9 @@ def test_encoder_compositional_all_branches():
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(4, 2))
     mask = np.array([1.0, 0.0, 1.0, 1.0])
-    out = enc.forward(coords, mask, "past")
+    out = enc.forward(coords, mask)
 
-    feats = enc.embed(coords, mask, "past")
+    feats = enc.embed(coords, mask)
     a, i = build_static_adjacency(mask)
     f_st = enc.st_branch(feats, normalize_static(a, i))
     f_dl = enc.dl_branch(feats)
@@ -314,13 +291,13 @@ def test_encoder_future_step_never_runs_ec():
     with_ec = make_encoder(seed=9)
     without_ec = make_encoder(seed=9, use_ec=False)
     np.testing.assert_array_equal(
-        with_ec.forward(coords, None, "future").data,
-        without_ec.forward(coords, None, "future").data)
+        with_ec.forward(coords, None).data,
+        without_ec.forward(coords, None).data)
     # but the gamma-weighted EC term does fire on past steps
     mask = np.ones(3)
     assert not np.array_equal(
-        with_ec.forward(coords, mask, "past").data,
-        without_ec.forward(coords, mask, "past").data)
+        with_ec.forward(coords, mask).data,
+        without_ec.forward(coords, mask).data)
 
 
 def test_empty_branch_set_rejected():
@@ -340,12 +317,12 @@ def test_st_and_ec_permutation_equivariance():
         mask = rng.integers(0, 2, size=4).astype(float)
         perm = rng.permutation(4)
 
-        feats = enc.embed(coords, mask, "past")
+        feats = enc.embed(coords, mask)
         a, i = build_static_adjacency(mask)
         st = enc.st_branch(feats, normalize_static(a, i)).data
         ec = enc.ec_branch(feats, edge_categories(mask)).data
 
-        feats_p = enc.embed(coords[perm], mask[perm], "past")
+        feats_p = enc.embed(coords[perm], mask[perm])
         a_p, i_p = build_static_adjacency(mask[perm])
         st_p = enc.st_branch(feats_p, normalize_static(a_p, i_p)).data
         ec_p = enc.ec_branch(feats_p, edge_categories(mask[perm])).data
@@ -360,8 +337,8 @@ def test_dl_branch_is_not_equivariant():
     coords = rng.normal(size=(4, 2))
     mask = np.ones(4)
     perm = np.array([1, 2, 3, 0])
-    feats = enc.embed(coords, mask, "past")
-    feats_p = enc.embed(coords[perm], mask[perm], "past")
+    feats = enc.embed(coords, mask)
+    feats_p = enc.embed(coords[perm], mask[perm])
     out = enc.dl_branch(feats).data
     out_p = enc.dl_branch(feats_p).data
     assert not np.allclose(out_p, out[perm])
@@ -371,7 +348,7 @@ def test_invisible_node_st_output_zero():
     enc = make_encoder()
     coords = np.random.default_rng(10).normal(size=(3, 2))
     mask = np.array([1.0, 0.0, 1.0])
-    feats = enc.embed(coords, mask, "past")
+    feats = enc.embed(coords, mask)
     a, i = build_static_adjacency(mask)
     out = enc.st_branch(feats, normalize_static(a, i))
     np.testing.assert_array_equal(out.data[1], np.zeros(4))
@@ -406,6 +383,6 @@ def test_gradients_flow_through_all_branches():
     rng = np.random.default_rng(14)
     coords = rng.normal(size=(3, 2))
     mask = np.array([1.0, 0.0, 1.0])
-    err = grad_check(lambda: tsum(enc.forward(coords, mask, "past")),
+    err = grad_check(lambda: tsum(enc.forward(coords, mask)),
                      enc.params.values())
     assert err <= 1e-4

@@ -7,7 +7,6 @@ import pytest
 from trajvrnn import model as model_module
 from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, log, no_grad,
                                tanh, tsum)
-from trajvrnn.checkpoint import load_model, save_checkpoint
 from trajvrnn.errors import ConfigError, ShapeError
 from trajvrnn.model import (
     LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, decay_hidden,
@@ -200,10 +199,10 @@ def test_use_td_false_ignores_decay_params():
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg)
     noise = model.draw_noise(np.random.default_rng(0), 2, 3)
-    before = model.loss_total(coords, mask, noise).item()
+    before = model.training_losses(coords, mask, noise)["total"].item()
     model.td_weight.data[...] = 57.0
     model.td_bias.data[...] = -3.0
-    assert model.loss_total(coords, mask, noise).item() == before
+    assert model.training_losses(coords, mask, noise)["total"].item() == before
     imp1, pre1 = model.run_inference(coords[:, :cfg.t_past], mask, seed=3)
     model.td_weight.data[...] = 0.001
     imp2, pre2 = model.run_inference(coords[:, :cfg.t_past], mask, seed=3)
@@ -562,7 +561,7 @@ def test_full_model_gradient_check_small():
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, batch=1, n_agents=2, seed=13)
     noise = model.draw_noise(np.random.default_rng(14), 1, 2)
-    err = grad_check(lambda: model.loss_total(coords, mask, noise),
+    err = grad_check(lambda: model.training_losses(coords, mask, noise)["total"],
                      model.parameters())
     assert err <= 1e-4
 
@@ -607,8 +606,9 @@ def test_training_tape_holds_no_affine_intermediates():
 
 
 def _count_recurrence_calls(monkeypatch, model):
-    """Count the `gru_step` and `temporal_decay` calls `model` makes."""
-    calls = {"gru_step": 0, "temporal_decay": 0}
+    """Count the `gru_step`, `temporal_decay` and `encoder.forward` calls
+    `model` makes."""
+    calls = {"gru_step": 0, "temporal_decay": 0, "encoder.forward": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -618,6 +618,8 @@ def _count_recurrence_calls(monkeypatch, model):
 
     monkeypatch.setattr(model_module, "gru_step", counted("gru_step", gru_step))
     monkeypatch.setattr(model, "temporal_decay", counted("temporal_decay", model.temporal_decay))
+    monkeypatch.setattr(model.encoder, "forward",
+                        counted("encoder.forward", model.encoder.forward))
     return calls
 
 
@@ -631,15 +633,17 @@ def test_impute_only_skips_the_last_recurrence(monkeypatch):
     noise = model.draw_noise(np.random.default_rng(45), 2, 3)
     calls = _count_recurrence_calls(monkeypatch, model)
     ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
-    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1}
+    # every past step's encoding feeds its posterior
+    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1,
+                     "encoder.forward": cfg.t_past}
     assert ops.count("gru") == ops.count("exp") == cfg.t_past - 1
     assert ops.count("bigauss_nll") == cfg.t_past
 
 
 def test_inference_without_future_skips_the_last_recurrence(monkeypatch):
     """With no future window nothing reads the state after the last past
-    step, so `run_inference` runs neither its decay nor its GRU; the
-    outputs and the draws from the rng are those of the full loop."""
+    step, so `run_inference` runs neither its encoding, its decay nor its
+    GRU; the outputs and the draws from the rng are those of the full loop."""
     cfg = tiny_cfg(t_future=0, mode="impute-only", seed=49)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=50)
@@ -647,7 +651,8 @@ def test_inference_without_future_skips_the_last_recurrence(monkeypatch):
     rng = np.random.default_rng(51)
     calls = _count_recurrence_calls(monkeypatch, model)
     imputed, predicted = model.run_inference(past, mask, rng=rng)
-    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1}
+    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1,
+                     "encoder.forward": cfg.t_past - 1}
     assert predicted.shape == (2, 0, 3, 2)
     # a model that also runs the last GRU (same parameters) imputes the same
     full = TrajectoryModel(replace(cfg, t_future=1, mode="joint"))
@@ -793,53 +798,9 @@ def test_lag_mode_previous_switch_changes_behaviour():
     cfg_prev = tiny_cfg(seed=54, lag_mode="previous")
     coords, mask = toy_batch(cfg_cur, seed=55, missing=0.5)
     noise = TrajectoryModel(cfg_cur).draw_noise(np.random.default_rng(56), 2, 3)
-    l_cur = TrajectoryModel(cfg_cur).loss_total(coords, mask, noise).item()
-    l_prev = TrajectoryModel(cfg_prev).loss_total(coords, mask, noise).item()
+    l_cur = TrajectoryModel(cfg_cur).training_losses(coords, mask, noise)["total"].item()
+    l_prev = TrajectoryModel(cfg_prev).training_losses(coords, mask, noise)["total"].item()
     assert l_cur != l_prev
-
-
-def test_static_norm_literal_changes_loss_and_survives_checkpoint(tmp_path):
-    cfg_sym = tiny_cfg(seed=57)
-    coords, mask = toy_batch(cfg_sym, seed=58)
-    noise = TrajectoryModel(cfg_sym).draw_noise(np.random.default_rng(59), 2, 3)
-    literal = TrajectoryModel(tiny_cfg(seed=57, static_norm="literal"))
-    l_lit = literal.loss_total(coords, mask, noise).item()
-    assert TrajectoryModel(cfg_sym).loss_total(coords, mask, noise).item() != l_lit
-    save_checkpoint(tmp_path / "literal.ckpt", literal)
-    restored = load_model(tmp_path / "literal.ckpt")
-    assert restored.cfg.static_norm == "literal"
-    assert restored.loss_total(coords, mask, noise).item() == l_lit
-
-
-def test_inference_feedback_decoded_feeds_previous_position():
-    cfg = tiny_cfg(seed=60, inference_feedback="decoded")
-    coords, mask = toy_batch(cfg, seed=61, missing=0.5)
-    past = coords[:, :cfg.t_past]
-    model = TrajectoryModel(cfg)
-    fills = []
-    forward = model.encoder.forward
-
-    def spy(coords, mask, phase, thetas=None, fill=None):
-        if phase == "past":
-            fills.append(fill)
-        return forward(coords, mask, phase, thetas, fill)
-
-    model.encoder.forward = spy
-    imputed, _ = model.run_inference(past, mask, seed=62)
-    # a missing agent's encoder input is its previous-step position, the
-    # observation or else the decoded mean, as `imputed` holds it (0 at t=0)
-    assert np.array_equal(fills[0], np.zeros((2, 3, 2)))
-    for t in range(1, cfg.t_past):
-        assert np.array_equal(fills[t], imputed[:, t - 1])
-
-    zero = TrajectoryModel(tiny_cfg(seed=60))
-    zero_imputed, _ = zero.run_inference(past, mask, seed=62)
-    assert not np.array_equal(zero_imputed, imputed)
-    # with nothing missing the fill is never read
-    full = np.ones_like(mask)
-    a = zero.run_inference(past, full, seed=63)
-    b = TrajectoryModel(cfg).run_inference(past, full, seed=63)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_ec_only_needs_an_empty_future_window():
