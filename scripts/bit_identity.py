@@ -21,7 +21,8 @@ Run it against two checkouts and compare the output:
 `--dump DIR` also saves the arrays behind the loss, gradient, parameter
 and inference digests to DIR/arrays.npz; `--compare A B` then prints,
 for every array that differs between two such dumps, its max-norm
-relative drift max|a - b| / max|a| and how many entries differ:
+relative drift max|a - b| / max|a| and how many entries differ, then a
+summary line with the largest drift and the array it belongs to:
 
     PYTHONPATH=<old>/src python scripts/bit_identity.py --dump old
     PYTHONPATH=<new>/src python scripts/bit_identity.py --dump new
@@ -175,6 +176,7 @@ def compare(dir_a, dir_b):
             np.load(os.path.join(dir_b, "arrays.npz")) as zb:
         a, b = dict(za), dict(zb)
     differ = 0
+    worst = (0.0, None)
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             print(f"{key}: only in {dir_a if key in a else dir_b}")
@@ -183,12 +185,15 @@ def compare(dir_a, dir_b):
         elif a[key].tobytes() != b[key].tobytes():
             diff = np.abs(a[key] - b[key])
             drift = diff.max() / max(np.abs(a[key]).max(), np.finfo(np.float64).tiny)
+            if worst[1] is None or drift > worst[0]:
+                worst = (drift, key)
             print(f"{key}: drift {drift:.3g}, {np.count_nonzero(a[key] != b[key])} "
                   f"of {a[key].size} entries differ")
         else:
             continue
         differ += 1
-    print(f"{differ} of {len(a.keys() | b.keys())} arrays differ")
+    largest = f", largest drift {worst[0]:.3g} in {worst[1]}" if worst[1] else ""
+    print(f"{differ} of {len(a.keys() | b.keys())} arrays differ{largest}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .data import (Dataset, DynamicsParams, MaskingSpec, TrajectorySequence,
 from .errors import (CapacityError, ConfigError, DataError, NumericError,
                      ShapeError, TrajvrnnError)
 from .model import (LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll,
-                    gauss_kl, sample_latent, temporal_decay, temporal_lag_update)
+                    gauss_kl, sample_latent, temporal_decay, temporal_lags)
 from .optim import Adam
 from .report import MetricReport, evaluate_methods, report_table, reports_to_csv
 from .training import train

@@ -541,16 +541,32 @@ def transpose(a, ax1=-2, ax2=-1) -> Tensor:
     return _make(out, "transpose", (a,), backward)
 
 
+def _is_basic(index) -> bool:
+    """True if `index` selects a view (ints, slices, None, Ellipsis), so
+    no entry is picked twice."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(i is None or i is Ellipsis or isinstance(i, slice)
+               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+               for i in items)
+
+
 def getitem(a, index) -> Tensor:
-    """Basic slicing and integer-array gather, with scatter-add backward."""
+    """Basic slicing and integer-array gather. Backward adds the gradient
+    into the selected entries of the parent's own `.grad` buffer (made
+    once, zero, by the first slice to reach it): `+=` for a basic index,
+    `np.add.at` for an integer array, which sums repeated entries."""
     a = as_tensor(a)
     out = a.data[index]
+    basic = _is_basic(index)
 
     def backward(grad):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, index, grad)
-            _accumulate(a, full, owned=True)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            if basic:
+                a.grad[index] += grad
+            else:
+                np.add.at(a.grad, index, grad)
 
     return _make(out, "getitem", (a,), backward)
 

@@ -74,6 +74,9 @@ def load_checkpoint(path) -> CheckpointData:
         epoch = int(manifest.get("epoch", 0))
         adam_step = int(manifest.get("adam.step", 0))
         adam_lr = float(manifest["adam.lr"])
+        if epoch < 0 or adam_step < 0:  # a negative step zeroes Adam's bias correction
+            raise DataError(f"{path}: epoch and adam.step must be >= 0, "
+                            f"got {epoch} and {adam_step}")
         if not 0.0 <= adam_lr < np.inf:  # false for nan too
             raise DataError(f"{path}: adam.lr must be finite and >= 0, got {adam_lr}")
         for tag, spec in rows:

@@ -1,4 +1,8 @@
-"""Per-timestep spatial encoder over the agent graph.
+"""Spatial encoder over the agent graph.
+
+It encodes one timestep (N, .) or any stack of them: every array and
+op broadcasts over the leading axes, so a (B, T, N, 2) window with its
+(B, T, N) mask encodes in one call, each step as if alone.
 
 Three parallel graph-convolution branches read the same embedded node
 features and are fused by learned per-feature weights:
@@ -110,7 +114,8 @@ def fuse(branch_outputs, weights) -> Tensor:
 
 
 class SpatialEncoder:
-    """Owns the graph parameters and runs the full per-timestep encoding."""
+    """Owns the graph parameters and runs the full encoding of one step
+    or of a window of steps."""
 
     def __init__(self, cfg, rng: np.random.Generator, load=None):
         self.cfg = cfg

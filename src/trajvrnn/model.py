@@ -1,16 +1,24 @@
 """Variational recurrent model over past (imputation) and future
 (prediction) streams of a multi-agent scene.
 
-Each past step: update the per-agent temporal lag from the visibility
-mask, encode the masked coordinates on the agent graph, form prior (from
-the hidden state) and posterior (from graph features + hidden state)
-latents, decode a bivariate Gaussian over the true position, then shrink
-the hidden state by the learned decay and advance a GRU. Future steps
+Each past step: encode the masked coordinates on the agent graph, form
+prior (from the hidden state) and posterior (from graph features +
+hidden state) latents, decode a bivariate Gaussian over the true
+position, then shrink the hidden state by a learned decay of each
+agent's lag since it was last seen and advance a GRU. Future steps
 mirror this without decay, conditioning the decoder and the recurrence
 on the latent from the last past step. A recurrence whose state nothing
 reads (the last step of the last window run) is skipped, in training and
 inference alike; at inference, so is that step's encoding, which feeds
 only the recurrence.
+
+Under teacher forcing the encoder reads only the coordinates and the
+mask, and the decay only the lags, which come from the mask. So training
+encodes each window in one call, takes the decay of every past step
+whose recurrence runs in one call, and the step loop slices step t out
+of both. Inference encodes step by step: a future step encodes the
+model's own decoded mean, and one step's arrays keep its peak memory
+low.
 
 Training maximises the sequential evidence lower bound: reconstruction
 negative log-likelihood plus a weighted KL between posterior and prior,
@@ -143,18 +151,20 @@ def _sample_latent_backward(mu, logvar, noise, grad):
         _accumulate(logvar, g, owned=True)
 
 
-def temporal_lag_update(delta, step_index: int, mask_step):
-    """Steps since the gating observation, per agent.
+def temporal_lags(mask, lag_mode: str = "current"):
+    """Steps since the gating observation, per agent, for every step of
+    a window: `mask` (.., T, N) gives a float array (.., T, N, 1).
 
-    step_index is 0-based; the first step resets every lag to 0. After
-    that an observed agent gets lag 1 and a missing one accumulates.
-    Returns a float array shaped like `delta` ((..., N, 1)).
+    The first step's lags are 0. After that an agent that the gate shows
+    observed gets lag 1 and a missing one accumulates. The gate at step t
+    is mask row t ("current") or row t - 1 ("previous", GRU-D's rule).
     """
-    m = np.asarray(mask_step, dtype=np.float64)[..., None]
-    if step_index == 0:
-        return np.zeros_like(m)
-    prev = np.asarray(delta, dtype=np.float64)
-    return m * 1.0 + (1.0 - m) * (1.0 + prev)
+    m = np.asarray(mask, dtype=np.float64)[..., None]
+    lags = np.zeros_like(m)
+    for t in range(1, m.shape[-3]):
+        gate = m[..., t if lag_mode == "current" else t - 1, :, :]
+        lags[..., t, :, :] = gate * 1.0 + (1.0 - gate) * (1.0 + lags[..., t - 1, :, :])
+    return lags
 
 
 def temporal_decay(delta, weight: Tensor, bias: Tensor) -> Tensor:
@@ -389,31 +399,30 @@ class TrajectoryModel:
         future = rng.standard_normal((cfg.t_future, batch, n_agents, cfg.d_latent))
         return {"past": past, "future": future}
 
-    def _lag_gate_mask(self, mask, step):
-        """Mask row that drives the lag update at `step` (0-based)."""
-        if self.cfg.lag_mode == "previous" and step > 0:
-            return mask[:, step - 1, :]
-        return mask[:, step, :]
-
     def training_losses(self, coords, mask, noise):
         """Forward both streams with teacher forcing; returns tensors
-        {imp, imp_nll, imp_kl, pre, pre_nll, pre_kl, total}."""
+        {imp, imp_nll, imp_kl, pre, pre_nll, pre_kl, total}.
+
+        The encoder and the decay read only data here, so each runs once
+        per window and the loop slices step t out of their results."""
         cfg = self.cfg
         coords, mask, b, n = self._check_batch(coords, mask)
         x = self._normalize(coords)
+        run_future = cfg.mode != "impute-only" and cfg.t_future > 0
+        # the last past step's recurrence runs only to feed the future
+        steps = cfg.t_past if run_future else cfg.t_past - 1
 
         thetas = self.encoder.edge_weight_matrices() if cfg.use_ec else None
+        fg_past = self.encoder.forward(x[:, :cfg.t_past], mask, thetas)
+        lags = temporal_lags(mask, cfg.lag_mode)[:, :steps]
+        decay = self.temporal_decay(lags) if cfg.use_td and steps else None
         h = Tensor(np.zeros((b, n, cfg.d_hidden)))
-        delta = np.zeros((b, n, 1))
         imp_nll = Tensor(np.zeros(b))
         imp_kl = Tensor(np.zeros(b))
         z = None
-        run_future = cfg.mode != "impute-only" and cfg.t_future > 0
 
         for t in range(cfg.t_past):
-            m_t = mask[:, t, :]
-            delta = temporal_lag_update(delta, t, self._lag_gate_mask(mask, t))
-            fg = self.encoder.forward(x[:, t], m_t, thetas)
+            fg = fg_past[:, t]
             prior = self.prior_params(h)
             post = self.posterior_params(fg, h)
             z = sample_latent(post, noise["past"][t])
@@ -421,8 +430,8 @@ class TrajectoryModel:
             raw = self.decode_imputation(zf, h)
             imp_nll = imp_nll + tsum(bigauss_nll(x[:, t], raw), axis=-1)
             imp_kl = imp_kl + tsum(gauss_kl(post, prior), axis=-1)
-            if t + 1 < cfg.t_past or run_future:  # else the state reaches no loss
-                h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
+            if t < steps:
+                h_rec = decay_hidden(h, decay[:, t]) if cfg.use_td else h
                 h = gru_step([fg, zf], h_rec, self.rnn_main)
 
         losses = {}
@@ -435,9 +444,10 @@ class TrajectoryModel:
             h_f = h if cfg.share_streams else Tensor(np.zeros((b, n, cfg.d_hidden)))
             pre_nll = Tensor(np.zeros(b))
             pre_kl = Tensor(np.zeros(b))
+            fg_future = self.encoder.forward(x[:, cfg.t_past:], None, thetas)
             for t in range(cfg.t_future):
                 y_t = x[:, cfg.t_past + t]
-                fg = self.encoder.forward(y_t, None, thetas)
+                fg = fg_future[:, t]
                 prior = self.prior_params(h_f)
                 post = self.posterior_params(fg, h_f)
                 z_f = sample_latent(post, noise["future"][t])
@@ -506,11 +516,11 @@ class TrajectoryModel:
         with no_grad():
             thetas = self.encoder.edge_weight_matrices() if cfg.use_ec else None
             h = Tensor(np.zeros((b, n, cfg.d_hidden)))
-            delta = np.zeros((b, n, 1))
+            steps = cfg.t_past if cfg.t_future > 0 else cfg.t_past - 1
+            lags = temporal_lags(mask, cfg.lag_mode)
             z = None
             for t in range(cfg.t_past):
                 m_t = mask[:, t, :]
-                delta = temporal_lag_update(delta, t, self._lag_gate_mask(mask, t))
                 prior = self.prior_params(h)
                 z = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
                 zf = self.zfeat_past(z)
@@ -518,9 +528,10 @@ class TrajectoryModel:
                 # copy observations through untouched (scene units)
                 imputed[:, t] = np.where(m_t[..., None] > 0, coords_past[:, t],
                                          self._denormalize(mean))
-                if t + 1 < cfg.t_past or cfg.t_future > 0:  # else the state is never read
+                if t < steps:  # else the state is never read
                     fg = self.encoder.forward(x[:, t], m_t, thetas)
-                    h_rec = decay_hidden(h, self.temporal_decay(delta)) if cfg.use_td else h
+                    h_rec = (decay_hidden(h, self.temporal_decay(lags[:, t])) if cfg.use_td
+                             else h)
                     h = gru_step([fg, zf], h_rec, self.rnn_main)
 
             z_tp = z

@@ -162,6 +162,37 @@ def test_getitem_grads():
     np.testing.assert_array_equal(w.grad, expected)
 
 
+@pytest.mark.parametrize("whole_first", [True, False])
+def test_getitem_slices_accumulate_into_one_grad(whole_first):
+    """An interior tensor sliced at every index of an axis, gathered by an
+    integer array with repeats and also used whole by another op: the
+    slices add into its one gradient buffer, whichever use reaches it
+    first, and the gather sums its repeated rows (np.add.at)."""
+    rng = np.random.default_rng(6)
+    w = Parameter("w", rng.normal(size=(3, 4, 2)))
+    coef = rng.normal(size=(3, 2))
+    rows = np.array([2, 0, 2, 2])
+
+    def f():
+        a = mul(w, 1.5)
+        whole = tsum(tanh(a))
+        parts = [tsum(mul(getitem(a, (slice(None), t)), coef) * float(t + 1))
+                 for t in range(4)]
+        parts.append(tsum(exp(getitem(a, rows) * 0.1)))
+        uses = [whole, *parts] if whole_first else [*parts, whole]
+        return sum(uses[1:], uses[0])
+
+    assert grad_check(f, [w]) <= 1e-8
+    w.zero_grad()
+    backward(f())
+    a = 1.5 * w.data
+    expected = 1.0 - np.tanh(a) ** 2
+    expected += coef[:, None, :] * np.arange(1.0, 5.0)[None, :, None]
+    for r in rows:
+        expected[r] += 0.1 * np.exp(0.1 * a[r])
+    np.testing.assert_allclose(w.grad, 1.5 * expected, rtol=1e-13)
+
+
 def test_no_grad_suppresses_tape():
     w = Parameter("w", [2.0])
     with no_grad():

@@ -349,6 +349,8 @@ def test_seed_override_changes_generation(tiny_config, tmp_path):
 # (file, header substitutions, keep the payload)
 MALFORMED = {
     "epoch": ("ckpt", [(r"^epoch=.*$", "epoch=x")], True),
+    "epoch-negative": ("ckpt", [(r"^epoch=.*$", "epoch=-7")], True),
+    "adam-step-negative": ("ckpt", [(r"^adam\.step=.*$", "adam.step=-1")], True),
     "adam-lr": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=x")], True),
     "adam-lr-negative": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=-0.5")], True),
     "adam-lr-nan": ("ckpt", [(r"^adam\.lr=.*$", "adam.lr=nan")], True),

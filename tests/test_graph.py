@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajvrnn.autodiff import Tensor, grad_check, tsum
+from trajvrnn.autodiff import Tensor, backward, grad_check, tsum
 from trajvrnn.errors import CapacityError, ConfigError
 from trajvrnn.graph import (
     CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE, SpatialEncoder,
@@ -284,6 +284,39 @@ def test_encoder_compositional_all_branches():
     expected = (f_st.data * enc.fuse_alpha.data + f_dl.data * enc.fuse_beta.data
                 + f_ec.data * enc.fuse_gamma.data)
     np.testing.assert_allclose(out.data, expected)
+
+
+@pytest.mark.parametrize("past", [True, False])
+def test_window_encoding_matches_per_step_calls(past):
+    """One call over a (B, T, N, 2) window gives the per-step calls stacked
+    on axis 1, all three branches on, and the same parameter gradients:
+    a weight product over all T steps sums in another order, so both
+    agree to rounding, not bit for bit."""
+    enc = make_encoder(seed=11)
+    rng = np.random.default_rng(12)
+    coords = rng.normal(size=(2, 5, 4, 2))
+    mask = (rng.random((2, 5, 4)) > 0.4).astype(float) if past else None
+    thetas = enc.edge_weight_matrices()
+    weights = rng.normal(size=(2, 5, 4, 4))
+
+    def grads(loss):
+        for p in enc.params.values():
+            p.zero_grad()
+        backward(loss)
+        return {name: p.grad.copy() for name, p in enc.params.items()}
+
+    window = enc.forward(coords, mask, thetas)
+    window_grads = grads(tsum(window * weights))
+    steps = [enc.forward(coords[:, t], None if mask is None else mask[:, t], thetas)
+             for t in range(5)]
+    step_grads = grads(sum(tsum(out * weights[:, t]) for t, out in enumerate(steps)))
+    np.testing.assert_allclose(window.data, np.stack([out.data for out in steps], axis=1),
+                               rtol=1e-12, atol=0)
+    for name in window_grads:
+        np.testing.assert_allclose(window_grads[name], step_grads[name],
+                                   rtol=1e-12, atol=1e-15, err_msg=name)
+    # the EC branch runs on a past window only
+    assert (np.abs(enc.ec_w0.grad).max() > 0) == past
 
 
 def test_encoder_future_step_never_runs_ec():

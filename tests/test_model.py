@@ -10,7 +10,7 @@ from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, log
 from trajvrnn.errors import ConfigError, ShapeError
 from trajvrnn.model import (
     LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, decay_hidden,
-    gauss_kl, gru_step, sample_latent, temporal_decay, temporal_lag_update,
+    gauss_kl, gru_step, sample_latent, temporal_decay, temporal_lags,
 )
 from trajvrnn.optim import Adam
 
@@ -143,12 +143,9 @@ def test_sample_monte_carlo_mean():
 
 def test_lag_sequence_with_gap():
     mask_seq = [1.0, 0.0, 0.0, 1.0]
-    delta = np.zeros((1, 1))
-    seen = []
-    for t, m in enumerate(mask_seq):
-        delta = temporal_lag_update(delta, t, np.array([[m]]))
-        seen.append(delta[0, 0, 0])
-    assert seen == [0.0, 1.0, 2.0, 1.0]
+    lags = temporal_lags(np.array([[[m] for m in mask_seq]]))
+    assert lags.shape == (1, 4, 1, 1)
+    assert lags[0, :, 0, 0].tolist() == [0.0, 1.0, 2.0, 1.0]
 
 
 @pytest.mark.parametrize("mask_seq,expected", [
@@ -156,12 +153,20 @@ def test_lag_sequence_with_gap():
     ([1, 0, 0, 0], [0, 1, 2, 3]),
 ])
 def test_lag_sequences(mask_seq, expected):
-    delta = np.zeros((1, 1))
-    seen = []
-    for t, m in enumerate(mask_seq):
-        delta = temporal_lag_update(delta, t, np.array([[float(m)]]))
-        seen.append(delta[0, 0, 0])
-    assert seen == [float(v) for v in expected]
+    lags = temporal_lags(np.array([[[float(m)] for m in mask_seq]]))
+    assert lags[0, :, 0, 0].tolist() == [float(v) for v in expected]
+
+
+def test_lags_previous_mode_gates_on_the_row_before():
+    """Under "previous" the lag at step t > 0 follows mask row t - 1, so
+    a "previous" lag row is the "current" rule applied to the mask shifted
+    one step later; agents and batch rows are independent."""
+    mask = (np.random.default_rng(3).random((2, 7, 3)) > 0.5).astype(float)
+    shifted = np.concatenate([mask[:, :1], mask[:, :-1]], axis=1)
+    np.testing.assert_array_equal(temporal_lags(mask, "previous"),
+                                  temporal_lags(shifted, "current"))
+    np.testing.assert_array_equal(temporal_lags(mask[1:], "previous"),
+                                  temporal_lags(mask, "previous")[1:])
 
 
 def test_decay_closed_forms():
@@ -605,9 +610,27 @@ def test_training_tape_holds_no_affine_intermediates():
     assert bias_adds == []
 
 
+def test_training_tape_node_count_is_pinned():
+    """The train tape at `tiny_cfg` (4 past and 2 future steps), pinned:
+    the encoder runs once per window and the decay once over the past
+    window, so each step adds its slices of both, not their graphs."""
+    cfg = tiny_cfg(seed=40)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=41)
+    noise = model.draw_noise(np.random.default_rng(42), 2, 3)
+    ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
+    assert len(ops) == 218
+    # per step: its features; per past step: its decay; per encoder call: dl.adj[:n, :n]
+    assert ops.count("getitem") == (cfg.t_past + cfg.t_future) + cfg.t_past + 2
+    # per window: three ST layers and one DL layer; and the one decay
+    assert ops.count("relu") == 2 * (3 + 1) + 1
+
+
 def _count_recurrence_calls(monkeypatch, model):
     """Count the `gru_step`, `temporal_decay` and `encoder.forward` calls
-    `model` makes."""
+    `model` makes; training makes one encoder call per window and one
+    decay call over the past window, inference one of each per step it
+    runs."""
     calls = {"gru_step": 0, "temporal_decay": 0, "encoder.forward": 0}
 
     def counted(name, fn):
@@ -626,17 +649,20 @@ def _count_recurrence_calls(monkeypatch, model):
 def test_impute_only_skips_the_last_recurrence(monkeypatch):
     """Without a future window the last past step's state reaches no loss,
     so neither its decay nor its GRU runs: the tape walk alone would not
-    show that, since an unused node is not reachable from the loss."""
+    show that, since an unused node is not reachable from the loss. The
+    window's one decay call spans the t_past - 1 steps that recur."""
     cfg = tiny_cfg(mode="impute-only", seed=43)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=44)
     noise = model.draw_noise(np.random.default_rng(45), 2, 3)
     calls = _count_recurrence_calls(monkeypatch, model)
-    ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
-    # every past step's encoding feeds its posterior
-    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1,
-                     "encoder.forward": cfg.t_past}
-    assert ops.count("gru") == ops.count("exp") == cfg.t_past - 1
+    nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
+    ops = [node.op for node in nodes]
+    # one encoding of the past window: every step's features feed its posterior
+    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": 1, "encoder.forward": 1}
+    assert ops.count("gru") == cfg.t_past - 1
+    [decay_exp] = [node for node in nodes if node.op == "exp"]
+    assert decay_exp.shape == (2, cfg.t_past - 1, 3, 1)
     assert ops.count("bigauss_nll") == cfg.t_past
 
 
@@ -668,7 +694,7 @@ def test_inference_without_future_skips_the_last_recurrence(monkeypatch):
 def test_training_tape_fuses_loss_terms():
     """Each step's latent draw, reconstruction NLL and KL is one node, so
     no exp, log, sub or div is left on the tape outside the decay,
-    1 / exp(relu(w * lag + b)), which runs before each past-step GRU."""
+    1 / exp(relu(w * lag + b)), which runs once over the past window."""
     cfg = tiny_cfg(seed=46)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=47)
@@ -679,22 +705,22 @@ def test_training_tape_fuses_loss_terms():
     for op in ("sample_latent", "bigauss_nll", "gauss_kl"):
         assert ops.count(op) == steps, op
     assert ops.count("log") == ops.count("sub") == 0
-    assert ops.count("exp") == ops.count("div") == cfg.t_past
+    assert ops.count("exp") == ops.count("div") == 1
     assert all(node.parents[0].op == "relu" for node in nodes if node.op == "exp")
 
 
 def test_training_tape_weight_products_are_linear():
     """Every product with a weight matrix is a `linear` node, so `matmul`
     is left with the adjacency products (three ST layers and one DL layer
-    per step) and one EC gather per past step, and the EC category
-    matrices are transposed into their (D, 3 D_G) layout once."""
+    per window) and one EC gather for the past window, and the EC
+    category matrices are transposed into their (D, 3 D_G) layout once."""
     cfg = tiny_cfg(seed=40)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
     matmuls = [node for node in nodes if node.op == "matmul"]
-    assert len(matmuls) == 5 * cfg.t_past + 4 * cfg.t_future
+    assert len(matmuls) == 5 + 4
     assert not any(isinstance(p, Parameter) for node in matmuls for p in node.parents)
     assert [node.op for node in nodes].count("transpose") == 1
 
