@@ -1,5 +1,7 @@
 """Print digests of everything a behaviour-preserving refactor must keep
-bit-identical: gen-data's circle and camera .trajset bytes, the losses of
+bit-identical: gen-data's circle and camera .trajset bytes, the circle and
+camera .trajset bytes of a 300-sequence pool at N=10, T=40+10 (more scenes
+than the simulator integrates in one block), the losses of
 several train steps, every parameter's gradient after one backward,
 batched and single-sequence run_inference outputs of the untrained and
 the trained model, the .ckpt bytes, the bytes of a load_checkpoint ->
@@ -43,7 +45,8 @@ from trajvrnn.checkpoint import (load_checkpoint, restore_model,
                                  restore_optimizer, save_checkpoint)
 from trajvrnn.cli import main
 from trajvrnn.config import format_config, parse_config
-from trajvrnn.data import read_dataset, stack_arrays, write_dataset
+from trajvrnn.data import (MaskingSpec, build_dataset, generate_sequences, read_dataset,
+                           stack_arrays, write_dataset)
 from trajvrnn.model import TrajectoryModel
 from trajvrnn.optim import Adam
 
@@ -141,6 +144,12 @@ def check(work, arrays):
     single.sequences, single.masks = single.sequences[i:i + 1], single.masks[i:i + 1]
     write_dataset(single_path, single)
     coords, masks = stack_arrays(read_dataset(data_path))
+    pool = generate_sequences(300, 10, 40, 10, seed=7)
+    pool_path = os.path.join(work, "pool.trajset")
+    for spec in (MaskingSpec(mode="circle", radius=5.0),
+                 MaskingSpec(mode="camera", angle=20.0)):
+        write_dataset(pool_path, build_dataset(pool, spec, "train", 7))
+        print("trajset pool300", spec.mode, file_digest(pool_path))
 
     tag = "default"
     cfg = parse_config(CONFIG)

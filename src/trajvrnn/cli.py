@@ -48,11 +48,11 @@ def cmd_gen_data(config: RunConfig, out_dir, force=False) -> list:
     One generated pool is masked per scenario: from `seed` for the train
     split, from `seed + TEST_SEED_OFFSET` for the test split."""
     specs = _scenario_specs(config)
-    os.makedirs(out_dir, exist_ok=True)
     split = config.gen_split
     seed = config.seed + (TEST_SEED_OFFSET if split == "test" else 0)
     seqs = generate_sequences(config.gen_count, config.gen_n_agents,
                               config.t_past, config.t_future, seed)
+    os.makedirs(out_dir, exist_ok=True)
 
     written = []
     manifest = []

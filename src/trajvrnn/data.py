@@ -4,10 +4,16 @@ format.
 Agents follow damped second-order dynamics: each is attracted to a
 personal offset around a shared reference track (a waypoint-seeking
 "ball"), repelled softly from the others, and confined to a bounded
-field. Visibility is then simulated two ways: a circle of radius r
-around the reference, or a camera aperture of half-angle theta tracking
-the reference from a fixed sideline position. Masks mark availability
-only; ground-truth coordinates are always retained.
+field. All scenes of one `generate_sequences` call are integrated
+together, in blocks of a fixed size, as (S, 2) reference and (S, N, 2)
+agent arrays; each scene draws from its own child of the seed's
+`SeedSequence`, so sequence i depends only on the seed and i.
+
+Visibility is then simulated two ways: a circle of radius r around the
+reference, or a camera aperture of half-angle theta tracking the
+reference from a fixed sideline position. Both masks work over any
+leading axes, so a dataset is masked in one call. Masks mark
+availability only; ground-truth coordinates are always retained.
 
 Files are a small text header followed by a raw little-endian binary
 payload (`container.py`), so coordinates round-trip bit-exactly.
@@ -33,7 +39,6 @@ class DynamicsParams:
     attraction: float = 0.25
     repulsion: float = 0.3
     damping: float = 0.5
-    noise_accel: float = 0.0
     v_max: float = 1.5
     field_half: float = FIELD_HALF
     offset_radius: float = 5.0
@@ -110,22 +115,14 @@ class MaskingSpec:
 # generation
 
 
-def _simulate_reference(rng, t_total, p: DynamicsParams):
-    pos = rng.uniform(-0.4, 0.4, size=2) * p.field_half
-    vel = np.zeros(2)
-    waypoint = rng.uniform(-0.8, 0.8, size=2) * p.field_half
-    track = np.empty((t_total, 2))
-    for t in range(t_total):
-        track[t] = pos
-        if np.linalg.norm(waypoint - pos) < p.waypoint_tol:
-            waypoint = rng.uniform(-0.8, 0.8, size=2) * p.field_half
-        acc = p.ball_attraction * (waypoint - pos) - p.ball_damping * vel
-        vel = vel + acc
-        speed = np.linalg.norm(vel)
-        if speed > p.ball_v_max:
-            vel *= p.ball_v_max / speed
-        pos = pos + vel
-    return track
+_BLOCK = 256  # scenes integrated together; bounds the (S, N, N, 2) repulsion temporaries
+
+
+def _norm(v):
+    """Length of each 2-vector in `v` (.., 2). A BLAS dot per row, so it
+    rounds like `np.linalg.norm` of a single 2-vector (the dot may fuse
+    its multiply-add, which `sqrt((v * v).sum(-1))` does not)."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _draw_offsets(rng, n, radius):
@@ -134,57 +131,114 @@ def _draw_offsets(rng, n, radius):
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-def _simulate_agents(rng, track, n_agents, p: DynamicsParams, seq_id):
-    t_total = track.shape[0]
-    offsets = _draw_offsets(rng, n_agents, p.offset_radius)
-    # agents start scattered around the reference, inside the field
-    pos = np.clip(track[0] + offsets + _draw_offsets(rng, n_agents, p.offset_radius),
-                  -p.field_half, p.field_half)
-    vel = np.zeros((n_agents, 2))
-    phases = rng.integers(0, max(1, p.offset_resample), size=n_agents)
-    coords = np.empty((t_total, n_agents, 2))
+def _offset_redraws(rngs, phases, t_total, p: DynamicsParams):
+    """Which agents redraw their offset at each step, (S, T, N), and the
+    offsets they draw, (S, T, N, 2). The schedule is fixed by `phases`, so
+    each scene takes all its draws in one call; per due step they come in
+    the order `_draw_offsets` takes them, k radii and then k angles."""
+    steps = np.arange(t_total)[:, None]
+    due = ((steps + phases[:, None, :]) % p.offset_resample == 0) & (steps > 0)
+    k = due.sum(axis=2).ravel()
+    scene, step, _ = np.nonzero(due)
+    group = scene * t_total + step
+    # due agent e, counted in (scene, step, agent) order, follows `before` due
+    # agents of earlier (scene, step) pairs, which took 2 * before draws, and
+    # e - before of its own step: its radius is draw e + before, its angle
+    # k draws later
+    before = (np.cumsum(k) - k)[group]
+    radius_at = np.arange(scene.size) + before
+    raw = np.concatenate([rng.random(2 * n) for rng, n in zip(rngs, due.sum(axis=(1, 2)))])
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), exactly
+    r = p.offset_radius * np.sqrt(raw[radius_at])
+    theta = 2 * np.pi * raw[radius_at + k[group]]
+    fresh = np.zeros(due.shape + (2,))
+    fresh[due] = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return due, fresh
+
+
+def _simulate(rngs, ids, n_agents, t_total, p: DynamicsParams):
+    """Integrate one block of scenes together, scene i drawing only from
+    `rngs[i]`: its reference start and waypoint, a new waypoint whenever
+    its reference reaches one, then its agents' offsets, start offsets and
+    phases, then every offset redraw. Returns coords (S, T, N, 2) and the
+    reference tracks (S, T, 2)."""
+    fh = p.field_half
+    pos, waypoint = (np.array(a) * fh for a in zip(*[
+        (rng.uniform(-0.4, 0.4, size=2), rng.uniform(-0.8, 0.8, size=2)) for rng in rngs]))
+    vel = np.zeros_like(pos)
+    track = np.empty((len(rngs), t_total, 2))
     for t in range(t_total):
-        coords[t] = pos
-        if p.offset_resample > 0 and t > 0:
-            due = (t + phases) % p.offset_resample == 0
-            if due.any():
-                offsets[due] = _draw_offsets(rng, int(due.sum()), p.offset_radius)
-        target = track[t] + offsets
+        track[:, t] = pos
+        for i in np.flatnonzero(_norm(waypoint - pos) < p.waypoint_tol):
+            waypoint[i] = rngs[i].uniform(-0.8, 0.8, size=2) * fh
+        acc = p.ball_attraction * (waypoint - pos) - p.ball_damping * vel
+        vel = vel + acc
+        speed = _norm(vel)
+        fast = speed > p.ball_v_max
+        vel[fast] *= (p.ball_v_max / speed[fast])[:, None]
+        pos = pos + vel
+
+    offsets, scatter, phases = map(np.array, zip(*[
+        (_draw_offsets(rng, n_agents, p.offset_radius),
+         _draw_offsets(rng, n_agents, p.offset_radius),
+         rng.integers(0, max(1, p.offset_resample), size=n_agents)) for rng in rngs]))
+    # agents start scattered around the reference, inside the field
+    pos = np.clip(track[:, 0, None] + offsets + scatter, -fh, fh)
+    vel = np.zeros_like(pos)
+    if p.offset_resample > 0:
+        due, fresh = _offset_redraws(rngs, phases, t_total, p)
+    coords = np.empty((len(rngs), t_total, n_agents, 2))
+    diverged_at = np.full(len(rngs), -1)
+    for t in range(t_total):
+        coords[:, t] = pos
+        if p.offset_resample > 0:
+            np.copyto(offsets, fresh[:, t], where=due[:, t, :, None])
+        target = track[:, t, None] + offsets
         acc = p.attraction * (target - pos) - p.damping * vel
         if p.repulsion != 0.0:
-            diff = pos[:, None, :] - pos[None, :, :]
+            diff = pos[:, :, None, :] - pos[:, None, :, :]
             dist2 = (diff ** 2).sum(axis=-1) + 1.0
-            acc += p.repulsion * (diff / dist2[..., None]).sum(axis=1)
-        if p.noise_accel > 0.0:
-            acc += rng.normal(scale=p.noise_accel, size=(n_agents, 2))
-        over = np.abs(pos) - p.field_half
+            acc += p.repulsion * (diff / dist2[..., None]).sum(axis=2)
+        over = np.abs(pos) - fh
         acc -= p.wall_push * np.sign(pos) * np.clip(over, 0.0, None)
         vel = vel + acc
         speed = np.linalg.norm(vel, axis=-1, keepdims=True)
         np.divide(vel * p.v_max, speed, out=vel, where=speed > p.v_max)
         pos = pos + vel
-        if np.abs(pos).max() > p.field_half * 10:
-            raise DataError(f"sequence {seq_id}: integration diverged at step {t}")
-    return coords
+        gone = np.abs(pos).max(axis=(1, 2)) > fh * 10
+        if gone.any():
+            diverged_at[gone & (diverged_at < 0)] = t
+            # a diverged scene restarts at rest so it cannot overflow; the
+            # first scene to diverge at all is reported once the block is done
+            pos[gone] = 0.0
+            vel[gone] = 0.0
+    for seq_id, step in zip(ids, diverged_at):
+        if step >= 0:
+            raise DataError(f"sequence {seq_id}: integration diverged at step {step}")
+    return coords, track
 
 
 def generate_sequences(count, n_agents, t_past, t_future, seed,
                        dynamics: DynamicsParams | None = None):
-    """Deterministic batch of interacting sequences for one seed."""
+    """Deterministic batch of interacting sequences for one seed. Scenes are
+    integrated together, `_BLOCK` at a time; sequence i draws only from the
+    i-th child of `SeedSequence(seed)`, so it depends on `seed` and i alone."""
     if count < 1:
         raise ConfigError("count must be >= 1")
+    if n_agents < 1:
+        raise ConfigError("n_agents must be >= 1")
     dynamics = dynamics or DynamicsParams()
     t_total = t_past + t_future
     children = np.random.SeedSequence(seed).spawn(count)
     out = []
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        seq_id = f"seq{i:05d}"
-        track = _simulate_reference(rng, t_total, dynamics)
-        coords = _simulate_agents(rng, track, n_agents, dynamics, seq_id)
-        out.append(TrajectorySequence(id=seq_id, coords=coords,
-                                      reference_track=track,
-                                      t_past=t_past, t_future=t_future))
+    for first in range(0, count, _BLOCK):
+        block = children[first:first + _BLOCK]
+        ids = [f"seq{i:05d}" for i in range(first, first + len(block))]
+        coords, tracks = _simulate([np.random.default_rng(c) for c in block], ids,
+                                   n_agents, t_total, dynamics)
+        out += [TrajectorySequence(id=seq_id, coords=c, reference_track=track,
+                                   t_past=t_past, t_future=t_future)
+                for seq_id, c, track in zip(ids, coords, tracks)]
     return out
 
 
@@ -192,25 +246,33 @@ def generate_sequences(count, n_agents, t_past, t_future, seed,
 # masking
 
 
-def apply_circle_mask(seq: TrajectorySequence, radius: float) -> np.ndarray:
-    """Visible iff within `radius` (inclusive) of the reference; past only."""
+def stack_past(sequences):
+    """Past coordinates (S, T_past, N, 2) and reference track (S, T_past, 2)
+    of equal-shaped sequences: what the masks read."""
+    shapes = {(s.past.shape, s.reference_track.shape) for s in sequences}
+    if len(shapes) != 1:
+        raise DataError(f"masking needs one or more sequences of one shape, "
+                        f"got {len(sequences)} of shapes {sorted(shapes)}")
+    return (np.stack([s.past for s in sequences]),
+            np.stack([s.reference_track[: s.t_past] for s in sequences]))
+
+
+def apply_circle_mask(past, ref, radius: float) -> np.ndarray:
+    """Visible iff within `radius` (inclusive) of the reference. `past` is
+    (.., T, N, 2) and `ref` (.., T, 2); the mask is (.., T, N)."""
     if radius <= 0:
         raise ConfigError("radius must be > 0")
-    past = seq.past
-    ref = seq.reference_track[: seq.t_past]
-    dist = np.linalg.norm(past - ref[:, None, :], axis=-1)
+    dist = np.linalg.norm(past - ref[..., None, :], axis=-1)
     return (dist <= radius).astype(np.float64)
 
 
-def apply_camera_mask(seq: TrajectorySequence, angle_deg: float,
-                      camera=DEFAULT_CAMERA) -> np.ndarray:
+def apply_camera_mask(past, ref, angle_deg: float, camera=DEFAULT_CAMERA) -> np.ndarray:
     """Visible iff within `angle_deg` (inclusive) of the camera-to-reference
-    direction. An agent exactly at the camera counts as visible."""
+    direction. An agent exactly at the camera counts as visible. Shapes as
+    in `apply_circle_mask`."""
     if not (0 < angle_deg < 180):
         raise ConfigError("angle must be in (0, 180) degrees")
     cam = np.asarray(camera, dtype=np.float64)
-    past = seq.past
-    ref = seq.reference_track[: seq.t_past]
     view = ref - cam
     view_norm = np.linalg.norm(view, axis=-1)
     if (view_norm == 0).any():
@@ -218,15 +280,15 @@ def apply_camera_mask(seq: TrajectorySequence, angle_deg: float,
     rel = past - cam
     rel_norm = np.linalg.norm(rel, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_ang = (rel * view[:, None, :]).sum(axis=-1) / (rel_norm * view_norm[:, None])
+        cos_ang = (rel * view[..., None, :]).sum(axis=-1) / (rel_norm * view_norm[..., None])
     cos_ang = np.where(rel_norm == 0, 1.0, cos_ang)  # at-camera convention
     return (cos_ang >= np.cos(np.radians(angle_deg))).astype(np.float64)
 
 
-def apply_mask(seq: TrajectorySequence, spec: MaskingSpec) -> np.ndarray:
+def apply_mask(past, ref, spec: MaskingSpec) -> np.ndarray:
     if spec.mode == "circle":
-        return apply_circle_mask(seq, spec.radius)
-    return apply_camera_mask(seq, spec.angle, spec.camera)
+        return apply_circle_mask(past, ref, spec.radius)
+    return apply_camera_mask(past, ref, spec.angle, spec.camera)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +332,10 @@ class Dataset:
 
 
 def build_dataset(sequences, spec: MaskingSpec, split: str, seed: int) -> Dataset:
-    masks = [apply_mask(s, spec) for s in sequences]
+    sequences = list(sequences)
+    masks = apply_mask(*stack_past(sequences), spec)
     return Dataset(spec=spec, split=split, seed=seed,
-                   sequences=list(sequences), masks=masks)
+                   sequences=sequences, masks=list(masks))
 
 
 def write_dataset(path, ds: Dataset) -> None:
@@ -367,9 +430,9 @@ def read_dataset(path) -> Dataset:
 
 def validate_dataset(ds: Dataset) -> None:
     """Check that the stored masks regenerate from coordinates + scenario."""
-    for seq, mask in zip(ds.sequences, ds.masks):
-        regenerated = apply_mask(seq, ds.spec)
-        if not np.array_equal(regenerated, mask):
+    regenerated = apply_mask(*stack_past(ds.sequences), ds.spec)
+    for seq, mask, again in zip(ds.sequences, ds.masks, regenerated):
+        if not np.array_equal(again, mask):
             raise DataError(f"sequence {seq.id}: stored mask does not match "
                             f"the {ds.spec.label()} scenario")
 

@@ -21,7 +21,7 @@ from trajvrnn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from trajvrnn.config import RunConfig
 from trajvrnn.data import (DynamicsParams, MaskingSpec, apply_camera_mask,
                            apply_circle_mask, build_dataset,
-                           generate_sequences, stack_arrays)
+                           generate_sequences, stack_arrays, stack_past)
 from trajvrnn.graph import build_static_adjacency, edge_categories, normalize_static
 from trajvrnn.model import (LatentDistribution, ModelConfig, TrajectoryModel,
                             bigauss_nll, decay_hidden, gauss_kl, gru_step,
@@ -155,19 +155,14 @@ def test_criterion_3_masking_laws():
     seqs = generate_sequences(500, 10, 40, 10, seed=303)
     radii = (3.0, 5.0, 7.0)
     angles = (10.0, 20.0, 30.0)
-    violations = 0
-    circle_rates, camera_rates = [], []
-    for r in radii:
-        circle_rates.append(np.mean([1.0 - apply_circle_mask(s, r).mean()
-                                     for s in seqs]))
-    for th in angles:
-        camera_rates.append(np.mean([1.0 - apply_camera_mask(s, th).mean()
-                                     for s in seqs]))
-    for s in seqs:
-        m3, m5, m7 = (apply_circle_mask(s, r) for r in radii)
-        violations += int(np.any(m3 > m5) or np.any(m5 > m7))
-        c10, c20, c30 = (apply_camera_mask(s, th) for th in angles)
-        violations += int(np.any(c10 > c20) or np.any(c20 > c30))
+    past, ref = stack_past(seqs)
+    circle = [apply_circle_mask(past, ref, r) for r in radii]
+    camera = [apply_camera_mask(past, ref, th) for th in angles]
+    circle_rates = [np.mean(1.0 - m.mean(axis=(1, 2))) for m in circle]
+    camera_rates = [np.mean(1.0 - m.mean(axis=(1, 2))) for m in camera]
+    # one violation per sequence and scenario whose masks are not nested
+    violations = sum(int(np.any((m[0] > m[1]) | (m[1] > m[2]), axis=(1, 2)).sum())
+                     for m in (circle, camera))
     strict = (circle_rates[0] > circle_rates[1] > circle_rates[2]
               and camera_rates[0] > camera_rates[1] > camera_rates[2])
     check(3, "masking laws", violations == 0 and strict,

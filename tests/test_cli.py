@@ -120,7 +120,8 @@ def test_unknown_config_key_exit_code(tmp_path):
 
 @pytest.mark.parametrize("line", ["lr=nan", "coord_center=0.0,inf", "logvar_limit=-1.0",
                                   "out_dir=results", "lr=-1.0", "lr_decay=-2.0",
-                                  "static_norm=literal", "inference_feedback=decoded"])
+                                  "static_norm=literal", "inference_feedback=decoded",
+                                  "gen_count=0", "gen_n_agents=0"])
 def test_bad_config_value_exit_code(tmp_path, line):
     cfg = write_cfg(tmp_path, line + "\n")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1

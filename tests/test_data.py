@@ -4,7 +4,7 @@ import pytest
 from trajvrnn.data import (
     Dataset, DynamicsParams, MaskingSpec, TrajectorySequence,
     apply_camera_mask, apply_circle_mask, apply_mask, build_dataset,
-    generate_sequences, read_dataset, validate_dataset,
+    generate_sequences, read_dataset, stack_past, validate_dataset,
     write_dataset,
 )
 from trajvrnn.errors import ConfigError, DataError
@@ -33,7 +33,7 @@ def test_generator_deterministic():
 
 
 def test_generator_degenerate_dynamics_stationary():
-    params = DynamicsParams(attraction=0.0, repulsion=0.0, noise_accel=0.0)
+    params = DynamicsParams(attraction=0.0, repulsion=0.0)
     seqs = generate_sequences(2, 3, 6, 2, seed=1, dynamics=params)
     for seq in seqs:
         np.testing.assert_array_equal(seq.coords, np.broadcast_to(
@@ -53,6 +53,8 @@ def test_generator_velocity_bound_sweep():
 def test_generator_count_validation():
     with pytest.raises(ConfigError):
         generate_sequences(0, 3, 4, 2, seed=0)
+    with pytest.raises(ConfigError, match="n_agents"):
+        generate_sequences(2, 0, 4, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -62,25 +64,19 @@ def test_generator_count_validation():
 def test_circle_boundary_inclusive():
     coords = np.array([[[3.0, 4.0]]])
     ref = np.array([[0.0, 0.0]])
-    seq = make_seq(coords, ref)
-    np.testing.assert_array_equal(apply_circle_mask(seq, 5.0), [[1.0]])
-    np.testing.assert_array_equal(apply_circle_mask(seq, 3.0), [[0.0]])
+    np.testing.assert_array_equal(apply_circle_mask(coords, ref, 5.0), [[1.0]])
+    np.testing.assert_array_equal(apply_circle_mask(coords, ref, 3.0), [[0.0]])
 
 
 def test_circle_field_diameter_all_visible():
-    seqs = generate_sequences(5, 4, 8, 2, seed=3)
-    for seq in seqs:
-        mask = apply_circle_mask(seq, 1000.0)
-        assert mask.all()
+    past, ref = stack_past(generate_sequences(5, 4, 8, 2, seed=3))
+    assert apply_circle_mask(past, ref, 1000.0).all()
 
 
 def test_circle_monotone_in_radius():
-    seqs = generate_sequences(50, 5, 12, 3, seed=11)
-    for seq in seqs:
-        m3 = apply_circle_mask(seq, 3.0)
-        m5 = apply_circle_mask(seq, 5.0)
-        m7 = apply_circle_mask(seq, 7.0)
-        assert (m3 <= m5).all() and (m5 <= m7).all()
+    past, ref = stack_past(generate_sequences(50, 5, 12, 3, seed=11))
+    m3, m5, m7 = (apply_circle_mask(past, ref, r) for r in (3.0, 5.0, 7.0))
+    assert (m3 <= m5).all() and (m5 <= m7).all()
 
 
 # ---------------------------------------------------------------------------
@@ -88,56 +84,82 @@ def test_circle_monotone_in_radius():
 
 
 def test_camera_on_axis_visible():
-    seq = make_seq([[[5.0, 0.0]]], [[1.0, 0.0]])
-    mask = apply_camera_mask(seq, 10.0, camera=(0.0, 0.0))
+    mask = apply_camera_mask(np.array([[[5.0, 0.0]]]), np.array([[1.0, 0.0]]), 10.0,
+                             camera=(0.0, 0.0))
     np.testing.assert_array_equal(mask, [[1.0]])
 
 
 def test_camera_perpendicular_invisible():
-    seq = make_seq([[[0.0, 5.0]]], [[1.0, 0.0]])
-    mask = apply_camera_mask(seq, 10.0, camera=(0.0, 0.0))
+    mask = apply_camera_mask(np.array([[[0.0, 5.0]]]), np.array([[1.0, 0.0]]), 10.0,
+                             camera=(0.0, 0.0))
     np.testing.assert_array_equal(mask, [[0.0]])
 
 
 def test_camera_agent_at_camera_visible():
-    seq = make_seq([[[0.0, 0.0]]], [[1.0, 0.0]])
-    mask = apply_camera_mask(seq, 10.0, camera=(0.0, 0.0))
+    mask = apply_camera_mask(np.array([[[0.0, 0.0]]]), np.array([[1.0, 0.0]]), 10.0,
+                             camera=(0.0, 0.0))
     np.testing.assert_array_equal(mask, [[1.0]])
 
 
 def test_camera_wide_aperture_only_hides_behind():
     # at 179.9 degrees, only agents almost exactly behind the camera drop out
-    seqs = generate_sequences(20, 6, 10, 2, seed=13)
-    hidden = total = 0
-    for seq in seqs:
-        mask = apply_camera_mask(seq, 179.9)
-        hidden += (mask == 0).sum()
-        total += mask.size
-    assert hidden / total < 0.001
+    mask = apply_camera_mask(*stack_past(generate_sequences(20, 6, 10, 2, seed=13)), 179.9)
+    assert (mask == 0).sum() / mask.size < 0.001
 
 
 def test_camera_monotone_in_angle():
-    seqs = generate_sequences(50, 5, 12, 3, seed=17)
-    for seq in seqs:
-        m10 = apply_camera_mask(seq, 10.0)
-        m20 = apply_camera_mask(seq, 20.0)
-        m30 = apply_camera_mask(seq, 30.0)
-        assert (m10 <= m20).all() and (m20 <= m30).all()
+    past, ref = stack_past(generate_sequences(50, 5, 12, 3, seed=17))
+    m10, m20, m30 = (apply_camera_mask(past, ref, th) for th in (10.0, 20.0, 30.0))
+    assert (m10 <= m20).all() and (m20 <= m30).all()
 
 
 def test_camera_ref_at_camera_rejected():
-    seq = make_seq([[[1.0, 1.0]]], [[0.0, 0.0]])
-    with pytest.raises(DataError):
-        apply_camera_mask(seq, 10.0, camera=(0.0, 0.0))
+    with pytest.raises(DataError, match="passes through the camera"):
+        apply_camera_mask(np.array([[[1.0, 1.0]]]), np.array([[0.0, 0.0]]), 10.0,
+                          camera=(0.0, 0.0))
+    # a dataset build masks every sequence in one call and still refuses
+    clear = make_seq([[[1.0, 1.0]]], [[1.0, 0.0]])
+    through = make_seq([[[1.0, 1.0]]], [[0.0, 0.0]])
+    with pytest.raises(DataError, match="passes through the camera"):
+        build_dataset([clear, through], MaskingSpec(mode="camera", angle=10.0,
+                                                    camera=(0.0, 0.0)), "train", 0)
 
 
 def test_masking_never_alters_coordinates():
     seqs = generate_sequences(5, 4, 10, 2, seed=19)
+    before = [seq.coords.copy() for seq in seqs]
+    past, ref = stack_past(seqs)
+    p0, r0 = past.copy(), ref.copy()
+    apply_circle_mask(past, ref, 5.0)
+    apply_camera_mask(past, ref, 20.0)
+    assert np.array_equal(past, p0) and np.array_equal(ref, r0)
+    # one sequence's past is a view of its coords, so a mask that wrote to
+    # its input would show there too
     for seq in seqs:
-        before = seq.coords.copy()
-        apply_circle_mask(seq, 5.0)
-        apply_camera_mask(seq, 20.0)
-        np.testing.assert_array_equal(seq.coords, before)
+        apply_circle_mask(seq.past, seq.reference_track[: seq.t_past], 5.0)
+        apply_camera_mask(seq.past, seq.reference_track[: seq.t_past], 20.0)
+    for seq, coords in zip(seqs, before):
+        np.testing.assert_array_equal(seq.coords, coords)
+
+
+@pytest.mark.parametrize("spec", [MaskingSpec(mode="circle", radius=5.0),
+                                  MaskingSpec(mode="camera", angle=20.0)])
+def test_masks_over_leading_axes_match_one_sequence_at_a_time(spec):
+    seqs = generate_sequences(7, 4, 9, 2, seed=23)
+    masks = apply_mask(*stack_past(seqs), spec)
+    assert masks.shape == (7, 9, 4)
+    for seq, mask in zip(seqs, masks):
+        one = apply_mask(seq.past, seq.reference_track[: seq.t_past], spec)
+        assert one.dtype == mask.dtype and one.tobytes() == mask.tobytes()
+    assert np.array_equal(build_dataset(seqs, spec, "train", 23).masks, masks)
+
+
+def test_masking_needs_sequences_of_one_shape():
+    spec = MaskingSpec(mode="circle", radius=5.0)
+    mixed = generate_sequences(1, 3, 6, 2, seed=24) + generate_sequences(1, 4, 6, 2, seed=24)
+    for seqs in ([], mixed):
+        with pytest.raises(DataError, match="one shape"):
+            build_dataset(seqs, spec, "train", 24)
 
 
 def test_masking_spec_validation():
@@ -272,7 +294,17 @@ def test_validate_detects_scenario_mismatch(tmp_path):
     ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=4.0),
                        split="train", seed=47)
     ds.masks[0] = 1.0 - ds.masks[0]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="seq00000"):
+        validate_dataset(ds)
+
+
+def test_validate_names_first_mismatching_sequence():
+    seqs = generate_sequences(5, 3, 6, 2, seed=48)
+    ds = build_dataset(seqs, MaskingSpec(mode="camera", angle=20.0),
+                       split="train", seed=48)
+    for i in (3, 1):
+        ds.masks[i] = 1.0 - ds.masks[i]
+    with pytest.raises(DataError, match="sequence seq00001: stored mask"):
         validate_dataset(ds)
 
 
