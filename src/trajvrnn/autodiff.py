@@ -95,12 +95,6 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -207,7 +201,6 @@ def _pointwise_backward(vjps, parents, consts, out, grad):
 
 # numpy warnings off for these forwards; _make rejects non-finite results
 _divide = np.errstate(divide="ignore", invalid="ignore")(np.divide)
-_log = np.errstate(divide="ignore", invalid="ignore")(np.log)
 _exp = np.errstate(over="ignore")(np.exp)
 
 
@@ -218,10 +211,6 @@ def _sigmoid(a, out=None):
     np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
-
-
-def _negate(grad, out, a, b):
-    return -grad
 
 
 def _times_b(grad, out, a, b):
@@ -244,10 +233,6 @@ def _times_out(grad, out, a):
     return grad * out
 
 
-def _over_a(grad, out, a):
-    return grad / a
-
-
 def _tanh_vjp(grad, out, a):
     return grad * (1.0 - out * out)
 
@@ -268,10 +253,6 @@ def add(a, b) -> Tensor:
     return _pointwise("add", np.add, (None, None), a, b)
 
 
-def sub(a, b) -> Tensor:
-    return _pointwise("sub", np.subtract, (None, _negate), a, b)
-
-
 def mul(a, b) -> Tensor:
     return _pointwise("mul", np.multiply, (_times_b, _times_a), a, b)
 
@@ -282,10 +263,6 @@ def div(a, b) -> Tensor:
 
 def exp(a) -> Tensor:
     return _pointwise("exp", _exp, (_times_out,), a)
-
-
-def log(a) -> Tensor:
-    return _pointwise("log", _log, (_over_a,), a)
 
 
 def relu(a) -> Tensor:
@@ -464,28 +441,6 @@ def _linear_backward(xs, w, b, grad):
         start = stop
 
 
-def concat(tensors, axis=-1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat needs at least one tensor")
-    try:
-        out = np.concatenate([t.data for t in ts], axis=axis)
-    except ValueError:
-        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in ts]}") from None
-    ax = axis if axis >= 0 else out.ndim + axis
-    sizes = [t.shape[ax] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[ax] = slice(start, stop)
-                _accumulate(t, grad[tuple(index)])
-
-    return _make(out, "concat", tuple(ts), backward)
-
-
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis)
@@ -501,12 +456,7 @@ def tsum(a, axis=None) -> Tensor:
 def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     out = a.data.mean(axis=axis)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        count = a.shape[axis]
+    count = a.data.size if axis is None else a.shape[axis]
 
     def backward(grad):
         if a.requires_grad:

@@ -13,10 +13,11 @@ features and are fused by learned per-feature weights:
     sliced to the live agent count, one layer with ReLU;
   * edge conditioned: a per-edge weight matrix generated from the edge's
     visibility category (both / exactly one / neither endpoint visible),
-    averaged over all nodes. Past timesteps only. It runs as one
-    projection of every node by all three category matrices at once and
-    one gather: a product with a 0/1 indicator that picks, for each pair
-    (i, j), node j's projection under the category of (i, j).
+    averaged over all nodes. Past timesteps only. A category depends only
+    on whether each endpoint is visible, so the branch pools the visible
+    and the hidden nodes' features, projects the two pooled rows under
+    each category and gives each node the two its own visibility picks:
+    nothing is built per pair.
 
 Visibility masks are plain numpy; only feature paths ride the tape.
 """
@@ -28,10 +29,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, linear, matmul, relu, reshape, tanh, tmean, transpose
 from .errors import CapacityError, ConfigError
-
-CAT_BOTH_VISIBLE = 0
-CAT_ONE_VISIBLE = 1
-CAT_NONE_VISIBLE = 2
 
 
 def masked_input_vector(coords, mask):
@@ -68,32 +65,30 @@ def normalize_static(a, i):
     return inv_sqrt[..., :, None] * s * inv_sqrt[..., None, :]
 
 
-def edge_categories(mask):
-    """Per-pair visibility category codes (..., N, N), symmetric in (i, j)."""
-    m = np.asarray(mask, dtype=np.int64)
-    return 2 - (m[..., :, None] + m[..., None, :])
-
-
 def gcl_forward(features: Tensor, adj, weight: Tensor) -> Tensor:
     """One graph-convolution layer: relu(adj @ F @ W), for the static
     (normalised visibility) and the dynamic (learned) adjacency alike."""
     return relu(linear([matmul(adj, features)], weight))
 
 
-def ec_gcl_forward(features: Tensor, cats, thetas: Tensor, bias: Tensor) -> Tensor:
-    """Edge-conditioned update: mean over all nodes j of Theta[cat(i,j)] f_j.
-
-    `thetas` is (D, 3 D_G), the three category matrices transposed side by
-    side, so one product projects every node under every category. The
-    neighbourhood is every node including self, so the mean divisor is N.
+def ec_gcl_forward(features: Tensor, mask, thetas: Tensor, bias: Tensor) -> Tensor:
+    """Edge-conditioned update: mean over all nodes j (self included, so
+    the divisor is N) of Theta[c(i, j)] f_j, with category c(i, j) =
+    2 - m_i - m_j. `thetas` is (D, 3 D_G), the three matrices transposed
+    side by side. With F_vis and F_hid the feature sums over the visible
+    and the hidden nodes, node i's sum is Theta[c(m_i, 1)] F_vis +
+    Theta[c(m_i, 0)] F_hid.
     """
-    n = features.shape[-2]
-    cats = np.asarray(cats)
-    # gather[.., i, 3j + c] = 1 iff cat(i, j) == c, matching the rows of
-    # the projections laid out as (.., N, 3, D_G) -> (.., 3N, D_G)
-    gather = (cats[..., None] == np.arange(3)).astype(np.float64)
-    projected = reshape(linear([features], thetas), (*features.shape[:-2], 3 * n, -1))
-    return matmul(gather.reshape(*cats.shape[:-1], 3 * n), projected) * (1.0 / n) + bias
+    m = np.asarray(mask, dtype=np.float64)
+    # (.., 2, N): row 0 sums the visible nodes, row 1 the hidden ones
+    pooled = matmul(np.stack([m, 1.0 - m], axis=-2), features)
+    # row 3p + c: pooled row p under category c
+    projected = reshape(linear([pooled], thetas), (*pooled.shape[:-2], 6, -1))
+    # node i takes rows c(m_i, 1) and 3 + c(m_i, 0): a visible node rows 0
+    # (Theta_0 F_vis) and 4 (Theta_1 F_hid), a hidden one rows 1 and 5
+    off = np.zeros_like(m)
+    take = np.stack([m, 1.0 - m, off, off, m, 1.0 - m], axis=-1)
+    return matmul(take, projected) * (1.0 / m.shape[-1]) + bias
 
 
 def fuse(branch_outputs, weights) -> Tensor:
@@ -186,10 +181,10 @@ class SpatialEncoder:
         adj = self.dl_adj[0:n, 0:n]
         return gcl_forward(features, adj, self.dl_weight)
 
-    def ec_branch(self, features: Tensor, cats, thetas=None) -> Tensor:
+    def ec_branch(self, features: Tensor, mask, thetas=None) -> Tensor:
         if thetas is None:
             thetas = self.edge_weight_matrices()
-        return ec_gcl_forward(features, cats, thetas, self.ec_bias)
+        return ec_gcl_forward(features, mask, thetas, self.ec_bias)
 
     def forward(self, coords, mask, thetas=None) -> Tensor:
         """Embed, run the enabled branches, fuse. `coords` (.., N, 2) and
@@ -210,6 +205,6 @@ class SpatialEncoder:
         if cfg.use_dl:
             f_dl = self.dl_branch(features)
         if cfg.use_ec and past:
-            f_ec = self.ec_branch(features, edge_categories(mask), thetas)
+            f_ec = self.ec_branch(features, mask, thetas)
         return fuse([f_st, f_dl, f_ec],
                     [self.fuse_alpha, self.fuse_beta, self.fuse_gamma])

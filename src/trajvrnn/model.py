@@ -12,13 +12,14 @@ reads (the last step of the last window run) is skipped, in training and
 inference alike; at inference, so is that step's encoding, which feeds
 only the recurrence.
 
-Under teacher forcing the encoder reads only the coordinates and the
-mask, and the decay only the lags, which come from the mask. So training
-encodes each window in one call, takes the decay of every past step
-whose recurrence runs in one call, and the step loop slices step t out
-of both. Inference encodes step by step: a future step encodes the
-model's own decoded mean, and one step's arrays keep its peak memory
-low.
+Training and inference run one rollout, one step body per stream. They
+differ in where the latent comes from (the posterior and frozen noise,
+or the prior and a Generator) and where a step's graph features come
+from: under teacher forcing each window is encoded in one call, while
+inference encodes each step alone, a future step on its own decoded
+mean, so one step's arrays bound its peak memory. The decay reads only
+the lags, which come from the mask, so both take it for the whole past
+window in one call.
 
 Training maximises the sequential evidence lower bound: reconstruction
 negative log-likelihood plus a weighted KL between posterior and prior,
@@ -171,11 +172,6 @@ def temporal_decay(delta, weight: Tensor, bias: Tensor) -> Tensor:
     """Decay factor 1 / exp(max(0, w * lag + b)) in (0, 1]."""
     pre = Tensor(np.asarray(delta, dtype=np.float64)) * weight + bias
     return 1.0 / exp(relu(pre))
-
-
-def decay_hidden(h: Tensor, decay: Tensor) -> Tensor:
-    """Shrink the hidden state elementwise; decay broadcasts over H."""
-    return h * decay
 
 
 def bigauss_nll(target, raw) -> Tensor:
@@ -399,72 +395,81 @@ class TrajectoryModel:
         future = rng.standard_normal((cfg.t_future, batch, n_agents, cfg.d_latent))
         return {"past": past, "future": future}
 
-    def training_losses(self, coords, mask, noise):
-        """Forward both streams with teacher forcing; returns tensors
-        {imp, imp_nll, imp_kl, pre, pre_nll, pre_kl, total}.
+    def _rollout(self, x, mask, noise, teacher):
+        """Run the past window, then the future window, and yield each
+        step's (past, t, prior, post, raw): whether it is a past step, its
+        index in the whole window, the prior, the posterior (None without
+        a teacher) and the decoder's 5 raw outputs.
 
-        The encoder and the decay read only data here, so each runs once
-        per window and the loop slices step t out of their results."""
+        With `teacher`, `x` spans both windows and `noise` is the frozen
+        draw of `draw_noise`; without, `x` is the past window and `noise`
+        a Generator, and a step is encoded only if its recurrence runs.
+        Training runs no future window in impute-only mode; inference
+        rolls it out in every mode.
+        """
         cfg = self.cfg
-        coords, mask, b, n = self._check_batch(coords, mask)
-        x = self._normalize(coords)
-        run_future = cfg.mode != "impute-only" and cfg.t_future > 0
-        # the last past step's recurrence runs only to feed the future
-        steps = cfg.t_past if run_future else cfg.t_past - 1
+        b, _, n = mask.shape
+        run_future = cfg.t_future > 0 and not (teacher and cfg.mode == "impute-only")
+        # the last step's recurrence is skipped: nothing reads its state
+        last = cfg.t_past + cfg.t_future - 1 if run_future else cfg.t_past - 1
+
+        def eps(stream, t):
+            return noise[stream][t] if teacher else noise.standard_normal((b, n, cfg.d_latent))
 
         thetas = self.encoder.edge_weight_matrices() if cfg.use_ec else None
-        fg_past = self.encoder.forward(x[:, :cfg.t_past], mask, thetas)
-        lags = temporal_lags(mask, cfg.lag_mode)[:, :steps]
-        decay = self.temporal_decay(lags) if cfg.use_td and steps else None
+        if cfg.use_td and last:
+            decay = self.temporal_decay(temporal_lags(mask, cfg.lag_mode)[:, :last])
         h = Tensor(np.zeros((b, n, cfg.d_hidden)))
-        imp_nll = Tensor(np.zeros(b))
-        imp_kl = Tensor(np.zeros(b))
-        z = None
-
+        window = self.encoder.forward(x[:, :cfg.t_past], mask, thetas) if teacher else None
         for t in range(cfg.t_past):
-            fg = fg_past[:, t]
+            fg = window[:, t] if teacher else None
             prior = self.prior_params(h)
-            post = self.posterior_params(fg, h)
-            z = sample_latent(post, noise["past"][t])
+            post = self.posterior_params(fg, h) if teacher else None
+            z = sample_latent(post if teacher else prior, eps("past", t))
             zf = self.zfeat_past(z)
-            raw = self.decode_imputation(zf, h)
-            imp_nll = imp_nll + tsum(bigauss_nll(x[:, t], raw), axis=-1)
-            imp_kl = imp_kl + tsum(gauss_kl(post, prior), axis=-1)
-            if t < steps:
-                h_rec = decay_hidden(h, decay[:, t]) if cfg.use_td else h
-                h = gru_step([fg, zf], h_rec, self.rnn_main)
+            yield True, t, prior, post, self.decode_imputation(zf, h)
+            if t < last:
+                if not teacher:
+                    fg = self.encoder.forward(x[:, t], mask[:, t], thetas)
+                h = gru_step([fg, zf], h * decay[:, t] if cfg.use_td else h, self.rnn_main)
+        if not run_future:
+            return
+
+        z_tp = z if cfg.share_streams else z.detach()
+        if not cfg.share_streams:
+            h = Tensor(np.zeros((b, n, cfg.d_hidden)))
+        window = self.encoder.forward(x[:, cfg.t_past:], None, thetas) if teacher else None
+        for t in range(cfg.t_past, last + 1):
+            fg = window[:, t - cfg.t_past] if teacher else None
+            prior = self.prior_params(h)
+            post = self.posterior_params(fg, h) if teacher else None
+            z = sample_latent(post if teacher else prior, eps("future", t - cfg.t_past))
+            zf = self.zfeat_future(z, z_tp)
+            raw = self.decode_prediction(zf, h)
+            yield False, t, prior, post, raw
+            if t < last:
+                if not teacher:
+                    fg = self.encoder.forward(raw.data[..., 0:2], None, thetas)
+                h = gru_step([fg, zf], h, self.rnn_pred)
+
+    def training_losses(self, coords, mask, noise):
+        """Forward both streams with teacher forcing; returns tensors
+        {imp_nll, imp_kl, imp, pre_nll, pre_kl, pre, total}. A stream
+        that does not run scores 0."""
+        cfg = self.cfg
+        coords, mask, b, _ = self._check_batch(coords, mask)
+        x = self._normalize(coords)
+        sums = {key: Tensor(np.zeros(b)) for key in ("imp_nll", "imp_kl", "pre_nll", "pre_kl")}
+        for past, t, prior, post, raw in self._rollout(x, mask, noise, teacher=True):
+            stream = "imp" if past else "pre"
+            sums[f"{stream}_nll"] = sums[f"{stream}_nll"] + tsum(bigauss_nll(x[:, t], raw), axis=-1)
+            sums[f"{stream}_kl"] = sums[f"{stream}_kl"] + tsum(gauss_kl(post, prior), axis=-1)
 
         losses = {}
-        losses["imp_nll"] = tmean(imp_nll)
-        losses["imp_kl"] = tmean(imp_kl)
-        losses["imp"] = losses["imp_nll"] + cfg.lambda_imp_kl * losses["imp_kl"]
-
-        if run_future:
-            z_tp = z if cfg.share_streams else z.detach()
-            h_f = h if cfg.share_streams else Tensor(np.zeros((b, n, cfg.d_hidden)))
-            pre_nll = Tensor(np.zeros(b))
-            pre_kl = Tensor(np.zeros(b))
-            fg_future = self.encoder.forward(x[:, cfg.t_past:], None, thetas)
-            for t in range(cfg.t_future):
-                y_t = x[:, cfg.t_past + t]
-                fg = fg_future[:, t]
-                prior = self.prior_params(h_f)
-                post = self.posterior_params(fg, h_f)
-                z_f = sample_latent(post, noise["future"][t])
-                zf = self.zfeat_future(z_f, z_tp)
-                raw = self.decode_prediction(zf, h_f)
-                pre_nll = pre_nll + tsum(bigauss_nll(y_t, raw), axis=-1)
-                pre_kl = pre_kl + tsum(gauss_kl(post, prior), axis=-1)
-                if t + 1 < cfg.t_future:  # the last step's state reaches no loss
-                    h_f = gru_step([fg, zf], h_f, self.rnn_pred)
-            losses["pre_nll"] = tmean(pre_nll)
-            losses["pre_kl"] = tmean(pre_kl)
-            losses["pre"] = losses["pre_nll"] + cfg.lambda_pre_kl * losses["pre_kl"]
-        else:
-            losses["pre_nll"] = Tensor(0.0)
-            losses["pre_kl"] = Tensor(0.0)
-            losses["pre"] = Tensor(0.0)
-
+        for stream, kl_weight in (("imp", cfg.lambda_imp_kl), ("pre", cfg.lambda_pre_kl)):
+            nll = losses[f"{stream}_nll"] = tmean(sums[f"{stream}_nll"])
+            kl = losses[f"{stream}_kl"] = tmean(sums[f"{stream}_kl"])
+            losses[stream] = nll + kl_weight * kl
         if cfg.mode == "impute-only":
             losses["total"] = losses["imp"]
         elif cfg.mode == "predict-only":
@@ -512,39 +517,13 @@ class TrajectoryModel:
         x = self._normalize(coords_past)
         imputed = np.empty_like(coords_past)
         predicted = np.empty((b, cfg.t_future, n, 2))
-
         with no_grad():
-            thetas = self.encoder.edge_weight_matrices() if cfg.use_ec else None
-            h = Tensor(np.zeros((b, n, cfg.d_hidden)))
-            steps = cfg.t_past if cfg.t_future > 0 else cfg.t_past - 1
-            lags = temporal_lags(mask, cfg.lag_mode)
-            z = None
-            for t in range(cfg.t_past):
-                m_t = mask[:, t, :]
-                prior = self.prior_params(h)
-                z = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
-                zf = self.zfeat_past(z)
-                mean = self.decode_imputation(zf, h).data[..., 0:2]
-                # copy observations through untouched (scene units)
-                imputed[:, t] = np.where(m_t[..., None] > 0, coords_past[:, t],
-                                         self._denormalize(mean))
-                if t < steps:  # else the state is never read
-                    fg = self.encoder.forward(x[:, t], m_t, thetas)
-                    h_rec = (decay_hidden(h, self.temporal_decay(lags[:, t])) if cfg.use_td
-                             else h)
-                    h = gru_step([fg, zf], h_rec, self.rnn_main)
-
-            z_tp = z
-            h_f = h if cfg.share_streams else Tensor(np.zeros((b, n, cfg.d_hidden)))
-            for t in range(cfg.t_future):
-                prior = self.prior_params(h_f)
-                z_f = sample_latent(prior, rng.standard_normal((b, n, cfg.d_latent)))
-                zf = self.zfeat_future(z_f, z_tp)
-                mean = self.decode_prediction(zf, h_f).data[..., 0:2]
-                predicted[:, t] = self._denormalize(mean)
-                if t + 1 < cfg.t_future:  # the last step's state is never read
-                    fg = self.encoder.forward(mean, None, thetas)
-                    h_f = gru_step([fg, zf], h_f, self.rnn_pred)
+            for past, t, _, _, raw in self._rollout(x, mask, rng, teacher=False):
+                mean = self._denormalize(raw.data[..., 0:2])
+                if past:  # copy observations through untouched (scene units)
+                    imputed[:, t] = np.where(mask[:, t, :, None] > 0, coords_past[:, t], mean)
+                else:
+                    predicted[:, t - cfg.t_past] = mean
 
         if single:
             return imputed[0], predicted[0]

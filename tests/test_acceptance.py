@@ -22,13 +22,14 @@ from trajvrnn.config import RunConfig
 from trajvrnn.data import (DynamicsParams, MaskingSpec, apply_camera_mask,
                            apply_circle_mask, build_dataset,
                            generate_sequences, stack_arrays, stack_past)
-from trajvrnn.graph import build_static_adjacency, edge_categories, normalize_static
+from trajvrnn.graph import build_static_adjacency, normalize_static
 from trajvrnn.model import (LatentDistribution, ModelConfig, TrajectoryModel,
-                            bigauss_nll, decay_hidden, gauss_kl, gru_step,
-                            temporal_decay)
+                            bigauss_nll, gauss_kl, gru_step, temporal_decay)
 from trajvrnn.optim import Adam
 from trajvrnn.training import (_noise_rng, _shuffle_rng, fit_normalization,
                                loss_rows_to_csv, train)
+
+from oracle_ops import edge_categories
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -67,9 +68,8 @@ def test_criterion_1_gradient_correctness():
         lambda: tsum(enc.st_branch(Tensor(feats), a_hat)), enc_params)
     errors["dl_gcl"] = grad_check(
         lambda: tsum(enc.dl_branch(Tensor(feats))), enc_params)
-    cats = edge_categories(mask)
     errors["ec_gcl"] = grad_check(
-        lambda: tsum(enc.ec_branch(Tensor(feats), cats)), enc_params)
+        lambda: tsum(enc.ec_branch(Tensor(feats), mask)), enc_params)
     errors["fuse"] = grad_check(
         lambda: tsum(enc.forward(coords, mask)), enc_params)
 
@@ -103,7 +103,7 @@ def test_criterion_1_gradient_correctness():
     delta = np.array([[[0.0], [3.0]]])
     errors["recurrence_td"] = grad_check(
         lambda: tsum(gru_step([Tensor(fg), zf_past()],
-                              decay_hidden(Tensor(h), model.temporal_decay(delta)),
+                              Tensor(h) * model.temporal_decay(delta),
                               model.rnn_main)), params)
     errors["recurrence_predict"] = grad_check(
         lambda: tsum(gru_step([Tensor(fg), zf_future()], Tensor(h), model.rnn_pred)),
@@ -209,8 +209,8 @@ def test_criterion_4_structural_invariants():
         st_p = enc.st_branch(feats_p, normalize_static(a_p, i_p)).data
         if np.abs(st_p - st[perm]).max() > 1e-12:
             failures.append("ST branch not permutation equivariant")
-        ec = enc.ec_branch(feats, edge_categories(mask)).data
-        ec_p = enc.ec_branch(feats_p, edge_categories(mask[perm])).data
+        ec = enc.ec_branch(feats, mask).data
+        ec_p = enc.ec_branch(feats_p, mask[perm]).data
         if np.abs(ec_p - ec[perm]).max() > 1e-12:
             failures.append("EC branch not permutation equivariant")
 

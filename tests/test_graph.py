@@ -4,11 +4,12 @@ import pytest
 from trajvrnn.autodiff import Tensor, backward, grad_check, tsum
 from trajvrnn.errors import CapacityError, ConfigError
 from trajvrnn.graph import (
-    CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE, SpatialEncoder,
-    build_static_adjacency, ec_gcl_forward, edge_categories, fuse, gcl_forward,
-    masked_input_vector, normalize_static,
+    SpatialEncoder, build_static_adjacency, fuse, gcl_forward, masked_input_vector,
+    normalize_static,
 )
 from trajvrnn.model import ModelConfig
+
+from oracle_ops import CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE, edge_categories
 
 
 def small_cfg(**kw):
@@ -182,7 +183,7 @@ def test_ec_identity_thetas_mean_pool():
     enc = make_encoder()
     _force_identity_thetas(enc)
     f = Tensor([[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0]])
-    out = enc.ec_branch(f, edge_categories([1, 0]))
+    out = enc.ec_branch(f, [1, 0])
     np.testing.assert_allclose(out.data, [[2.0, 3.0, 0.0, 0.0]] * 2)
 
 
@@ -190,7 +191,7 @@ def test_ec_zero_generator_outputs_zero():
     enc = make_encoder()
     for p in (enc.ec_w0, enc.ec_b0, enc.ec_w1, enc.ec_b1, enc.ec_bias):
         p.data[...] = 0.0
-    out = enc.ec_branch(Tensor(np.ones((3, 4))), edge_categories([1, 1, 0]))
+    out = enc.ec_branch(Tensor(np.ones((3, 4))), [1, 1, 0])
     np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
 
 
@@ -198,18 +199,24 @@ def test_ec_single_node_identity():
     enc = make_encoder()
     _force_identity_thetas(enc)
     f = Tensor([[1.5, -2.0, 3.0, 0.5]])
-    out = enc.ec_branch(f, edge_categories([1]))
+    out = enc.ec_branch(f, [1])
     np.testing.assert_allclose(out.data, f.data)
 
 
 @pytest.mark.parametrize("mask", [
     [1], [0], [1, 0, 1, 1, 0],
     [[1, 0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0, 1, 0], [1, 1, 0, 0, 1, 0, 1]],
-], ids=["n1-visible", "n1-missing", "n5", "batch3-n7"])
+    [1] * 6, [0] * 5,
+    # a (B, T, N) window whose steps include an all-visible and an all-hidden one
+    [[[1, 0, 1, 1], [1, 1, 1, 1], [0, 1, 0, 0]],
+     [[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]],
+], ids=["n1-visible", "n1-missing", "n5", "batch3-n7", "n6-all-visible", "n5-all-hidden",
+        "window2x3-n4"])
 def test_ec_matches_per_category_oracle(mask):
     """mean_j Theta[c(i, j)] f_j + bias by a double loop, with the three
     category matrices rebuilt in numpy from the generator weights, so they
-    are distinct: a category mix-up or a gather laid out wrongly shows."""
+    are distinct: a category mix-up, or a pooled row that a node takes
+    under the wrong category, shows."""
     enc = make_encoder(seed=15)
     cfg = enc.cfg
     rng = np.random.default_rng(16)
@@ -217,7 +224,7 @@ def test_ec_matches_per_category_oracle(mask):
     mask = np.array(mask, dtype=float)
     n = mask.shape[-1]
     feats = rng.normal(size=mask.shape + (cfg.d_embed,))
-    out = enc.ec_branch(Tensor(feats), edge_categories(mask)).data
+    out = enc.ec_branch(Tensor(feats), mask).data
 
     hidden = np.tanh(np.eye(3) @ enc.ec_w0.data + enc.ec_b0.data)
     raw = hidden @ enc.ec_w1.data + enc.ec_b1.data
@@ -280,7 +287,7 @@ def test_encoder_compositional_all_branches():
     a, i = build_static_adjacency(mask)
     f_st = enc.st_branch(feats, normalize_static(a, i))
     f_dl = enc.dl_branch(feats)
-    f_ec = enc.ec_branch(feats, edge_categories(mask))
+    f_ec = enc.ec_branch(feats, mask)
     expected = (f_st.data * enc.fuse_alpha.data + f_dl.data * enc.fuse_beta.data
                 + f_ec.data * enc.fuse_gamma.data)
     np.testing.assert_allclose(out.data, expected)
@@ -353,12 +360,12 @@ def test_st_and_ec_permutation_equivariance():
         feats = enc.embed(coords, mask)
         a, i = build_static_adjacency(mask)
         st = enc.st_branch(feats, normalize_static(a, i)).data
-        ec = enc.ec_branch(feats, edge_categories(mask)).data
+        ec = enc.ec_branch(feats, mask).data
 
         feats_p = enc.embed(coords[perm], mask[perm])
         a_p, i_p = build_static_adjacency(mask[perm])
         st_p = enc.st_branch(feats_p, normalize_static(a_p, i_p)).data
-        ec_p = enc.ec_branch(feats_p, edge_categories(mask[perm])).data
+        ec_p = enc.ec_branch(feats_p, mask[perm]).data
 
         np.testing.assert_allclose(st_p, st[perm], atol=1e-12)
         np.testing.assert_allclose(ec_p, ec[perm], atol=1e-12)

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from trajvrnn import model as model_module
-from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, log, no_grad,
-                               tanh, tsum)
+from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, no_grad, tanh,
+                               tsum)
 from trajvrnn.errors import ConfigError, ShapeError
 from trajvrnn.model import (
-    LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, decay_hidden,
-    gauss_kl, gru_step, sample_latent, temporal_decay, temporal_lags,
+    LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, gauss_kl, gru_step,
+    sample_latent, temporal_decay, temporal_lags,
 )
 from trajvrnn.optim import Adam
+
+from oracle_ops import log, sub
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -190,13 +192,6 @@ def test_decay_range_and_monotonicity():
     np.testing.assert_array_equal(out[pre <= 0], 1.0)
     diffs = np.diff(out[0, :, 0])
     assert (diffs <= 1e-15).all()
-
-
-def test_decay_hidden_scales_rows():
-    h = Tensor([[[2.0, 4.0]]])
-    np.testing.assert_array_equal(decay_hidden(h, Tensor([[[1.0]]])).data, h.data)
-    np.testing.assert_array_equal(
-        decay_hidden(h, Tensor([[[0.5]]])).data, [[[1.0, 2.0]]])
 
 
 def test_use_td_false_ignores_decay_params():
@@ -430,11 +425,11 @@ def _composed_nll(target, raw):
     mu = raw[..., 0:2]
     sigma = exp(raw[..., 2:4])
     rho = tanh(raw[..., 4:5]) * 0.999
-    d = Tensor(target) - mu
+    d = sub(target, mu)
     zx = d[..., 0:1] / sigma[..., 0:1]
     zy = d[..., 1:2] / sigma[..., 1:2]
-    one_minus = 1.0 - rho * rho
-    quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
+    one_minus = sub(1.0, rho * rho)
+    quad = sub(zx * zx + zy * zy, 2.0 * rho * zx * zy)
     nll = (LOG_2PI + log(sigma[..., 0:1]) + log(sigma[..., 1:2])
            + 0.5 * log(one_minus) + quad / (2.0 * one_minus))
     return tsum(nll, axis=-1)
@@ -442,10 +437,8 @@ def _composed_nll(target, raw):
 
 def _composed_kl(post, prior):
     lv_q, lv_p = post.logvar, prior.logvar
-    dmu = post.mu - prior.mu
-    per_dim = (0.5 * (lv_p - lv_q)
-               + (exp(lv_q) + dmu * dmu) / (2.0 * exp(lv_p))
-               - 0.5)
+    dmu = sub(post.mu, prior.mu)
+    per_dim = sub(0.5 * sub(lv_p, lv_q) + (exp(lv_q) + dmu * dmu) / (2.0 * exp(lv_p)), 0.5)
     return tsum(per_dim, axis=-1)
 
 
@@ -575,12 +568,13 @@ def test_full_model_gradient_check_small():
 # training and inference drivers
 
 
-def _tape_nodes(root):
-    """Every recorded node behind `root` (nodes with parents), once each."""
+def _tape_nodes(root, leaves=False):
+    """Every recorded node behind `root` (nodes with parents), once each;
+    with `leaves`, also the parameters and constants they read."""
     seen, stack, nodes = {id(root)}, [root], []
     while stack:
         node = stack.pop()
-        if node.parents:
+        if node.parents or leaves:
             nodes.append(node)
         for parent in node.parents:
             if id(parent) not in seen:
@@ -619,18 +613,32 @@ def test_training_tape_node_count_is_pinned():
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
-    assert len(ops) == 218
+    assert len(ops) == 219
     # per step: its features; per past step: its decay; per encoder call: dl.adj[:n, :n]
     assert ops.count("getitem") == (cfg.t_past + cfg.t_future) + cfg.t_past + 2
     # per window: three ST layers and one DL layer; and the one decay
     assert ops.count("relu") == 2 * (3 + 1) + 1
 
 
+def test_training_tape_holds_no_per_pair_array():
+    """The EC branch pools the visible and the hidden agents instead of
+    gathering over every pair: no array on the train tape, recorded node
+    or constant operand, ends in (N, 3N), one entry per pair and category."""
+    cfg = tiny_cfg(seed=40)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=41)
+    noise = model.draw_noise(np.random.default_rng(42), 2, 3)
+    nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"], leaves=True)
+    n = mask.shape[-1]
+    assert [node.shape for node in nodes if node.shape[-2:] == (n, 3 * n)] == []
+    assert any(node.op == "parameter" for node in nodes)
+
+
 def _count_recurrence_calls(monkeypatch, model):
     """Count the `gru_step`, `temporal_decay` and `encoder.forward` calls
-    `model` makes; training makes one encoder call per window and one
-    decay call over the past window, inference one of each per step it
-    runs."""
+    `model` makes; both training and inference take the decay in one call
+    over the past window, training makes one encoder call per window and
+    inference one per step whose recurrence runs."""
     calls = {"gru_step": 0, "temporal_decay": 0, "encoder.forward": 0}
 
     def counted(name, fn):
@@ -669,7 +677,8 @@ def test_impute_only_skips_the_last_recurrence(monkeypatch):
 def test_inference_without_future_skips_the_last_recurrence(monkeypatch):
     """With no future window nothing reads the state after the last past
     step, so `run_inference` runs neither its encoding, its decay nor its
-    GRU; the outputs and the draws from the rng are those of the full loop."""
+    GRU; the outputs and the draws from the rng are those of the full loop.
+    The window's one decay call spans the t_past - 1 steps that recur."""
     cfg = tiny_cfg(t_future=0, mode="impute-only", seed=49)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=50)
@@ -677,7 +686,7 @@ def test_inference_without_future_skips_the_last_recurrence(monkeypatch):
     rng = np.random.default_rng(51)
     calls = _count_recurrence_calls(monkeypatch, model)
     imputed, predicted = model.run_inference(past, mask, rng=rng)
-    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": cfg.t_past - 1,
+    assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": 1,
                      "encoder.forward": cfg.t_past - 1}
     assert predicted.shape == (2, 0, 3, 2)
     # a model that also runs the last GRU (same parameters) imputes the same
@@ -712,15 +721,16 @@ def test_training_tape_fuses_loss_terms():
 def test_training_tape_weight_products_are_linear():
     """Every product with a weight matrix is a `linear` node, so `matmul`
     is left with the adjacency products (three ST layers and one DL layer
-    per window) and one EC gather for the past window, and the EC
-    category matrices are transposed into their (D, 3 D_G) layout once."""
+    per window) and, for the past window, the EC branch's pooling of the
+    visible and the hidden nodes and its product back to every node; the
+    EC category matrices are transposed into their (D, 3 D_G) layout once."""
     cfg = tiny_cfg(seed=40)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
     matmuls = [node for node in nodes if node.op == "matmul"]
-    assert len(matmuls) == 5 + 4
+    assert len(matmuls) == 4 + 2 + 4
     assert not any(isinstance(p, Parameter) for node in matmuls for p in node.parents)
     assert [node.op for node in nodes].count("transpose") == 1
 
