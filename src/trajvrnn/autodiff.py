@@ -12,8 +12,8 @@ fires exactly once and accumulation order is fixed (bit-reproducible).
   GEMM over the rows of the batch axes, forward and for both gradients,
   and keeps nothing but its parents: neither the concatenation nor the
   product before the bias stays on the tape. `matmul` is left with
-  products of two activations (adjacency times node features) and is
-  one `np.matmul` path.
+  products of node features and a non-weight array (the learned
+  adjacency, a visibility selector) and is one `np.matmul` path.
 - Ownership: the first gradient to reach a node is stored as is when the
   op has just made it (a GEMM product, a scatter, a vjp result) and
   copied when it is a view, a broadcast or an array passed through to

@@ -13,13 +13,13 @@ from dataclasses import replace
 
 from .checkpoint import load_checkpoint, restore_model
 from .config import RunConfig, load_config
-from .data import (Dataset, MaskingSpec, build_dataset, generate_sequences,
+from .data import (MaskingSpec, build_dataset, generate_sequences,
                    read_dataset, write_dataset)
 from .errors import ConfigError, DataError, NumericError, TrajvrnnError
 from .plotting import render_svg, result_points_csv
 from .report import (baseline_infer_fns, evaluate_methods, model_infer_fn,
                      report_table, reports_to_csv)
-from .training import loss_rows_to_csv, train
+from .training import check_compatible, loss_rows_to_csv, train
 
 TEST_SEED_OFFSET = 10_000_019
 
@@ -91,21 +91,10 @@ def cmd_train(config: RunConfig, out_dir, resume=None, log_stream=None):
     return result
 
 
-def _check_compatible(model, ds: Dataset):
-    cfg = model.cfg
-    if ds.t_past != cfg.t_past or ds.t_future != cfg.t_future:
-        raise DataError(f"dataset windows T=({ds.t_past}+{ds.t_future}) do not match "
-                        f"checkpoint T=({cfg.t_past}+{cfg.t_future})")
-    # n_agents_max sizes only the learned DL adjacency; ST and EC take any N
-    if cfg.use_dl and ds.n_agents > cfg.n_agents_max:
-        raise DataError(f"dataset has N={ds.n_agents} agents, checkpoint supports "
-                        f"at most N={cfg.n_agents_max}")
-
-
 def cmd_eval(config: RunConfig, checkpoint_path, data_path, out_dir):
     model = restore_model(load_checkpoint(checkpoint_path))
     ds = read_dataset(data_path)
-    _check_compatible(model, ds)
+    check_compatible(model, ds)
     methods = baseline_infer_fns(ds.t_future)
     methods["model"] = model_infer_fn(model, seed=config.seed)
     reports = evaluate_methods(ds, methods)
@@ -124,7 +113,7 @@ def cmd_run(config: RunConfig, checkpoint_path, data_path, out_path):
     ds = read_dataset(data_path)
     if len(ds.sequences) != 1:
         raise DataError(f"run expects exactly one sequence, got {len(ds.sequences)}")
-    _check_compatible(model, ds)
+    check_compatible(model, ds)
     seq, mask = ds.sequences[0], ds.masks[0]
     imputed, predicted = model.run_inference(seq.past, mask, seed=config.seed)
     ds.results = [(imputed, predicted)]

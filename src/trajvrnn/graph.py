@@ -7,17 +7,25 @@ op broadcasts over the leading axes, so a (B, T, N, 2) window with its
 Three parallel graph-convolution branches read the same embedded node
 features and are fused by learned per-feature weights:
 
-  * static topology: binary visibility adjacency, degree-normalised,
-    three stacked layers with ReLU;
+  * static topology: three stacked layers with ReLU over the visibility
+    graph, every visible pair linked plus self-loops, symmetrically
+    degree-normalised (Kipf & Welling). For a 0/1 mask m, A + I = m m^T,
+    so the normalised adjacency is m m^T / K with K visible nodes: each
+    layer gives every visible node the projected mean of the visible
+    rows and a hidden node 0. The branch runs the layers on that one
+    mean row and broadcasts it to the visible nodes;
   * dynamic learnable: a free adjacency matrix trained end-to-end,
     sliced to the live agent count, one layer with ReLU;
   * edge conditioned: a per-edge weight matrix generated from the edge's
     visibility category (both / exactly one / neither endpoint visible),
     averaged over all nodes. Past timesteps only. A category depends only
-    on whether each endpoint is visible, so the branch pools the visible
-    and the hidden nodes' features, projects the two pooled rows under
-    each category and gives each node the two its own visibility picks:
-    nothing is built per pair.
+    on whether each endpoint is visible, so the branch projects the
+    visible and the hidden nodes' feature sums under each category and
+    gives each node the two its own visibility picks.
+
+Both the static and the edge-conditioned branch read one pooling of the
+features into those two sums: nothing is built per pair but the
+dynamic branch's learned adjacency.
 
 Visibility masks are plain numpy; only feature paths ride the tape.
 """
@@ -39,56 +47,11 @@ def masked_input_vector(coords, mask):
     return np.concatenate([x * m, m], axis=-1)
 
 
-def build_static_adjacency(mask):
-    """Visibility adjacency and self-loop matrix from a binary mask.
-
-    mask: (..., N). Returns (A, I) with shape (..., N, N):
-    A[i, j] = 1 iff i != j and both visible; I = diag(mask).
-    """
+def pool_visibility(features: Tensor, mask) -> Tensor:
+    """(.., 2, D) sums of the node features: row 0 over the visible
+    nodes, row 1 over the hidden ones."""
     m = np.asarray(mask, dtype=np.float64)
-    a = m[..., :, None] * m[..., None, :]
-    eye = np.eye(m.shape[-1], dtype=bool)
-    a[..., eye] = 0.0
-    i = np.zeros_like(a)
-    i[..., eye] = m
-    return a, i
-
-
-def normalize_static(a, i):
-    """Symmetric degree normalisation D^{-1/2} (A + I) D^{-1/2}. Zero
-    degrees are clamped to 1 first, so fully invisible nodes keep
-    all-zero rows and columns."""
-    s = np.asarray(a, dtype=np.float64) + np.asarray(i, dtype=np.float64)
-    deg = s.sum(axis=-1)
-    deg = np.maximum(deg, 1.0)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return inv_sqrt[..., :, None] * s * inv_sqrt[..., None, :]
-
-
-def gcl_forward(features: Tensor, adj, weight: Tensor) -> Tensor:
-    """One graph-convolution layer: relu(adj @ F @ W), for the static
-    (normalised visibility) and the dynamic (learned) adjacency alike."""
-    return relu(linear([matmul(adj, features)], weight))
-
-
-def ec_gcl_forward(features: Tensor, mask, thetas: Tensor, bias: Tensor) -> Tensor:
-    """Edge-conditioned update: mean over all nodes j (self included, so
-    the divisor is N) of Theta[c(i, j)] f_j, with category c(i, j) =
-    2 - m_i - m_j. `thetas` is (D, 3 D_G), the three matrices transposed
-    side by side. With F_vis and F_hid the feature sums over the visible
-    and the hidden nodes, node i's sum is Theta[c(m_i, 1)] F_vis +
-    Theta[c(m_i, 0)] F_hid.
-    """
-    m = np.asarray(mask, dtype=np.float64)
-    # (.., 2, N): row 0 sums the visible nodes, row 1 the hidden ones
-    pooled = matmul(np.stack([m, 1.0 - m], axis=-2), features)
-    # row 3p + c: pooled row p under category c
-    projected = reshape(linear([pooled], thetas), (*pooled.shape[:-2], 6, -1))
-    # node i takes rows c(m_i, 1) and 3 + c(m_i, 0): a visible node rows 0
-    # (Theta_0 F_vis) and 4 (Theta_1 F_hid), a hidden one rows 1 and 5
-    off = np.zeros_like(m)
-    take = np.stack([m, 1.0 - m, off, off, m, 1.0 - m], axis=-1)
-    return matmul(take, projected) * (1.0 / m.shape[-1]) + bias
+    return matmul(np.stack([m, 1.0 - m], axis=-2), features)
 
 
 def fuse(branch_outputs, weights) -> Tensor:
@@ -167,24 +130,42 @@ class SpatialEncoder:
         thetas = tmean(stacked, axis=1)
         return transpose(reshape(thetas, (3 * cfg.d_graph, cfg.d_embed)))
 
-    def st_branch(self, features: Tensor, a_hat) -> Tensor:
-        out = features
+    def st_branch(self, pooled: Tensor, mask) -> Tensor:
+        """The three layers on the mean of the visible rows, which `pooled`
+        (from `pool_visibility`) holds as a sum, given to every visible
+        node; a hidden node, and every node of an all-hidden step, gets 0."""
+        m = np.asarray(mask, dtype=np.float64)
+        k = np.maximum(m.sum(axis=-1), 1.0)[..., None, None]
+        out = pooled[..., 0:1, :] * (1.0 / k)
         for w in self.st_weights:
-            out = gcl_forward(out, a_hat, w)
-        return out
+            out = relu(linear([out], w))
+        return out * m[..., None]
 
     def dl_branch(self, features: Tensor) -> Tensor:
+        """relu(adj F W) with the learned adjacency sliced to N agents."""
         n = features.shape[-2]
         if n > self.cfg.n_agents_max:
             raise CapacityError(f"{n} agents exceed the configured maximum "
                                 f"{self.cfg.n_agents_max}")
         adj = self.dl_adj[0:n, 0:n]
-        return gcl_forward(features, adj, self.dl_weight)
+        return relu(linear([matmul(adj, features)], self.dl_weight))
 
-    def ec_branch(self, features: Tensor, mask, thetas=None) -> Tensor:
+    def ec_branch(self, pooled: Tensor, mask, thetas=None) -> Tensor:
+        """Edge-conditioned update: mean over all nodes j (self included,
+        so the divisor is N) of Theta[c(i, j)] f_j, with category c(i, j)
+        = 2 - m_i - m_j. `thetas` is `edge_weight_matrices()`. With F_vis
+        and F_hid the two rows of `pooled`, node i's sum is
+        Theta[c(m_i, 1)] F_vis + Theta[c(m_i, 0)] F_hid."""
         if thetas is None:
             thetas = self.edge_weight_matrices()
-        return ec_gcl_forward(features, mask, thetas, self.ec_bias)
+        m = np.asarray(mask, dtype=np.float64)
+        # row 3p + c: pooled row p under category c
+        projected = reshape(linear([pooled], thetas), (*pooled.shape[:-2], 6, -1))
+        # node i takes rows c(m_i, 1) and 3 + c(m_i, 0): a visible node rows 0
+        # (Theta_0 F_vis) and 4 (Theta_1 F_hid), a hidden one rows 1 and 5
+        off = np.zeros_like(m)
+        take = np.stack([m, 1.0 - m, off, off, m, 1.0 - m], axis=-1)
+        return matmul(take, projected) * (1.0 / m.shape[-1]) + self.ec_bias
 
     def forward(self, coords, mask, thetas=None) -> Tensor:
         """Embed, run the enabled branches, fuse. `coords` (.., N, 2) and
@@ -198,13 +179,10 @@ class SpatialEncoder:
         features = self.embed(coords, mask)
         if not past:
             mask = np.ones(np.asarray(coords).shape[:-1])
-        f_st = f_dl = f_ec = None
-        if cfg.use_st:
-            a, i = build_static_adjacency(mask)
-            f_st = self.st_branch(features, normalize_static(a, i))
-        if cfg.use_dl:
-            f_dl = self.dl_branch(features)
-        if cfg.use_ec and past:
-            f_ec = self.ec_branch(features, mask, thetas)
+        run_ec = cfg.use_ec and past
+        pooled = pool_visibility(features, mask) if cfg.use_st or run_ec else None
+        f_st = self.st_branch(pooled, mask) if cfg.use_st else None
+        f_dl = self.dl_branch(features) if cfg.use_dl else None
+        f_ec = self.ec_branch(pooled, mask, thetas) if run_ec else None
         return fuse([f_st, f_dl, f_ec],
                     [self.fuse_alpha, self.fuse_beta, self.fuse_gamma])

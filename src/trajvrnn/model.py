@@ -269,6 +269,12 @@ def gru_step(inputs, h: Tensor, weights) -> Tensor:
     return ad.gru(inputs, h, *weights)
 
 
+def _check_binary(mask):
+    """The graph encoder reads a mask entry as visible (1) or hidden (0)."""
+    if not ((mask == 0.0) | (mask == 1.0)).all():
+        raise DataError("mask entries must be 0 or 1")
+
+
 class TrajectoryModel:
     """Full imputation + prediction model with named parameters."""
 
@@ -386,6 +392,7 @@ class TrajectoryModel:
             raise ShapeError(f"expected mask {(b, cfg.t_past, n)}, got {mask.shape}")
         if not np.isfinite(coords).all():
             raise DataError("coordinates contain non-finite values")
+        _check_binary(mask)
         return coords, mask, b, n
 
     def draw_noise(self, rng: np.random.Generator, batch: int, n_agents: int):
@@ -511,6 +518,7 @@ class TrajectoryModel:
         if t_p != cfg.t_past or mask.shape != (b, cfg.t_past, n):
             raise ShapeError(f"expected past window ({cfg.t_past}, {n}) plus matching "
                              f"mask, got coords {coords_past.shape}, mask {mask.shape}")
+        _check_binary(mask)
         if rng is None:
             rng = np.random.default_rng(seed)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, restore_model, restore_optimizer, save_checkpoint
 from .config import RunConfig
 from .data import Dataset, stack_arrays
-from .errors import ConfigError, NumericError
+from .errors import DataError, NumericError
 from .model import TrajectoryModel
 from .optim import Adam
 
@@ -55,6 +55,19 @@ def _noise_rng(seed, epoch, batch_idx):
     return np.random.default_rng([seed, 2_000_003, epoch, batch_idx])
 
 
+def check_compatible(model, ds: Dataset):
+    """A DataError unless the model can read the dataset: equal windows,
+    and no more agents than the learned DL adjacency has rows."""
+    cfg = model.cfg
+    if ds.t_past != cfg.t_past or ds.t_future != cfg.t_future:
+        raise DataError(f"dataset windows T=({ds.t_past}+{ds.t_future}) do not match "
+                        f"the model's T=({cfg.t_past}+{cfg.t_future})")
+    # n_agents_max sizes only the learned DL adjacency; ST and EC take any N
+    if cfg.use_dl and ds.n_agents > cfg.n_agents_max:
+        raise DataError(f"dataset has N={ds.n_agents} agents, the model supports "
+                        f"at most N={cfg.n_agents_max}")
+
+
 def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
           log_fn=None) -> TrainResult:
     """Train per config on the dataset; optionally resume a checkpoint.
@@ -62,14 +75,9 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
     Writes `checkpoint_epoch_NNNN.ckpt` every `checkpoint_every` epochs
     (except the last) plus `checkpoint_final.ckpt` when out_dir is given.
     On a non-finite loss the current state is saved as
-    `checkpoint_diagnostic.ckpt` and the error re-raised.
+    `checkpoint_diagnostic.ckpt` and the error re-raised. A dataset the
+    new or restored model cannot read is a DataError.
     """
-    if dataset.t_past != config.t_past or dataset.t_future != config.t_future:
-        raise ConfigError(f"dataset windows ({dataset.t_past}+{dataset.t_future}) do "
-                          f"not match config ({config.t_past}+{config.t_future})")
-    coords, masks = stack_arrays(dataset)
-    n_seq = coords.shape[0]
-
     if resume is not None:
         ck = load_checkpoint(resume)
         model = restore_model(ck)
@@ -85,6 +93,9 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
                          decay_factor=model_cfg.lr_decay,
                          decay_interval=model_cfg.lr_decay_every)
         start_epoch = 0
+    check_compatible(model, dataset)
+    coords, masks = stack_arrays(dataset)
+    n_seq = coords.shape[0]
 
     result = TrainResult(model=model, optimizer=optimizer)
     if out_dir is not None:

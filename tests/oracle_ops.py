@@ -1,9 +1,10 @@
 """Ops that only the tests' oracles use: autodiff primitives for composing
-the fused nodes out of smaller ones, and the per-pair visibility
-categories that the edge-conditioned branch is checked against.
+the fused nodes out of smaller ones, and the per-pair arrays that the
+graph branches are checked against: the normalised static adjacency
+and the edge categories.
 
-The library has no subtraction, log or concatenation node, and the
-edge-conditioned branch builds nothing per pair. These are built on the
+The library has no subtraction, log or concatenation node, and its
+static and edge-conditioned branches build nothing per pair. These are built on the
 autodiff engine's own `_pointwise`, `_make` and `_accumulate`, so the
 grad checks cover them like any primitive.
 """
@@ -62,3 +63,28 @@ def edge_categories(mask):
     2 minus the number of visible endpoints."""
     m = np.asarray(mask, dtype=np.int64)
     return 2 - (m[..., :, None] + m[..., None, :])
+
+
+def build_static_adjacency(mask):
+    """Visibility adjacency and self-loop matrix from a binary mask.
+
+    mask: (..., N). Returns (A, I) with shape (..., N, N):
+    A[i, j] = 1 iff i != j and both visible; I = diag(mask).
+    """
+    m = np.asarray(mask, dtype=np.float64)
+    a = m[..., :, None] * m[..., None, :]
+    eye = np.eye(m.shape[-1], dtype=bool)
+    a[..., eye] = 0.0
+    i = np.zeros_like(a)
+    i[..., eye] = m
+    return a, i
+
+
+def normalize_static(a, i):
+    """Symmetric degree normalisation D^{-1/2} (A + I) D^{-1/2}. Zero
+    degrees are clamped to 1 first, so fully invisible nodes keep
+    all-zero rows and columns."""
+    s = np.asarray(a, dtype=np.float64) + np.asarray(i, dtype=np.float64)
+    deg = np.maximum(s.sum(axis=-1), 1.0)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return inv_sqrt[..., :, None] * s * inv_sqrt[..., None, :]

@@ -286,6 +286,24 @@ def test_eval_shape_mismatch_is_data_error(tmp_path):
     assert code == 2
 
 
+def test_resume_shape_mismatch_is_data_error(tmp_path):
+    """`train --checkpoint` checks the dataset against the restored model,
+    not the run config: a T=6+2 checkpoint on a T=4+2 file fails as eval
+    does, before any output is written."""
+    _, out_dir = _gen_and_train(tmp_path)
+    ck = out_dir / "checkpoint_final.ckpt"
+    seqs = generate_sequences(8, 3, 4, 2, seed=1)  # the windows the config names
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0),
+                       split="train", seed=1)
+    bad = tmp_path / "bad.trajset"
+    write_dataset(bad, ds)
+    cfg = write_cfg(tmp_path, f"train_path={bad}\nepochs=3\nt_past=4\n", name="t4.cfg")
+    code = main(["train", "--config", str(cfg), "--checkpoint", str(ck),
+                 "--out", str(tmp_path / "resumed")])
+    assert code == 2
+    assert not (tmp_path / "resumed").exists()
+
+
 def test_run_and_export_plot_roundtrip(tmp_path):
     cfg, out_dir = _gen_and_train(tmp_path)
     ck = out_dir / "checkpoint_final.ckpt"

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from trajvrnn.autodiff import Tensor, backward, grad_check, tsum
+from trajvrnn.autodiff import (Tensor, as_tensor, backward, grad_check, linear, matmul, relu,
+                               tsum)
 from trajvrnn.errors import CapacityError, ConfigError
-from trajvrnn.graph import (
-    SpatialEncoder, build_static_adjacency, fuse, gcl_forward, masked_input_vector,
-    normalize_static,
-)
+from trajvrnn.graph import SpatialEncoder, fuse, masked_input_vector, pool_visibility
 from trajvrnn.model import ModelConfig
 
-from oracle_ops import CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE, edge_categories
+from oracle_ops import (CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE,
+                        build_static_adjacency, edge_categories, normalize_static)
 
 
 def small_cfg(**kw):
@@ -21,6 +20,32 @@ def small_cfg(**kw):
 
 def make_encoder(seed=0, **kw):
     return SpatialEncoder(small_cfg(**kw), np.random.default_rng(seed))
+
+
+def pooled_branch(branch, feats, mask):
+    """Run the ST or the EC branch on node features, pooled as `forward`
+    pools them."""
+    return branch(pool_visibility(as_tensor(feats), mask), mask)
+
+
+def st_layer(feats, mask, w):
+    """One ST layer, relu(A_hat F W), through `st_branch`: its second and
+    third weights are identities, and relu(relu(x) I) = relu(x)."""
+    d = w.shape[0]
+    enc = make_encoder(d_embed=d, d_graph=d)
+    enc.st_weights[0].data[...] = w
+    for p in enc.st_weights[1:]:
+        p.data[...] = np.eye(d)
+    return pooled_branch(enc.st_branch, feats, mask)
+
+
+def dl_layer(feats, adj, w):
+    """relu(adj F W) through `dl_branch`, with the learned adjacency set."""
+    n, d = np.shape(feats)
+    enc = make_encoder(n_agents_max=n, d_embed=d, d_graph=d)
+    enc.dl_adj.data[...] = adj
+    enc.dl_weight.data[...] = w
+    return enc.dl_branch(Tensor(feats))
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +73,7 @@ def test_future_routing_uses_only_future_weights():
 
 
 # ---------------------------------------------------------------------------
-# adjacency and normalisation
+# the static adjacency and its normalisation (the ST branch's oracle)
 
 
 def test_static_adjacency_mixed_visibility():
@@ -100,38 +125,34 @@ def test_normalize_invisible_rows_and_columns_zero():
 
 
 def test_st_gcl_hand_product():
-    a_hat = np.full((2, 2), 0.5)
-    out = gcl_forward(Tensor(np.eye(2)), a_hat, Tensor(np.eye(2)))
+    # mask (1, 1): A_hat = 0.5 everywhere
+    out = st_layer(np.eye(2), [1, 1], np.eye(2))
     np.testing.assert_allclose(out.data, np.full((2, 2), 0.5))
 
 
 def test_st_gcl_all_invisible_zero():
-    out = gcl_forward(Tensor(np.ones((2, 2))), np.zeros((2, 2)), Tensor(np.eye(2)))
+    out = st_layer(np.ones((2, 2)), [0, 0], np.eye(2))
     np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
 
 def test_st_gcl_zero_weight_zero():
-    out = gcl_forward(Tensor(np.ones((2, 2))), np.full((2, 2), 0.5),
-                      Tensor(np.zeros((2, 2))))
+    out = st_layer(np.ones((2, 2)), [1, 1], np.zeros((2, 2)))
     np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
 
 def test_dl_gcl_swap_adjacency():
-    adj = Tensor([[0.0, 1.0], [1.0, 0.0]])
-    f = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = gcl_forward(f, adj, Tensor(np.eye(2)))
+    out = dl_layer([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]], np.eye(2))
     np.testing.assert_array_equal(out.data, [[3.0, 4.0], [1.0, 2.0]])
 
 
 def test_dl_gcl_identity_propagation():
-    f = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = gcl_forward(f, Tensor(np.eye(2)), Tensor(np.eye(2)))
-    np.testing.assert_array_equal(out.data, f.data)
+    f = [[1.0, 2.0], [3.0, 4.0]]
+    out = dl_layer(f, np.eye(2), np.eye(2))
+    np.testing.assert_array_equal(out.data, f)
 
 
 def test_dl_gcl_negative_adjacency_relu_zeros():
-    f = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = gcl_forward(f, Tensor(-np.ones((2, 2))), Tensor(np.eye(2)))
+    out = dl_layer([[1.0, 2.0], [3.0, 4.0]], -np.ones((2, 2)), np.eye(2))
     np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
 
@@ -183,7 +204,7 @@ def test_ec_identity_thetas_mean_pool():
     enc = make_encoder()
     _force_identity_thetas(enc)
     f = Tensor([[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0]])
-    out = enc.ec_branch(f, [1, 0])
+    out = pooled_branch(enc.ec_branch, f, [1, 0])
     np.testing.assert_allclose(out.data, [[2.0, 3.0, 0.0, 0.0]] * 2)
 
 
@@ -191,7 +212,7 @@ def test_ec_zero_generator_outputs_zero():
     enc = make_encoder()
     for p in (enc.ec_w0, enc.ec_b0, enc.ec_w1, enc.ec_b1, enc.ec_bias):
         p.data[...] = 0.0
-    out = enc.ec_branch(Tensor(np.ones((3, 4))), [1, 1, 0])
+    out = pooled_branch(enc.ec_branch, np.ones((3, 4)), [1, 1, 0])
     np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
 
 
@@ -199,11 +220,11 @@ def test_ec_single_node_identity():
     enc = make_encoder()
     _force_identity_thetas(enc)
     f = Tensor([[1.5, -2.0, 3.0, 0.5]])
-    out = enc.ec_branch(f, [1])
+    out = pooled_branch(enc.ec_branch, f, [1])
     np.testing.assert_allclose(out.data, f.data)
 
 
-@pytest.mark.parametrize("mask", [
+BRANCH_MASKS = pytest.mark.parametrize("mask", [
     [1], [0], [1, 0, 1, 1, 0],
     [[1, 0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0, 1, 0], [1, 1, 0, 0, 1, 0, 1]],
     [1] * 6, [0] * 5,
@@ -212,6 +233,41 @@ def test_ec_single_node_identity():
      [[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]],
 ], ids=["n1-visible", "n1-missing", "n5", "batch3-n7", "n6-all-visible", "n5-all-hidden",
         "window2x3-n4"])
+
+
+def assert_max_norm_close(got, want, rel, name=""):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max(), name
+
+
+@BRANCH_MASKS
+def test_st_matches_adjacency_oracle(mask):
+    """relu(A_hat F W) three times with the oracle's dense normalised
+    adjacency, on the tape: the forward, and the gradients of the three
+    weights and of the features, agree with the pooled branch."""
+    enc = make_encoder(seed=17)
+    rng = np.random.default_rng(18)
+    mask = np.array(mask, dtype=float)
+    feats = Tensor(rng.normal(size=mask.shape + (enc.cfg.d_embed,)), requires_grad=True)
+    weights = rng.normal(size=mask.shape + (enc.cfg.d_graph,))
+    a_hat = normalize_static(*build_static_adjacency(mask))
+
+    def grads(out):
+        for t in (*enc.st_weights, feats):
+            t.grad = None
+        backward(tsum(out * weights))
+        return [t.grad.copy() for t in (*enc.st_weights, feats)]
+
+    out = pooled_branch(enc.st_branch, feats, mask)
+    got = grads(out)
+    want = feats
+    for w in enc.st_weights:
+        want = relu(linear([matmul(a_hat, want)], w))
+    assert_max_norm_close(out.data, want.data, 1e-14)
+    for name, g, w in zip(("st.0.w", "st.1.w", "st.2.w", "features"), got, grads(want)):
+        assert_max_norm_close(g, w, 1e-12, name)
+
+
+@BRANCH_MASKS
 def test_ec_matches_per_category_oracle(mask):
     """mean_j Theta[c(i, j)] f_j + bias by a double loop, with the three
     category matrices rebuilt in numpy from the generator weights, so they
@@ -224,7 +280,7 @@ def test_ec_matches_per_category_oracle(mask):
     mask = np.array(mask, dtype=float)
     n = mask.shape[-1]
     feats = rng.normal(size=mask.shape + (cfg.d_embed,))
-    out = enc.ec_branch(Tensor(feats), mask).data
+    out = pooled_branch(enc.ec_branch, feats, mask).data
 
     hidden = np.tanh(np.eye(3) @ enc.ec_w0.data + enc.ec_b0.data)
     raw = hidden @ enc.ec_w1.data + enc.ec_b1.data
@@ -238,8 +294,7 @@ def test_ec_matches_per_category_oracle(mask):
             for j in range(n):
                 expected[b, i] += thetas[cats[b, i, j]] @ flat[b, j]
     expected = expected / n + enc.ec_bias.data
-    want = expected.reshape(out.shape)
-    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+    assert_max_norm_close(out, expected.reshape(out.shape), 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +326,7 @@ def test_encoder_st_only_matches_weighted_branch():
     mask = np.array([1.0, 1.0, 0.0])
     out = enc.forward(coords, mask)
     feats = enc.embed(coords, mask)
-    a, i = build_static_adjacency(mask)
-    expected = enc.st_branch(feats, normalize_static(a, i)).data * enc.fuse_alpha.data
+    expected = pooled_branch(enc.st_branch, feats, mask).data * enc.fuse_alpha.data
     np.testing.assert_allclose(out.data, expected)
 
 
@@ -284,10 +338,9 @@ def test_encoder_compositional_all_branches():
     out = enc.forward(coords, mask)
 
     feats = enc.embed(coords, mask)
-    a, i = build_static_adjacency(mask)
-    f_st = enc.st_branch(feats, normalize_static(a, i))
+    f_st = pooled_branch(enc.st_branch, feats, mask)
     f_dl = enc.dl_branch(feats)
-    f_ec = enc.ec_branch(feats, mask)
+    f_ec = pooled_branch(enc.ec_branch, feats, mask)
     expected = (f_st.data * enc.fuse_alpha.data + f_dl.data * enc.fuse_beta.data
                 + f_ec.data * enc.fuse_gamma.data)
     np.testing.assert_allclose(out.data, expected)
@@ -358,14 +411,12 @@ def test_st_and_ec_permutation_equivariance():
         perm = rng.permutation(4)
 
         feats = enc.embed(coords, mask)
-        a, i = build_static_adjacency(mask)
-        st = enc.st_branch(feats, normalize_static(a, i)).data
-        ec = enc.ec_branch(feats, mask).data
+        st = pooled_branch(enc.st_branch, feats, mask).data
+        ec = pooled_branch(enc.ec_branch, feats, mask).data
 
         feats_p = enc.embed(coords[perm], mask[perm])
-        a_p, i_p = build_static_adjacency(mask[perm])
-        st_p = enc.st_branch(feats_p, normalize_static(a_p, i_p)).data
-        ec_p = enc.ec_branch(feats_p, mask[perm]).data
+        st_p = pooled_branch(enc.st_branch, feats_p, mask[perm]).data
+        ec_p = pooled_branch(enc.ec_branch, feats_p, mask[perm]).data
 
         np.testing.assert_allclose(st_p, st[perm], atol=1e-12)
         np.testing.assert_allclose(ec_p, ec[perm], atol=1e-12)
@@ -388,9 +439,7 @@ def test_invisible_node_st_output_zero():
     enc = make_encoder()
     coords = np.random.default_rng(10).normal(size=(3, 2))
     mask = np.array([1.0, 0.0, 1.0])
-    feats = enc.embed(coords, mask)
-    a, i = build_static_adjacency(mask)
-    out = enc.st_branch(feats, normalize_static(a, i))
+    out = pooled_branch(enc.st_branch, enc.embed(coords, mask), mask)
     np.testing.assert_array_equal(out.data[1], np.zeros(4))
 
 
@@ -401,7 +450,6 @@ def test_st_all_visible_matches_bruteforce_gcn():
         feats = rng.normal(size=(n, 4))
         w = rng.normal(size=(4, 4))
         a, i = build_static_adjacency(np.ones(n))
-        a_hat = normalize_static(a, i)
 
         s = a + i
         deg = s.sum(axis=1)
@@ -414,7 +462,7 @@ def test_st_all_visible_matches_bruteforce_gcn():
                     acc += norm * feats[j] @ w[:, c]
                 expected[r, c] = max(acc, 0.0)
 
-        out = gcl_forward(Tensor(feats), a_hat, Tensor(w))
+        out = st_layer(feats, np.ones(n), w)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 

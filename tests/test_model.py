@@ -7,7 +7,7 @@ import pytest
 from trajvrnn import model as model_module
 from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, no_grad, tanh,
                                tsum)
-from trajvrnn.errors import ConfigError, ShapeError
+from trajvrnn.errors import ConfigError, DataError, ShapeError
 from trajvrnn.model import (
     LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, gauss_kl, gru_step,
     sample_latent, temporal_decay, temporal_lags,
@@ -613,24 +613,29 @@ def test_training_tape_node_count_is_pinned():
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
-    assert len(ops) == 219
-    # per step: its features; per past step: its decay; per encoder call: dl.adj[:n, :n]
-    assert ops.count("getitem") == (cfg.t_past + cfg.t_future) + cfg.t_past + 2
+    assert len(ops) == 220
+    # per step: its features; per past step: its decay; per encoder call:
+    # dl.adj[:n, :n] and the ST branch's visible row of the pooling
+    assert ops.count("getitem") == (cfg.t_past + cfg.t_future) + cfg.t_past + 2 * 2
     # per window: three ST layers and one DL layer; and the one decay
     assert ops.count("relu") == 2 * (3 + 1) + 1
 
 
 def test_training_tape_holds_no_per_pair_array():
-    """The EC branch pools the visible and the hidden agents instead of
+    """The ST branch runs on the mean of the visible agents' features and
+    the EC branch pools the visible and the hidden agents instead of
     gathering over every pair: no array on the train tape, recorded node
-    or constant operand, ends in (N, 3N), one entry per pair and category."""
-    cfg = tiny_cfg(seed=40)
+    or constant operand, has the (B, T, N, N) shape of a per-step
+    adjacency or ends in (N, 3N), one entry per pair and category.
+    N = 5 matches no feature width, so only such an array has that shape."""
+    cfg = tiny_cfg(n_agents_max=5, seed=40)
     model = TrajectoryModel(cfg)
-    coords, mask = toy_batch(cfg, seed=41)
-    noise = model.draw_noise(np.random.default_rng(42), 2, 3)
+    coords, mask = toy_batch(cfg, n_agents=5, seed=41)
+    noise = model.draw_noise(np.random.default_rng(42), 2, 5)
     nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"], leaves=True)
     n = mask.shape[-1]
-    assert [node.shape for node in nodes if node.shape[-2:] == (n, 3 * n)] == []
+    assert [node.shape for node in nodes if node.shape[-2:] == (n, 3 * n)
+            or node.ndim == 4 and node.shape[-2:] == (n, n)] == []
     assert any(node.op == "parameter" for node in nodes)
 
 
@@ -720,17 +725,18 @@ def test_training_tape_fuses_loss_terms():
 
 def test_training_tape_weight_products_are_linear():
     """Every product with a weight matrix is a `linear` node, so `matmul`
-    is left with the adjacency products (three ST layers and one DL layer
-    per window) and, for the past window, the EC branch's pooling of the
-    visible and the hidden nodes and its product back to every node; the
-    EC category matrices are transposed into their (D, 3 D_G) layout once."""
+    is left with, per window, the pooling of the visible and the hidden
+    nodes that the ST and the EC branch share and the DL adjacency
+    product, and, for the past window, the EC branch's product back to
+    every node; the EC category matrices are transposed into their
+    (D, 3 D_G) layout once."""
     cfg = tiny_cfg(seed=40)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
     matmuls = [node for node in nodes if node.op == "matmul"]
-    assert len(matmuls) == 4 + 2 + 4
+    assert len(matmuls) == 2 + 1 + 2
     assert not any(isinstance(p, Parameter) for node in matmuls for p in node.parents)
     assert [node.op for node in nodes].count("transpose") == 1
 
@@ -818,6 +824,23 @@ def test_inference_tolerates_degenerate_masks():
     mask[:, :, 0] = 0.0
     imputed, _ = model.run_inference(past, mask, seed=50)
     assert np.isfinite(imputed).all()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, -1.0, np.nan])
+def test_non_binary_mask_is_data_error(bad):
+    """Both graph branches read a mask entry as visible or hidden, so
+    training and inference reject any other value."""
+    cfg = tiny_cfg(seed=52)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=53)
+    mask[1, 2, 0] = bad
+    noise = model.draw_noise(np.random.default_rng(54), 2, 3)
+    with pytest.raises(DataError, match="0 or 1"):
+        model.training_losses(coords, mask, noise)
+    with pytest.raises(DataError, match="0 or 1"):
+        model.run_inference(coords[:, :cfg.t_past], mask, seed=55)
+    with pytest.raises(DataError, match="0 or 1"):
+        model.run_inference(coords[0, :cfg.t_past], mask[1], seed=55)
 
 
 def test_inference_unbatched_roundtrip():
