@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError, NumericError, TrajvrnnError
 from .plotting import render_svg, result_points_csv
 from .report import (baseline_infer_fns, evaluate_methods, model_infer_fn,
                      report_table, reports_to_csv)
-from .training import check_compatible, loss_rows_to_csv, train
+from .training import check_compatible, train
 
 TEST_SEED_OFFSET = 10_000_019
 
@@ -76,19 +76,11 @@ def cmd_gen_data(config: RunConfig, out_dir, force=False) -> list:
 
 def cmd_train(config: RunConfig, out_dir, resume=None, log_stream=None):
     dataset = read_dataset(config.train_path)
-    result = train(config, dataset, out_dir=out_dir, resume=resume,
-                   log_fn=(lambda row: print(
-                       f"epoch {row['epoch']:4d}  total {row['total']:.4f}  "
-                       f"imp {row['imputation']:.4f}  pre {row['prediction']:.4f}",
-                       file=log_stream)) if log_stream else None)
-    log_path = os.path.join(out_dir, "loss_log.csv")
-    mode = "a" if resume is not None and os.path.exists(log_path) else "w"
-    with open(log_path, mode, encoding="ascii") as fh:
-        text = loss_rows_to_csv(result.loss_rows)
-        if mode == "a":
-            text = text.split("\n", 1)[1]  # drop the repeated header
-        fh.write(text)
-    return result
+    return train(config, dataset, out_dir=out_dir, resume=resume,
+                 log_fn=(lambda row: print(
+                     f"epoch {row['epoch']:4d}  total {row['total']:.4f}  "
+                     f"imp {row['imputation']:.4f}  pre {row['prediction']:.4f}",
+                     file=log_stream)) if log_stream else None)
 
 
 def cmd_eval(config: RunConfig, checkpoint_path, data_path, out_dir):

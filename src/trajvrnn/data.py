@@ -309,6 +309,9 @@ class Dataset:
             raise DataError(f"{len(self.sequences)} sequences vs "
                             f"{len(self.masks)} masks")
         for seq, mask in zip(self.sequences, self.masks):
+            dims = (seq.t_past, seq.t_future, seq.n_agents)
+            if dims != (self.t_past, self.t_future, self.n_agents):
+                raise DataError(f"sequence {seq.id}: windows and N {dims} differ from the first")
             if mask.shape != (seq.t_past, seq.n_agents):
                 raise DataError(f"sequence {seq.id}: mask shape {mask.shape} does "
                                 f"not match ({seq.t_past}, {seq.n_agents})")

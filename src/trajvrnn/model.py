@@ -269,14 +269,14 @@ def gru_step(inputs, h: Tensor, weights) -> Tensor:
     return ad.gru(inputs, h, *weights)
 
 
-def _check_binary(mask):
-    """The graph encoder reads a mask entry as visible (1) or hidden (0)."""
-    if not ((mask == 0.0) | (mask == 1.0)).all():
-        raise DataError("mask entries must be 0 or 1")
-
-
 class TrajectoryModel:
-    """Full imputation + prediction model with named parameters."""
+    """Full imputation + prediction model with named parameters.
+
+    Input contract (`check_inputs`, for training, inference and
+    `training.check_compatible` alike): finite coords (B, T, N, 2), T =
+    t_past + t_future to train and t_past to infer, which also takes one
+    (T, N, 2) sequence; a (B, t_past, N) mask of 0 (hidden) or 1 (visible);
+    N <= n_agents_max under `use_dl`. Anything else is a DataError."""
 
     def __init__(self, cfg: ModelConfig, load=None):
         """`load(name, shape)`, if given, supplies every parameter's values
@@ -379,21 +379,23 @@ class TrajectoryModel:
         return temporal_decay(delta, self.td_weight, self.td_bias)
 
     # ------------------------------------------------------------------
-    def _check_batch(self, coords, mask):
+    def check_inputs(self, coords, mask, steps):
+        """float64 coords (B, steps, N, 2) and mask under the class's contract."""
         cfg = self.cfg
         coords = np.asarray(coords, dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
-        if coords.ndim != 4 or coords.shape[-1] != 2:
-            raise ShapeError(f"expected coords (B, T, N, 2), got {coords.shape}")
-        b, t, n, _ = coords.shape
-        if t != cfg.t_past + cfg.t_future:
-            raise ShapeError(f"expected {cfg.t_past + cfg.t_future} steps, got {t}")
+        if coords.ndim != 4 or coords.shape[1] != steps or coords.shape[3] != 2:
+            raise DataError(f"expected coords (B, {steps}, N, 2), got {coords.shape}")
+        b, _, n, _ = coords.shape
         if mask.shape != (b, cfg.t_past, n):
-            raise ShapeError(f"expected mask {(b, cfg.t_past, n)}, got {mask.shape}")
+            raise DataError(f"expected mask {(b, cfg.t_past, n)}, got {mask.shape}")
+        if cfg.use_dl and n > cfg.n_agents_max:
+            raise DataError(f"{n} agents exceed the DL n_agents_max={cfg.n_agents_max}")
         if not np.isfinite(coords).all():
             raise DataError("coordinates contain non-finite values")
-        _check_binary(mask)
-        return coords, mask, b, n
+        if not ((mask == 0.0) | (mask == 1.0)).all():
+            raise DataError("mask entries must be 0 or 1")
+        return coords, mask
 
     def draw_noise(self, rng: np.random.Generator, batch: int, n_agents: int):
         """Reparameterisation noise for every step, in a fixed draw order."""
@@ -464,9 +466,10 @@ class TrajectoryModel:
         {imp_nll, imp_kl, imp, pre_nll, pre_kl, pre, total}. A stream
         that does not run scores 0."""
         cfg = self.cfg
-        coords, mask, b, _ = self._check_batch(coords, mask)
+        coords, mask = self.check_inputs(coords, mask, cfg.t_past + cfg.t_future)
         x = self._normalize(coords)
-        sums = {key: Tensor(np.zeros(b)) for key in ("imp_nll", "imp_kl", "pre_nll", "pre_kl")}
+        sums = {key: Tensor(np.zeros(len(mask)))
+                for key in ("imp_nll", "imp_kl", "pre_nll", "pre_kl")}
         for past, t, prior, post, raw in self._rollout(x, mask, noise, teacher=True):
             stream = "imp" if past else "pre"
             sums[f"{stream}_nll"] = sums[f"{stream}_nll"] + tsum(bigauss_nll(x[:, t], raw), axis=-1)
@@ -487,11 +490,11 @@ class TrajectoryModel:
 
     def train_step(self, coords, mask, optimizer, noise=None, rng=None):
         """One optimisation step; returns the pre-update loss values."""
+        coords, mask = self.check_inputs(coords, mask, self.cfg.t_past + self.cfg.t_future)
         if noise is None:
             if rng is None:
                 raise ConfigError("train_step needs either frozen noise or an rng")
-            b, n = np.asarray(coords).shape[0], np.asarray(coords).shape[2]
-            noise = self.draw_noise(rng, b, n)
+            noise = self.draw_noise(rng, mask.shape[0], mask.shape[2])
         optimizer.zero_grad()
         losses = self.training_losses(coords, mask, noise)
         backward(losses["total"])
@@ -508,23 +511,16 @@ class TrajectoryModel:
         (imputed, predicted) numpy arrays in scene units.
         """
         cfg = self.cfg
-        coords_past = np.asarray(coords_past, dtype=np.float64)
-        single = coords_past.ndim == 3
+        single = np.ndim(coords_past) == 3
         if single:
-            coords_past = coords_past[None]
-            mask = np.asarray(mask)[None]
-        mask = np.asarray(mask, dtype=np.float64)
-        b, t_p, n, _ = coords_past.shape
-        if t_p != cfg.t_past or mask.shape != (b, cfg.t_past, n):
-            raise ShapeError(f"expected past window ({cfg.t_past}, {n}) plus matching "
-                             f"mask, got coords {coords_past.shape}, mask {mask.shape}")
-        _check_binary(mask)
+            coords_past, mask = np.asarray(coords_past)[None], np.asarray(mask)[None]
+        coords_past, mask = self.check_inputs(coords_past, mask, cfg.t_past)
         if rng is None:
             rng = np.random.default_rng(seed)
 
         x = self._normalize(coords_past)
         imputed = np.empty_like(coords_past)
-        predicted = np.empty((b, cfg.t_future, n, 2))
+        predicted = np.empty((len(mask), cfg.t_future, mask.shape[2], 2))
         with no_grad():
             for past, t, _, _, raw in self._rollout(x, mask, rng, teacher=False):
                 mean = self._denormalize(raw.data[..., 0:2])

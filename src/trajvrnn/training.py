@@ -16,7 +16,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, restore_model, restore_optimizer, save_checkpoint
 from .config import RunConfig
 from .data import Dataset, stack_arrays
-from .errors import DataError, NumericError
+from .errors import NumericError
 from .model import TrajectoryModel
 from .optim import Adam
 
@@ -39,12 +39,23 @@ def fit_normalization(dataset: Dataset):
     return (float(center[0]), float(center[1])), max(scale, 1e-6)
 
 
+def _loss_line(row) -> str:
+    return f"{row['epoch']},{row['total']!r},{row['imputation']!r},{row['prediction']!r}\n"
+
+
 def loss_rows_to_csv(rows) -> str:
-    lines = [LOSS_LOG_HEADER]
-    for row in rows:
-        lines.append(f"{row['epoch']},{row['total']!r},{row['imputation']!r},"
-                     f"{row['prediction']!r}")
-    return "\n".join(lines) + "\n"
+    return LOSS_LOG_HEADER + "\n" + "".join(map(_loss_line, rows))
+
+
+def _restart_loss_log(path, last_epoch):
+    """Keep only the log's rows for epochs up to `last_epoch`, where training resumes."""
+    kept = []
+    if last_epoch > 0 and os.path.exists(path):
+        with open(path, encoding="ascii") as fh:
+            kept = [line for line in list(fh)[1:] if line.partition(",")[0].isdigit()
+                    and int(line.partition(",")[0]) <= last_epoch]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(LOSS_LOG_HEADER + "\n" + "".join(kept))
 
 
 def _shuffle_rng(seed, epoch):
@@ -56,27 +67,21 @@ def _noise_rng(seed, epoch, batch_idx):
 
 
 def check_compatible(model, ds: Dataset):
-    """A DataError unless the model can read the dataset: equal windows,
-    and no more agents than the learned DL adjacency has rows."""
-    cfg = model.cfg
-    if ds.t_past != cfg.t_past or ds.t_future != cfg.t_future:
-        raise DataError(f"dataset windows T=({ds.t_past}+{ds.t_future}) do not match "
-                        f"the model's T=({cfg.t_past}+{cfg.t_future})")
-    # n_agents_max sizes only the learned DL adjacency; ST and EC take any N
-    if cfg.use_dl and ds.n_agents > cfg.n_agents_max:
-        raise DataError(f"dataset has N={ds.n_agents} agents, the model supports "
-                        f"at most N={cfg.n_agents_max}")
+    """The dataset's stacked (coords, masks) if they keep the model's
+    input contract (`TrajectoryModel.check_inputs`), else a DataError."""
+    return model.check_inputs(*stack_arrays(ds), model.cfg.t_past + model.cfg.t_future)
 
 
 def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
           log_fn=None) -> TrainResult:
     """Train per config on the dataset; optionally resume a checkpoint.
 
-    Writes `checkpoint_epoch_NNNN.ckpt` every `checkpoint_every` epochs
-    (except the last) plus `checkpoint_final.ckpt` when out_dir is given.
-    On a non-finite loss the current state is saved as
-    `checkpoint_diagnostic.ckpt` and the error re-raised. A dataset the
-    new or restored model cannot read is a DataError.
+    With out_dir, appends each epoch's row to `loss_log.csv` as the epoch
+    ends (a resume from epoch k keeps the rows up to k and drops the rest),
+    then writes `checkpoint_epoch_NNNN.ckpt` every `checkpoint_every` epochs
+    but the last, and `checkpoint_final.ckpt`. On a non-finite loss the
+    state is saved as `checkpoint_diagnostic.ckpt` and the error re-raised.
+    A dataset the new or restored model cannot read is a DataError.
     """
     if resume is not None:
         ck = load_checkpoint(resume)
@@ -93,13 +98,14 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
                          decay_factor=model_cfg.lr_decay,
                          decay_interval=model_cfg.lr_decay_every)
         start_epoch = 0
-    check_compatible(model, dataset)
-    coords, masks = stack_arrays(dataset)
+    coords, masks = check_compatible(model, dataset)
     n_seq = coords.shape[0]
 
     result = TrainResult(model=model, optimizer=optimizer)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        log_path = os.path.join(out_dir, "loss_log.csv")
+        _restart_loss_log(log_path, start_epoch)
 
     seed = config.seed
     for epoch in range(start_epoch + 1, config.epochs + 1):
@@ -116,9 +122,8 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
                     save_checkpoint(os.path.join(out_dir, "checkpoint_diagnostic.ckpt"),
                                     model, optimizer, epoch=epoch - 1)
                 raise
-            sums["total"] += out["total"]
-            sums["imp"] += out["imp"]
-            sums["pre"] += out["pre"]
+            for key in sums:
+                sums[key] += out[key]
             n_batches += 1
         optimizer.epoch_tick(epoch)
         row = {"epoch": epoch,
@@ -126,6 +131,9 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
                "imputation": sums["imp"] / n_batches,
                "prediction": sums["pre"] / n_batches}
         result.loss_rows.append(row)
+        if out_dir is not None:
+            with open(log_path, "a", encoding="ascii") as fh:
+                fh.write(_loss_line(row))
         if log_fn is not None:
             log_fn(row)
         if (out_dir is not None and config.checkpoint_every > 0

@@ -11,23 +11,17 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from trajvrnn.autodiff import Tensor, exp, grad_check, tsum
-from trajvrnn.baselines import (impute_linear_fit, impute_mean, impute_median,
-                                metric_i_l2, metric_p_l2,
-                                predict_constant_velocity)
+from trajvrnn.baselines import metric_i_l2
 from trajvrnn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from trajvrnn.config import RunConfig
-from trajvrnn.data import (DynamicsParams, MaskingSpec, apply_camera_mask,
-                           apply_circle_mask, build_dataset,
+from trajvrnn.data import (MaskingSpec, apply_camera_mask, apply_circle_mask, build_dataset,
                            generate_sequences, stack_arrays, stack_past)
 from trajvrnn.graph import pool_visibility
 from trajvrnn.model import (LatentDistribution, ModelConfig, TrajectoryModel,
                             bigauss_nll, gauss_kl, gru_step, temporal_decay)
-from trajvrnn.optim import Adam
-from trajvrnn.training import (_noise_rng, _shuffle_rng, fit_normalization,
-                               loss_rows_to_csv, train)
+from trajvrnn.training import loss_rows_to_csv, train
 
 LOG_2PI = math.log(2.0 * math.pi)
 

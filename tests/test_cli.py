@@ -4,11 +4,13 @@ import re
 import numpy as np
 import pytest
 
+from trajvrnn import training
 from trajvrnn.checkpoint import load_checkpoint, save_checkpoint
 from trajvrnn.cli import TEST_SEED_OFFSET, main
 from trajvrnn.config import load_config
 from trajvrnn.data import (MaskingSpec, build_dataset, generate_sequences,
                            read_dataset, validate_dataset, write_dataset)
+from trajvrnn.errors import NumericError
 from trajvrnn.model import TrajectoryModel
 from trajvrnn.report import csv_to_reports
 from trajvrnn.training import fit_normalization
@@ -210,16 +212,57 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert main(["train", "--config", str(cfg_resume), "--out", str(out_short),
                  "--checkpoint", str(out_short / "checkpoint_final.ckpt")]) == 0
 
-    straight_log = (out_straight / "loss_log.csv").read_text().strip().split("\n")
-    resumed_log = (out_short / "loss_log.csv").read_text().strip().split("\n")
-    for line_a, line_b in zip(straight_log[3:], resumed_log[3:]):
-        epoch_a, *vals_a = line_a.split(",")
-        epoch_b, *vals_b = line_b.split(",")
-        assert epoch_a == epoch_b
-        for va, vb in zip(vals_a, vals_b):
-            assert abs(float(va) - float(vb)) <= 1e-9
+    assert (out_short / "loss_log.csv").read_bytes() == \
+        (out_straight / "loss_log.csv").read_bytes()
     assert (out_straight / "checkpoint_final.ckpt").read_bytes() == \
         (out_short / "checkpoint_final.ckpt").read_bytes()
+
+
+def _fail_in_epoch(monkeypatch, fail_epoch):
+    """Make every train step of epoch `fail_epoch` raise NumericError."""
+    epoch_now = {}
+    noise_rng, train_step = training._noise_rng, TrajectoryModel.train_step
+
+    def noise_rng_spy(seed, epoch, batch_idx):
+        epoch_now["epoch"] = epoch
+        return noise_rng(seed, epoch, batch_idx)
+
+    def failing_step(self, *args, **kw):
+        if epoch_now["epoch"] == fail_epoch:
+            raise NumericError("injected non-finite loss")
+        return train_step(self, *args, **kw)
+
+    monkeypatch.setattr(training, "_noise_rng", noise_rng_spy)
+    monkeypatch.setattr(TrajectoryModel, "train_step", failing_step)
+
+
+def test_failed_run_keeps_its_loss_log_and_resume_completes_it(tmp_path, monkeypatch):
+    """The log grows epoch by epoch: a NumericError in epoch 3 leaves
+    epochs 1-2, and resuming from epoch 2 gives the uninterrupted log."""
+    cfg4, out_straight = _gen_and_train(tmp_path, epochs=4, out="straight")
+    straight = (out_straight / "loss_log.csv").read_bytes()
+    _fail_in_epoch(monkeypatch, 3)
+    out = tmp_path / "failed"
+    assert main(["train", "--config", str(cfg4), "--out", str(out)]) == 3
+    assert sorted(os.listdir(out)) == ["checkpoint_diagnostic.ckpt", "checkpoint_epoch_0001.ckpt",
+                                       "checkpoint_epoch_0002.ckpt", "loss_log.csv"]
+    log = (out / "loss_log.csv").read_bytes()
+    assert log == b"".join(straight.splitlines(keepends=True)[:3])
+
+    monkeypatch.undo()
+    assert main(["train", "--config", str(cfg4), "--out", str(out),
+                 "--checkpoint", str(out / "checkpoint_epoch_0002.ckpt")]) == 0
+    assert (out / "loss_log.csv").read_bytes() == straight
+
+
+def test_resuming_a_finished_run_lists_each_epoch_once(tmp_path):
+    cfg4, out = _gen_and_train(tmp_path, epochs=4)
+    finished = (out / "loss_log.csv").read_bytes()
+    assert main(["train", "--config", str(cfg4), "--out", str(out),
+                 "--checkpoint", str(out / "checkpoint_epoch_0002.ckpt")]) == 0
+    log = (out / "loss_log.csv").read_bytes()
+    assert [row.split(b",")[0] for row in log.splitlines()[1:]] == [b"1", b"2", b"3", b"4"]
+    assert log == finished
 
 
 def test_eval_writes_reports_and_is_deterministic(tmp_path):

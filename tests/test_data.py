@@ -313,3 +313,16 @@ def test_dataset_shape_consistency_enforced():
     with pytest.raises(DataError):
         Dataset(spec=MaskingSpec(mode="circle", radius=1.0), split="train",
                 seed=0, sequences=seqs, masks=[np.zeros((5, 3))])
+
+
+@pytest.mark.parametrize("other", [(6, 2, 5), (5, 3, 3)])
+def test_dataset_holds_sequences_of_one_shape(other):
+    """A file holds one record layout, so a Dataset of mixed windows or
+    agent counts fails when built, naming the first odd sequence."""
+    t_past, t_future, n = other
+    seqs = generate_sequences(1, 3, 6, 2, seed=54) + \
+        generate_sequences(1, n, t_past, t_future, seed=55)
+    seqs[1].id = "odd"
+    with pytest.raises(DataError, match="sequence odd: windows and N"):
+        Dataset(spec=MaskingSpec(mode="circle", radius=1.0), split="train", seed=0,
+                sequences=seqs, masks=[np.ones((s.t_past, s.n_agents)) for s in seqs])

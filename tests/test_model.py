@@ -843,6 +843,51 @@ def test_non_binary_mask_is_data_error(bad):
         model.run_inference(coords[0, :cfg.t_past], mask[1], seed=55)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coordinates_are_data_error_at_inference(bad):
+    """Inference keeps the same finite-coordinate rule as training, even
+    at a hidden step, whose value the encoder never reads."""
+    cfg = tiny_cfg(seed=56)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=57)
+    past = coords[:, :cfg.t_past].copy()
+    mask[1, 2, 0] = 0.0
+    past[1, 2, 0, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        model.run_inference(past, mask, seed=58)
+    with pytest.raises(DataError, match="non-finite"):
+        model.run_inference(past[1], mask[1], seed=58)
+
+
+def test_agent_count_beyond_dl_capacity_is_data_error():
+    """With the DL branch, N > n_agents_max is bad input to the model, as
+    it is to `check_compatible`; without DL the same batch runs."""
+    cfg = tiny_cfg(seed=59, n_agents_max=2)
+    coords, mask = toy_batch(cfg, n_agents=3, seed=60)
+    model = TrajectoryModel(cfg)
+    noise = model.draw_noise(np.random.default_rng(61), 2, 3)
+    with pytest.raises(DataError, match="n_agents_max=2"):
+        model.training_losses(coords, mask, noise)
+    with pytest.raises(DataError, match="n_agents_max=2"):
+        model.run_inference(coords[:, :cfg.t_past], mask, seed=62)
+    with pytest.raises(DataError, match="n_agents_max=2"):
+        model.run_inference(coords[0, :cfg.t_past], mask[0], seed=62)
+    no_dl = TrajectoryModel(replace(cfg, use_dl=False))
+    assert np.isfinite(no_dl.training_losses(coords, mask, noise)["total"].item())
+
+
+def test_train_step_checks_inputs_before_drawing_noise():
+    cfg = tiny_cfg(seed=63)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=64)
+    opt = Adam(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(65)
+    for bad_coords, bad_mask in ((coords[0, :, 0], mask), (coords[:, :cfg.t_past], mask),
+                                 (coords, mask[..., :2])):
+        with pytest.raises(DataError, match="expected"):
+            model.train_step(bad_coords, bad_mask, opt, rng=rng)
+
+
 def test_inference_unbatched_roundtrip():
     cfg = tiny_cfg(seed=51)
     model = TrajectoryModel(cfg)
