@@ -3,15 +3,19 @@
 Every op eagerly computes a numpy result and, when gradients are enabled
 and an input requires them, records a backward function on the output
 node; an elementwise op is a forward plus one vector-Jacobian product
-per input (`_pointwise`). The recorded graph is the tape: `backward`
-walks it once in reverse topological order, so each node's backward
-fires exactly once and accumulation order is fixed (bit-reproducible).
+per input (`_pointwise`). The recorded graph is the tape. Each tensor
+gets a sequence number when it is made, after its parents, so creation
+order is a topological order: `backward` collects the nodes the root
+reaches and fires them in reverse creation order, each exactly once and
+in a fixed order (bit-reproducible). On an unrolled recurrence that is
+step-by-step BPTT order, so about one step's gradients wait at a time.
 
 - Fold: every product of an activation with a weight matrix is a
-  `linear` node, `concat(inputs, -1) @ w (+ b)`, which runs as one 2-D
-  GEMM over the rows of the batch axes, forward and for both gradients,
-  and keeps nothing but its parents: neither the concatenation nor the
-  product before the bias stays on the tape. `matmul` is left with
+  `linear` node, `concat(inputs, -1) @ w (+ b)`, optionally followed by
+  a tanh, which runs as one 2-D GEMM over the rows of the batch axes,
+  forward and for both gradients, and keeps nothing but its parents and
+  its own output: neither the concatenation, the product before the
+  bias nor the pre-activation stays on the tape. `matmul` is left with
   products of node features and a non-weight array (the learned
   adjacency, a visibility selector) and is one `np.matmul` path.
 - Ownership: the first gradient to reach a node is stored as is when the
@@ -21,8 +25,9 @@ fires exactly once and accumulation order is fixed (bit-reproducible).
   node's gradient.
 - Fused cell: `gru` records a whole gated recurrent cell as one node with
   a hand-written backward of 2-D GEMMs; like `linear` it takes its inputs
-  as a list of blocks, and of its intermediates it keeps only the gate
-  values, r * h and the candidate.
+  as a list of blocks, and it takes an optional decay that it applies to
+  h itself. Of its intermediates it keeps only the gate values and the
+  candidate: backward recomputes the decayed h and r * h.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -32,12 +37,15 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
+from itertools import count
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
 _grad_enabled = True
+_creation = count()  # each tensor's sequence number; see `backward`
 
 
 @contextmanager
@@ -53,9 +61,10 @@ def no_grad():
 
 
 class Tensor:
-    """A dense float64 array plus the bookkeeping for backward."""
+    """A dense float64 array plus the bookkeeping for backward: `seq`
+    numbers tensors in creation order."""
 
-    __slots__ = ("data", "requires_grad", "grad", "parents", "_backward", "op")
+    __slots__ = ("data", "requires_grad", "grad", "parents", "_backward", "op", "seq")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, op="leaf"):
         arr = np.asarray(data, dtype=np.float64)
@@ -67,6 +76,7 @@ class Tensor:
         self.parents = parents
         self._backward = backward
         self.op = op
+        self.seq = next(_creation)
 
     @property
     def shape(self):
@@ -233,10 +243,6 @@ def _times_out(grad, out, a):
     return grad * out
 
 
-def _tanh_vjp(grad, out, a):
-    return grad * (1.0 - out * out)
-
-
 def _above(grad, out, a, value):
     return grad * (a > value)
 
@@ -269,10 +275,6 @@ def relu(a) -> Tensor:
     return _pointwise("relu", np.maximum, (_above,), a, 0.0)
 
 
-def tanh(a) -> Tensor:
-    return _pointwise("tanh", np.tanh, (_tanh_vjp,), a)
-
-
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Elementwise min(max(a, lo), hi); gradient is zero where a bound wins."""
     return _pointwise("clamp", _clip, (_inside,), a, lo, hi)
@@ -303,31 +305,37 @@ def matmul(a, b) -> Tensor:
     return _make(out, "matmul", (a, b), backward)
 
 
-def gru(inputs, h, wz, bz, wr, br, wh, bh) -> Tensor:
+def gru(inputs, h, wz, bz, wr, br, wh, bh, decay=None) -> Tensor:
     """Gated recurrent cell over x = concat(inputs, -1), one tape node "gru":
 
         z = sigmoid([x, h] @ wz + bz)      r = sigmoid([x, h] @ wr + br)
         c = tanh([x, r * h] @ wh + bh)     out = (1 - z) * h + z * c
 
     The input blocks and h (..., H) share their leading axes; the weights
-    are (X + H, H) and the biases (H,). The forward copies the blocks and
-    h (then r * h) into the buffers of its 2-D GEMMs and applies bias,
-    sigmoid and tanh in place, so its values are bit-identical to that
-    formula composed of primitives. The node keeps z|r, r * h and c for
-    backward; the blocks and h are its parents."""
+    are (X + H, H) and the biases (H,). With `decay` (broadcasting to h's
+    shape, such as (..., 1)) the cell runs on h * decay in place of h, and
+    decay is a parent whose gradient sums d(h * decay) * h over the
+    broadcast axes. The forward copies the blocks and h (then r * h) into
+    the buffers of its 2-D GEMMs and applies bias, sigmoid and tanh in
+    place, so its values are bit-identical to that formula composed of
+    primitives. The node keeps z|r and c for backward, which recomputes
+    h * decay and r * h; the blocks, h and decay are its parents."""
     xs = tuple(map(as_tensor, inputs))
     cell = tuple(map(as_tensor, (h, wz, bz, wr, br, wh, bh)))
+    decay = None if decay is None else as_tensor(decay)
     h, wz, bz, wr, br, wh, bh = (t.data for t in cell)
     n_x = sum(x.shape[-1] for x in xs if x.ndim)
     n_h = h.shape[-1] if h.ndim else 0
     if (not xs or h.ndim == 0 or any(x.ndim == 0 or x.shape[:-1] != h.shape[:-1] for x in xs)
             or any(w.shape != (n_x + n_h, n_h) for w in (wz, wr, wh))
-            or any(b.shape != (n_h,) for b in (bz, br, bh))):
-        raise ShapeError(f"gru: inputs {[x.shape for x in xs]} and h {h.shape} do not fit "
-                         f"gate weights {wz.shape}, {wr.shape}, {wh.shape} and biases "
+            or any(b.shape != (n_h,) for b in (bz, br, bh))
+            or (decay is not None and not _broadcasts_to(decay.shape, h.shape))):
+        with_decay = "" if decay is None else f" (decay {decay.shape})"
+        raise ShapeError(f"gru: inputs {[x.shape for x in xs]} and h {h.shape}{with_decay} do not "
+                         f"fit gate weights {wz.shape}, {wr.shape}, {wh.shape} and biases "
                          f"{bz.shape}, {br.shape}, {bh.shape}")
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    hs = h.reshape(-1, n_h)
+    hs = _decayed(h, decay).reshape(-1, n_h)
     xh = np.concatenate([*rows, hs], axis=1)
     zr = np.empty((2, len(hs), n_h))
     np.matmul(xh, wz, out=zr[0])
@@ -336,21 +344,32 @@ def gru(inputs, h, wz, bz, wr, br, wh, bh) -> Tensor:
     zr[1] += br
     del xh  # freed before the second concat: it sets the no-grad peak
     z, r = _sigmoid(zr, out=zr)
-    rh = r * hs
-    cand = np.concatenate([*rows, rh], axis=1) @ wh
+    cand = np.concatenate([*rows, r * hs], axis=1) @ wh
     cand += bh
     np.tanh(cand, out=cand)
     out = 1.0 - z
     out *= hs
     out += z * cand
-    return _make(out.reshape(h.shape), "gru", (*xs, *cell),
-                 partial(_gru_backward, xs, cell, zr, rh, cand))
+    parents = (*xs, *cell) if decay is None else (*xs, *cell, decay)
+    return _make(out.reshape(h.shape), "gru", parents,
+                 partial(_gru_backward, xs, cell, decay, zr, cand))
 
 
-def _gru_backward(xs, cell, zr, rh, cand, grad):
+def _broadcasts_to(shape, target) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
+def _decayed(h: np.ndarray, decay) -> np.ndarray:
+    return h if decay is None else h * decay.data
+
+
+def _gru_backward(xs, cell, decay, zr, cand, grad):
     h, wz, bz, wr, br, wh, bh = cell
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    hs = h.data.reshape(-1, h.shape[-1])
+    hs = _decayed(h.data, decay).reshape(-1, h.shape[-1])
     n_x = sum(row.shape[1] for row in rows)
     g = grad.reshape(cand.shape)
     z, r = zr
@@ -366,6 +385,7 @@ def _gru_backward(xs, cell, zr, rh, cand, grad):
     dr *= 1.0 - r
     dxh = dz @ wz.data.T
     dxh += dr @ wr.data.T
+    rh = r * hs
     for w, b, d, below in ((wz, bz, dz, hs), (wr, br, dr, hs), (wh, bh, dc, rh)):
         if w.requires_grad:
             _accumulate(w, _stacked_t_at((*rows, below), d), owned=True)
@@ -378,11 +398,16 @@ def _gru_backward(xs, cell, zr, rh, cand, grad):
             dx = dxh[:, start:stop] + dxrh[:, start:stop]
             _accumulate(x, dx.reshape(x.shape), owned=True)
         start = stop
-    if h.requires_grad:
-        dh = g * (1.0 - z)
+    scaled = decay is not None and decay.requires_grad
+    if h.requires_grad or scaled:
+        dh = g * (1.0 - z)  # with respect to h * decay
         dh += dxrh[:, n_x:] * r
         dh += dxh[:, n_x:]
-        _accumulate(h, dh.reshape(h.shape), owned=True)
+        dh = dh.reshape(h.shape)
+        if scaled:
+            _accumulate(decay, _unbroadcast(dh * h.data, decay.shape), owned=True)
+        if h.requires_grad:
+            _accumulate(h, dh if decay is None else dh * decay.data, owned=True)
 
 
 def _stacked_t_at(blocks, d):
@@ -396,17 +421,20 @@ def _stacked_t_at(blocks, d):
     return out
 
 
-def linear(inputs, w, b=None) -> Tensor:
+def linear(inputs, w, b=None, tanh=False) -> Tensor:
     """Affine map `concat(inputs, -1) @ w + b` recorded as one tape node
-    with op "linear"; without `b` it is the product alone.
+    with op "linear"; without `b` it is the product alone, and with
+    `tanh` the node's value is tanh of that map.
 
     The inputs share their leading axes, their widths add up to w's rows,
     and b is (w's columns,). The forward concatenates the inputs' rows
-    into a temporary 2-D buffer, runs one 2-D GEMM and adds the bias in
-    place, so its values are bit-identical to the composition of concat,
-    matmul and add. The node keeps only its parents: backward takes the
-    weight gradient block by block and input k's gradient from w's rows
-    for that input."""
+    into a temporary 2-D buffer, runs one 2-D GEMM, adds the bias and
+    applies the tanh in place, so its values are bit-identical to the
+    composition of concat, matmul, add and tanh. The finite check runs on
+    the map before the tanh, which would turn an overflow into +-1. The
+    node keeps only its parents and its own output: backward takes the
+    tanh's derivative from the output, the weight gradient block by block
+    and input k's gradient from w's rows for that input."""
     xs, w = tuple(map(as_tensor, inputs)), as_tensor(w)
     b = None if b is None else as_tensor(b)
     lead = xs[0].shape[:-1] if xs else None
@@ -417,15 +445,28 @@ def linear(inputs, w, b=None) -> Tensor:
         raise ShapeError(f"linear: inputs {[x.shape for x in xs]} do not fit "
                          f"weight {w.shape} and {bias}")
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    out = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)) @ w.data
-    if b is not None:
-        out += b.data
+    out = _affine(rows, w.data, None if b is None else b.data).reshape(*lead, w.shape[1])
     parents = (*xs, w) if b is None else (*xs, w, b)
-    return _make(out.reshape(*lead, w.shape[1]), "linear", parents,
-                 partial(_linear_backward, xs, w, b))
+    # `_make` keeps `out` itself as the node's data, so the in-place tanh
+    # after its finite check reaches the node and the backward holding `out`
+    node = _make(out, "linear", parents,
+                 partial(_linear_backward, xs, w, b, out if tanh else None))
+    if tanh:
+        np.tanh(out, out=out)
+    return node
 
 
-def _linear_backward(xs, w, b, grad):
+@np.errstate(over="ignore", invalid="ignore")  # _make rejects non-finite
+def _affine(rows, w, b):
+    out = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)) @ w
+    if b is not None:
+        out += b
+    return out
+
+
+def _linear_backward(xs, w, b, act, grad):
+    if act is not None:  # through the tanh epilogue; `act` is its output
+        grad = grad * (1.0 - act * act)
     g = grad.reshape(-1, grad.shape[-1])
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
     if w.requires_grad:
@@ -536,39 +577,34 @@ def _accumulate(node: Tensor, grad: np.ndarray, owned: bool = False) -> None:
         node.grad += grad  # in place: .grad is always our own buffer
 
 
-def _topo_order(root: Tensor):
-    """Iterative post-order over the tape; parents precede children."""
-    order = []
-    visited = set()
-    stack = [(root, False)]
+def _reached(root: Tensor):
+    """The nodes whose gradient `root` needs, latest created first: a
+    node's children are all made after it, so each fires after them."""
+    seen = {id(root)}
+    stack, nodes = [root], [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
-    return order
+        for parent in stack.pop().parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+                nodes.append(parent)
+    nodes.sort(key=attrgetter("seq"), reverse=True)
+    return nodes
 
 
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable leaf's .grad.
 
-    The root must be a scalar (single element). Interior gradients are
-    discarded after use; Parameter leaves keep theirs.
+    The root must be a scalar (single element). Nodes fire in reverse
+    creation order, and each interior gradient is discarded once its
+    node has fired; Parameter leaves keep theirs.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         return
-    order = _topo_order(root)
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
+    for node in _reached(root):
         if node._backward is not None:
             node._backward(node.grad)
             node.grad = None  # interior grads are transient

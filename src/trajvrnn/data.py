@@ -315,6 +315,22 @@ class Dataset:
             if mask.shape != (seq.t_past, seq.n_agents):
                 raise DataError(f"sequence {seq.id}: mask shape {mask.shape} does "
                                 f"not match ({seq.t_past}, {seq.n_agents})")
+        self.check_results()
+
+    def check_results(self):
+        """`results`, when present, holds one (imputed, predicted) pair per
+        record, shaped (t_past, N, 2) and (t_future, N, 2); else DataError."""
+        if self.results is None:
+            return
+        if len(self.results) != len(self.sequences):
+            raise DataError(f"{len(self.results)} results for {len(self.sequences)} sequences")
+        for seq, pair in zip(self.sequences, self.results):
+            shapes = tuple(map(np.shape, pair)) if isinstance(pair, (tuple, list)) \
+                else np.shape(pair)
+            want = ((seq.t_past, seq.n_agents, 2), (seq.t_future, seq.n_agents, 2))
+            if shapes != want:
+                raise DataError(f"sequence {seq.id}: results shaped {shapes}, "
+                                f"expected (imputed, predicted) {want}")
 
     @property
     def t_past(self):
@@ -345,6 +361,7 @@ def write_dataset(path, ds: Dataset) -> None:
     seqs = ds.sequences
     if not seqs:
         raise DataError("refusing to write an empty dataset")
+    ds.check_results()  # `results` may have been set after the Dataset was built
     header = [f"mode={ds.spec.mode}"]
     if ds.spec.mode == "circle":
         header.append(f"radius={ds.spec.radius!r}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, linear, matmul, relu, reshape, tanh, tmean, transpose
+from .autodiff import Tensor, linear, matmul, relu, reshape, tmean, transpose
 from .errors import CapacityError, ConfigError
 
 
@@ -113,7 +113,7 @@ class SpatialEncoder:
         else:
             inp = Tensor(masked_input_vector(coords, mask))
             w0, b0, w1, b1 = self.embed_past
-        return linear([tanh(linear([inp], w0, b0))], w1, b1)
+        return linear([linear([inp], w0, b0, tanh=True)], w1, b1)
 
     def edge_weight_matrices(self) -> Tensor:
         """Generate the three (D_G, D) category weight matrices, laid out
@@ -124,7 +124,7 @@ class SpatialEncoder:
         """
         cfg = self.cfg
         onehots = Tensor(np.eye(3))
-        hidden = tanh(linear([onehots], self.ec_w0, self.ec_b0))
+        hidden = linear([onehots], self.ec_w0, self.ec_b0, tanh=True)
         raw = linear([hidden], self.ec_w1, self.ec_b1)
         stacked = reshape(raw, (3, cfg.ec_pool, cfg.d_graph, cfg.d_embed))
         thetas = tmean(stacked, axis=1)

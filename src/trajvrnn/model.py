@@ -43,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (Parameter, Tensor, _accumulate, _make, backward, clamp, exp,
-                       linear, new_parameter, no_grad, relu, tanh, tmean, tsum)
+                       linear, new_parameter, no_grad, relu, tmean, tsum)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
@@ -263,10 +263,10 @@ def _gauss_kl_backward(parents, grad):
         _accumulate(mu_q, dmu, owned=True)
 
 
-def gru_step(inputs, h: Tensor, weights) -> Tensor:
-    """Standard gated recurrent cell over the concatenated `inputs`;
-    weights = (wz, bz, wr, br, wh, bh)."""
-    return ad.gru(inputs, h, *weights)
+def gru_step(inputs, h: Tensor, weights, decay=None) -> Tensor:
+    """Standard gated recurrent cell over the concatenated `inputs` and
+    h * decay (h without a decay); weights = (wz, bz, wr, br, wh, bh)."""
+    return ad.gru(inputs, h, *weights, decay=decay)
 
 
 class TrajectoryModel:
@@ -342,7 +342,7 @@ class TrajectoryModel:
     def _gauss_head(self, inputs, head) -> LatentDistribution:
         """Diagonal Gaussian from an MLP over the concatenated `inputs`."""
         w0, b0, w_mu, b_mu, w_lv, b_lv = head
-        hidden = tanh(linear(inputs, w0, b0))
+        hidden = linear(inputs, w0, b0, tanh=True)
         mu = linear([hidden], w_mu, b_mu)
         lv = clamp(linear([hidden], w_lv, b_lv),
                    -self.cfg.logvar_limit, self.cfg.logvar_limit)
@@ -355,18 +355,18 @@ class TrajectoryModel:
         return self._gauss_head([graph_features, h_prev], self.post_head)
 
     def zfeat_past(self, z: Tensor) -> Tensor:
-        return tanh(linear([z], *self.zfeat_past_w))
+        return linear([z], *self.zfeat_past_w, tanh=True)
 
     def zfeat_future(self, z: Tensor, z_tp: Tensor) -> Tensor:
         if z_tp is None:
             raise ConfigError("zfeat_future needs the last past-step latent")
-        return tanh(linear([z, z_tp], *self.zfeat_future_w))
+        return linear([z, z_tp], *self.zfeat_future_w, tanh=True)
 
     def _decode(self, features: Tensor, h_prev: Tensor, head) -> Tensor:
         """The 5 raw outputs (.., 5) that `bigauss_nll` takes; the first
         two are the mean."""
         w0, b0, w_out, b_out = head
-        hidden = tanh(linear([features, h_prev], w0, b0))
+        hidden = linear([features, h_prev], w0, b0, tanh=True)
         return linear([hidden], w_out, b_out)
 
     def decode_imputation(self, zf: Tensor, h_prev: Tensor) -> Tensor:
@@ -440,7 +440,7 @@ class TrajectoryModel:
             if t < last:
                 if not teacher:
                     fg = self.encoder.forward(x[:, t], mask[:, t], thetas)
-                h = gru_step([fg, zf], h * decay[:, t] if cfg.use_td else h, self.rnn_main)
+                h = gru_step([fg, zf], h, self.rnn_main, decay[:, t] if cfg.use_td else None)
         if not run_future:
             return
 

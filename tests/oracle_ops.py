@@ -3,8 +3,9 @@ the fused nodes out of smaller ones, and the per-pair arrays that the
 graph branches are checked against: the normalised static adjacency
 and the edge categories.
 
-The library has no subtraction, log or concatenation node, and its
-static and edge-conditioned branches build nothing per pair. These are built on the
+The library has no subtraction, log, concatenation or standalone tanh
+node (a tanh is an epilogue of `linear` or `gru`), and its static and
+edge-conditioned branches build nothing per pair. These are built on the
 autodiff engine's own `_pointwise`, `_make` and `_accumulate`, so the
 grad checks cover them like any primitive.
 """
@@ -88,3 +89,11 @@ def normalize_static(a, i):
     deg = np.maximum(s.sum(axis=-1), 1.0)
     inv_sqrt = 1.0 / np.sqrt(deg)
     return inv_sqrt[..., :, None] * s * inv_sqrt[..., None, :]
+
+
+def _tanh_vjp(grad, out, a):
+    return grad * (1.0 - out * out)
+
+
+def tanh(a):
+    return _pointwise("tanh", np.tanh, (_tanh_vjp,), a)

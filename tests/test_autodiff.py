@@ -8,12 +8,12 @@ from trajvrnn import autodiff as ad
 from trajvrnn.autodiff import (
     Parameter, Tensor, backward, clamp, div, exp, getitem, grad_check,
     gru, linear, matmul, mul, no_grad, relu, reshape,
-    tanh, tmean, transpose, tsum,
+    tmean, transpose, tsum,
 )
 from trajvrnn.errors import NumericError, ShapeError
 from trajvrnn.model import LatentDistribution, bigauss_nll, gauss_kl, sample_latent
 
-from oracle_ops import concat, log, sub
+from oracle_ops import concat, log, sub, tanh
 
 
 def test_matmul_manual_product():
@@ -238,7 +238,7 @@ KL_NAMES = ("mu_q", "lv_q", "mu_p", "lv_p")
     "matmul", "matmul3d", "add", "add_fanout", "sub", "mul", "div", "concat",
     "exp", "log", "tanh", "relu", "sum", "mean", "reshape", "slice",
     "bcast", "gru", "gru2", "linear", "linear2", "clamp", "linear_nobias",
-    "bigauss_nll", "gauss_kl", "sample_latent",
+    "bigauss_nll", "gauss_kl", "sample_latent", "gru_decay", "linear_tanh",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -259,6 +259,7 @@ def test_grad_check_every_primitive(op_name):
     dists = [Parameter(name, rng.normal(size=(2, 3, 4))) for name in KL_NAMES]
     noise = rng.normal(size=(2, 3, 4))
     post, prior = LatentDistribution(*dists[:2]), LatentDistribution(*dists[2:])
+    dk = Parameter("dk", rng.uniform(0.2, 1.0, size=(2, 3, 1)))  # one decay per row
 
     def add_fanout():
         # backward reaches the add first, which hands one gradient to the
@@ -277,11 +278,13 @@ def test_grad_check_every_primitive(op_name):
         "gru": lambda: tsum(tanh(gru([cell[0]], *cell[1:]))),
         # two blocks of different widths, so a block offset mix-up shows
         "gru2": lambda: tsum(tanh(gru(cell2[:2], *cell2[2:]))),
+        "gru_decay": lambda: tsum(tanh(gru([cell[0]], *cell[1:], decay=dk))),
         "linear": lambda: tsum(tanh(linear([a], w, lb))),
         # two inputs of different widths, so a block offset mix-up shows
         "linear2": lambda: tsum(tanh(linear([c, d], v, lb))),
         # no bias, and a transposed (non-contiguous) weight off the tape
         "linear_nobias": lambda: tsum(tanh(linear([c], transpose(u)))),
+        "linear_tanh": lambda: tsum(exp(linear([c, d], v, lb, tanh=True))),
         "clamp": lambda: tsum(tanh(clamp(k, -1.0, 1.0) * 1.5)),
         "add": lambda: tsum(tanh(a + b)),
         "sub": lambda: tsum(tanh(sub(a, b))),
@@ -301,7 +304,7 @@ def test_grad_check_every_primitive(op_name):
         "gauss_kl": lambda: tsum(tanh(gauss_kl(post, prior) * 0.3)),
         "sample_latent": lambda: tsum(tanh(sample_latent(post, noise))),
     }
-    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u, *cell2, raw, *dists)
+    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u, *cell2, raw, *dists, dk)
               if _touches(op_name, p.name)]
     assert grad_check(builders[op_name], params) <= 1e-4
 
@@ -315,9 +318,11 @@ def _touches(op_name, pname):
         return pname in GRU_SHAPES
     if op_name == "gru2":
         return pname in GRU2_SHAPES
+    if op_name == "gru_decay":
+        return pname in GRU_SHAPES or pname == "dk"
     if op_name == "linear":
         return pname in ("a", "w", "lb")
-    if op_name == "linear2":
+    if op_name in ("linear2", "linear_tanh"):
         return pname in ("c", "d", "v", "lb")
     if op_name == "linear_nobias":
         return pname in ("c", "u")
@@ -378,6 +383,44 @@ def test_gru_matches_composed_cell(lead, n_x, n_h):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+# the middle case is the model's past step: one decay per agent, at H=256
+@pytest.mark.parametrize("lead,widths,n_h,per_unit", [((2, 3), (3,), 4, True),
+                                                      ((64, 10), (16, 64), 256, False),
+                                                      ((2, 3), (2, 5), 4, False)])
+def test_gru_decay_matches_decayed_h(lead, widths, n_h, per_unit):
+    """gru(..., decay=d) against gru(inputs, h * d) with the product on the
+    tape: forward bit-equal, with and without the tape; gradients, d's
+    included, within 1e-12 of it. d is (.., 1) or one factor per unit."""
+    rng = np.random.default_rng(n_h + len(widths))
+    shapes = ([lead + (n,) for n in widths] + [lead + (n_h,)]
+              + [(sum(widths) + n_h, n_h), (n_h,)] * 3)
+    cell = [Parameter(f"p{i}", rng.normal(size=shape) / np.sqrt(shape[0]))
+            for i, shape in enumerate(shapes)]
+    decay = Parameter("decay", rng.uniform(0.1, 1.0, size=lead + ((n_h,) if per_unit else (1,))))
+    inputs, (h, *weights) = cell[:len(widths)], cell[len(widths):]
+    composed = gru(inputs, h * decay, *weights)
+    fused = gru(inputs, h, *weights, decay=decay)
+    assert fused.op == "gru" and fused.parents == (*cell, decay)
+    assert np.array_equal(fused.data, composed.data)
+    with no_grad():
+        assert np.array_equal(gru(inputs, h, *weights, decay=decay).data, composed.data)
+    grads = []
+    for out in (composed, fused):
+        for p in (*cell, decay):
+            p.zero_grad()
+        backward(tsum(tanh(out)))
+        grads.append([p.grad.copy() for p in (*cell, decay)])
+    for want, got in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gru_decay_shape_error_names_it():
+    cell = [Tensor(np.ones(shape)) for shape in GRU_SHAPES.values()]
+    with pytest.raises(ShapeError) as err:
+        gru([cell[0]], *cell[1:], decay=Tensor(np.ones((2, 3, 3))))
+    assert str(err.value).startswith("gru") and "decay (2, 3, 3)" in str(err.value)
+
+
 def test_gru_rejects_mismatched_shapes():
     cell = [Tensor(np.ones(shape)) for shape in GRU_SHAPES.values()]
     cell[1] = Tensor(np.ones((3, 2, 4)))
@@ -422,6 +465,49 @@ def test_linear_matches_composed_affine(lead, widths):
         grads.append([p.grad.copy() for p in params])
     for want, got in zip(*grads):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("widths", [(16,), (16, 256)])
+@pytest.mark.parametrize("lead", [(2, 3), (64, 10)])
+def test_linear_tanh_matches_composed(lead, widths):
+    """The tanh epilogue against tanh(linear(...)) with a tanh node on the
+    tape: forward bit-equal, with and without the tape; gradients within
+    1e-12 of it. The node keeps no array but its own value."""
+    rng = np.random.default_rng(sum(widths) + lead[0] + 1)
+    shapes = [lead + (n,) for n in widths] + [(sum(widths), 64), (64,)]
+    params = [Parameter(f"p{i}", rng.normal(size=shape) / np.sqrt(shape[0]))
+              for i, shape in enumerate(shapes)]
+    *inputs, w, b = params
+    composed = tanh(linear(inputs, w, b))
+    fused = linear(inputs, w, b, tanh=True)
+    assert fused.op == "linear" and fused.parents == tuple(params)
+    assert np.array_equal(fused.data, composed.data)
+    [held] = [a for a in fused._backward.args if isinstance(a, np.ndarray)]
+    assert held is fused.data
+    with no_grad():
+        assert np.array_equal(linear(inputs, w, b, tanh=True).data, composed.data)
+    grads = []
+    for out in (composed, fused):
+        for p in params:
+            p.zero_grad()
+        backward(tsum(tanh(out)))
+        grads.append([p.grad.copy() for p in params])
+    for want, got in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bias", [0.0, -np.inf])
+@pytest.mark.parametrize("act", [False, True])
+def test_linear_overflow_raises_silently(act, bias):
+    """A weight that overflows the map raises NumericError naming `linear`
+    without a numpy warning, also under the tanh epilogue, which would
+    turn the inf into 1.0; an inf - inf from the bias likewise."""
+    x = Tensor(np.full((2, 3), 10.0))
+    w = Parameter("w", np.full((3, 4), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="'linear'"):
+            linear([x], w, np.full(4, bias), tanh=act)
 
 
 @pytest.mark.parametrize("shapes", [

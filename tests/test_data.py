@@ -326,3 +326,32 @@ def test_dataset_holds_sequences_of_one_shape(other):
     with pytest.raises(DataError, match="sequence odd: windows and N"):
         Dataset(spec=MaskingSpec(mode="circle", radius=1.0), split="train", seed=0,
                 sequences=seqs, masks=[np.ones((s.t_past, s.n_agents)) for s in seqs])
+
+
+@pytest.mark.parametrize("bad", ["predicted_rows", "imputed_agents", "count", "single"])
+def test_dataset_results_match_the_records(bad, tmp_path):
+    """`results` holds one (imputed, predicted) pair per record, shaped like
+    the record's past and future windows: anything else is a DataError
+    when the Dataset is built and when a later assignment is written, not
+    a file that `read_dataset` rejects."""
+    seqs = generate_sequences(2, 3, 6, 2, seed=56)
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0), split="test", seed=56)
+    results = [(np.zeros((6, 3, 2)), np.zeros((2, 3, 2))) for _ in seqs]
+    Dataset(spec=ds.spec, split=ds.split, seed=ds.seed, sequences=ds.sequences,
+            masks=ds.masks, results=results)
+    if bad == "predicted_rows":
+        results[1] = (results[1][0], np.zeros((3, 3, 2)))
+    elif bad == "imputed_agents":
+        results[0] = (np.zeros((6, 2, 2)), results[0][1])
+    elif bad == "count":
+        results.pop()
+    else:
+        results[0] = np.zeros((6, 3, 2))
+    with pytest.raises(DataError, match="results"):
+        Dataset(spec=ds.spec, split=ds.split, seed=ds.seed, sequences=ds.sequences,
+                masks=ds.masks, results=results)
+    ds.results = results
+    path = tmp_path / "bad.trajset"
+    with pytest.raises(DataError, match="results"):
+        write_dataset(path, ds)
+    assert not path.exists()

@@ -1,11 +1,14 @@
+import importlib.util
 import math
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trajvrnn import model as model_module
-from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, no_grad, tanh,
+from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, no_grad,
                                tsum)
 from trajvrnn.errors import ConfigError, DataError, ShapeError
 from trajvrnn.model import (
@@ -14,7 +17,7 @@ from trajvrnn.model import (
 )
 from trajvrnn.optim import Adam
 
-from oracle_ops import log, sub
+from oracle_ops import log, sub, tanh
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -607,18 +610,121 @@ def test_training_tape_holds_no_affine_intermediates():
 def test_training_tape_node_count_is_pinned():
     """The train tape at `tiny_cfg` (4 past and 2 future steps), pinned:
     the encoder runs once per window and the decay once over the past
-    window, so each step adds its slices of both, not their graphs."""
+    window, so each step adds its slices of both, not their graphs; each
+    tanh is the epilogue of its `linear` node and each past step's decay
+    an operand of its `gru` node."""
     cfg = tiny_cfg(seed=40)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
-    assert len(ops) == 220
+    assert len(ops) == 189
+    assert ops.count("tanh") == 0
     # per step: its features; per past step: its decay; per encoder call:
     # dl.adj[:n, :n] and the ST branch's visible row of the pooling
     assert ops.count("getitem") == (cfg.t_past + cfg.t_future) + cfg.t_past + 2 * 2
     # per window: three ST layers and one DL layer; and the one decay
     assert ops.count("relu") == 2 * (3 + 1) + 1
+
+
+def _tape_memory_script():
+    """`scripts/tape_memory.py`, whose `held_arrays(node)` lists the arrays
+    a node's backward keeps."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "tape_memory.py"
+    spec = importlib.util.spec_from_file_location("tape_memory", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_training_tape_keeps_only_what_backward_reads():
+    """Checked on the arrays each node's backward keeps as well as on the
+    node values: no tanh node sits on a `linear` node, whose tanh
+    epilogue keeps only the node's own value; no `mul` node, and no array
+    at all, holds a decayed (B, N, H) hidden state, since each past
+    step's decay is an operand of its `gru` node; and each `gru` node
+    keeps exactly its gates z|r and its candidate, not r * h.
+    H = 7 matches no other width on the tape."""
+    cfg = tiny_cfg(d_hidden=7, seed=40)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=41)
+    noise = model.draw_noise(np.random.default_rng(42), 2, 3)
+    nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
+    held_arrays = _tape_memory_script().held_arrays
+    held = {id(node): held_arrays(node) for node in nodes}
+    rows, h_shape = 2 * 3, (2, 3, cfg.d_hidden)
+    assert not [node for node in nodes
+                if node.op == "tanh" and any(p.op == "linear" for p in node.parents)]
+    for node in nodes:
+        if node.op == "linear":
+            assert all(a is node.data for a in held[id(node)])
+    assert not [node for node in nodes if node.op == "mul" and node.shape == h_shape]
+    grus = [node for node in nodes if node.op == "gru"]
+    # parents: the two input blocks, h, the six weights and the decay
+    decayed = [node.parents[2].data * node.parents[-1].data
+               for node in grus if len(node.parents) == 2 + 7 + 1]
+    assert len(grus) == 5 and len(decayed) == cfg.t_past
+    for array in [node.data for node in nodes] + [a for arrays in held.values() for a in arrays]:
+        assert not any(array.shape == h.shape and np.array_equal(array, h)
+                       for h in decayed[1:])  # the first step's h and decayed h are 0
+    for node in grus:
+        zr, cand = sorted(held[id(node)], key=lambda a: a.ndim, reverse=True)
+        assert len(held[id(node)]) == 2
+        assert zr.shape == (2, rows, cfg.d_hidden) and cand.shape == (rows, cfg.d_hidden)
+        assert ((zr > 0) & (zr < 1)).all() and (np.abs(cand) < 1).all()
+
+
+def test_tape_memory_counts_what_backward_keeps():
+    """`scripts/tape_memory.py` counts node values and the arrays their
+    backward keeps, each buffer once: each `gru` node keeps z|r (2, B N, H)
+    and the candidate (B N, H), a tanh-epilogue `linear` only its value."""
+    cfg = tiny_cfg(seed=40)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=41)
+    noise = model.draw_noise(np.random.default_rng(42), 2, 3)
+    total = model.training_losses(coords, mask, noise)["total"]
+    table = _tape_memory_script().tape_bytes(total)
+    rows, h = 2 * 3, cfg.d_hidden
+    assert table["gru"] == [5, 5 * rows * h * 8, 5 * 3 * rows * h * 8]
+    assert table["linear"][2] == 0 and "tanh" not in table
+    assert table["parameter"][0] == len(model.params)
+
+
+def test_tape_memory_script_prints_a_row_per_op(capsys):
+    _tape_memory_script().main(["--batch", "1", "--agents", "2"])
+    out = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in out[1:-1]}
+    assert rows["gru"][0] == "49" and "tanh" not in rows
+    assert out[-1].startswith("tracemalloc: forward left")
+
+
+def _most_waiting_gradients(t_past):
+    """The largest number of recorded nodes holding a `.grad` at once
+    while `backward` runs on the train tape, counted as each node fires."""
+    cfg = tiny_cfg(t_past=t_past, seed=40)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, seed=41)
+    noise = model.draw_noise(np.random.default_rng(42), 2, 3)
+    total = model.training_losses(coords, mask, noise)["total"]
+    nodes = _tape_nodes(total)
+    most = 0
+
+    def counted(fire, grad):
+        nonlocal most
+        most = max(most, sum(node.grad is not None for node in nodes))
+        fire(grad)
+
+    for node in nodes:
+        node._backward = partial(counted, node._backward)
+    backward(total)
+    return most
+
+
+def test_waiting_gradients_do_not_grow_with_the_window():
+    """Backward fires the nodes in reverse creation order, which on the
+    unrolled recurrence is step-by-step BPTT order: the gradients waiting
+    at any time are about one step's, however long the window."""
+    assert _most_waiting_gradients(4) == _most_waiting_gradients(12)
 
 
 def test_training_tape_holds_no_per_pair_array():
