@@ -13,7 +13,7 @@ and how far backward's peak rose above what the forward left.
 
     PYTHONPATH=src python scripts/tape_memory.py
 
-The process peaks at about 0.6 GB; `--batch` and `--agents` shrink the
+The process peaks at about 530 MB; `--batch` and `--agents` shrink the
 step.
 """
 

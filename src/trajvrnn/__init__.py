@@ -5,7 +5,7 @@ observations, built on a self-contained reverse-mode autodiff core, plus
 a synthetic benchmark generator, classical baselines, and metrics.
 """
 
-from .autodiff import Parameter, Tensor, backward, grad_check, no_grad
+from .autodiff import Parameter, Tensor, backward, no_grad
 from .baselines import (impute_linear_fit, impute_mean, impute_median,
                         metric_i_l2, metric_p_l2, predict_constant_velocity)
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint

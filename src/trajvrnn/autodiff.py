@@ -11,12 +11,13 @@ in a fixed order (bit-reproducible). On an unrolled recurrence that is
 step-by-step BPTT order, so about one step's gradients wait at a time.
 
 - Fold: every product of an activation with a weight matrix is a
-  `linear` node, `concat(inputs, -1) @ w (+ b)`, optionally followed by
-  a tanh, which runs as one 2-D GEMM over the rows of the batch axes,
-  forward and for both gradients, and keeps nothing but its parents and
-  its own output: neither the concatenation, the product before the
-  bias nor the pre-activation stays on the tape. `matmul` is left with
-  products of node features and a non-weight array (the learned
+  `linear` node, `concat(inputs, -1) @ w (+ b)` with an optional tanh,
+  relu or clip epilogue, which runs as one 2-D GEMM over the rows of the
+  batch axes, forward and for both gradients. It keeps nothing but its
+  parents and its own output, from which backward reads the epilogue's
+  derivative (as In-Place Activated BatchNorm, arXiv:1712.02616).
+  `weighted_sum` fuses the graph branches in one node. `matmul` is left
+  with products of node features and a non-weight array (the learned
   adjacency, a visibility selector) and is one `np.matmul` path.
 - Ownership: the first gradient to reach a node is stored as is when the
   op has just made it (a GEMM product, a scatter, a vjp result) and
@@ -42,7 +43,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 _grad_enabled = True
 _creation = count()  # each tensor's sequence number; see `backward`
@@ -157,11 +158,15 @@ def new_parameter(registry: dict, name: str, shape, rng, fill=None, load=None) -
     return param
 
 
-def _make(data, op, parents, backward):
-    data = np.asarray(data, dtype=np.float64)
+def _check_finite(data, op, parents):
     if not np.all(np.isfinite(data)):
         srcs = ", ".join(p.op for p in parents) or "none"
         raise NumericError(f"non-finite values produced by op '{op}' (inputs from: {srcs})")
+
+
+def _make(data, op, parents, backward):
+    data = np.asarray(data, dtype=np.float64)
+    _check_finite(data, op, parents)
     if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward, op=op)
     return Tensor(data, op=op)
@@ -184,32 +189,30 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def _pointwise(op, forward, vjps, *inputs) -> Tensor:
     """Record elementwise op `op`: `forward(*arrays)` computes the output
     and `vjps[i](grad, out, *arrays)` the gradient of input i (None: the
-    gradient itself), which is then summed back to that input's shape.
-    Inputs beyond the last vjp are constants (a clamp's bound), passed to
-    `forward` and the vjps as given and kept off the tape."""
-    n = len(vjps)
-    parents, consts = tuple(map(as_tensor, inputs[:n])), inputs[n:]
+    gradient itself), which is then summed back to that input's shape."""
+    parents = tuple(map(as_tensor, inputs))
     try:
-        out = forward(*[t.data for t in parents], *consts)
+        out = forward(*[t.data for t in parents])
     except ValueError:
         shapes = " and ".join(str(t.shape) for t in parents)
         raise ShapeError(f"{op}: shapes {shapes} do not broadcast") from None
     # a partial of module-level functions, not a closure: fewer objects
     # per node for the cyclic GC to scan while the tape grows
-    return _make(out, op, parents, partial(_pointwise_backward, vjps, parents, consts, out))
+    return _make(out, op, parents, partial(_pointwise_backward, vjps, parents, out))
 
 
-def _pointwise_backward(vjps, parents, consts, out, grad):
+def _pointwise_backward(vjps, parents, out, grad):
     arrays = [t.data for t in parents]
     for t, vjp in zip(parents, vjps):
         if t.requires_grad:
-            g = grad if vjp is None else vjp(grad, out, *arrays, *consts)
+            g = grad if vjp is None else vjp(grad, out, *arrays)
             if g.shape != t.shape:
                 g = _unbroadcast(g, t.shape)
             _accumulate(t, g, owned=g is not grad)
 
 
 # numpy warnings off for these forwards; _make rejects non-finite results
+_matmul = np.errstate(over="ignore", invalid="ignore")(np.matmul)
 _divide = np.errstate(divide="ignore", invalid="ignore")(np.divide)
 _exp = np.errstate(over="ignore")(np.exp)
 
@@ -243,16 +246,12 @@ def _times_out(grad, out, a):
     return grad * out
 
 
-def _above(grad, out, a, value):
-    return grad * (a > value)
+def _relu(a):
+    return np.maximum(a, 0.0)
 
 
-def _clip(a, lo, hi):
-    return np.minimum(np.maximum(a, lo), hi)
-
-
-def _inside(grad, out, a, lo, hi):
-    return grad * ((a > lo) & (a < hi))
+def _positive(grad, out, a):
+    return grad * (a > 0.0)
 
 
 def add(a, b) -> Tensor:
@@ -272,12 +271,7 @@ def exp(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    return _pointwise("relu", np.maximum, (_above,), a, 0.0)
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Elementwise min(max(a, lo), hi); gradient is zero where a bound wins."""
-    return _pointwise("clamp", _clip, (_inside,), a, lo, hi)
+    return _pointwise("relu", _relu, (_positive,), a)
 
 
 def matmul(a, b) -> Tensor:
@@ -289,7 +283,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
     try:
-        out = np.matmul(a.data, b.data)
+        out = _matmul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"matmul: batch shapes {a.shape} and {b.shape} "
                          "do not broadcast") from None
@@ -334,25 +328,33 @@ def gru(inputs, h, wz, bz, wr, br, wh, bh, decay=None) -> Tensor:
         raise ShapeError(f"gru: inputs {[x.shape for x in xs]} and h {h.shape}{with_decay} do not "
                          f"fit gate weights {wz.shape}, {wr.shape}, {wh.shape} and biases "
                          f"{bz.shape}, {br.shape}, {bh.shape}")
-    rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    hs = _decayed(h, decay).reshape(-1, n_h)
+    parents = (*xs, *cell) if decay is None else (*xs, *cell, decay)
+    out, zr, cand = _gru_forward(parents, [x.data.reshape(-1, x.shape[-1]) for x in xs],
+                                 h, decay, wz, bz, wr, br, wh, bh)
+    return _make(out.reshape(h.shape), "gru", parents,
+                 partial(_gru_backward, xs, cell, decay, zr, cand))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # pre-activations checked before squashing
+def _gru_forward(parents, rows, h, decay, wz, bz, wr, br, wh, bh):
+    hs = _decayed(h, decay).reshape(-1, h.shape[-1])
     xh = np.concatenate([*rows, hs], axis=1)
-    zr = np.empty((2, len(hs), n_h))
+    zr = np.empty((2, len(hs), hs.shape[1]))
     np.matmul(xh, wz, out=zr[0])
     zr[0] += bz
     np.matmul(xh, wr, out=zr[1])
     zr[1] += br
     del xh  # freed before the second concat: it sets the no-grad peak
+    _check_finite(zr, "gru", parents)
     z, r = _sigmoid(zr, out=zr)
     cand = np.concatenate([*rows, r * hs], axis=1) @ wh
     cand += bh
+    _check_finite(cand, "gru", parents)
     np.tanh(cand, out=cand)
     out = 1.0 - z
     out *= hs
     out += z * cand
-    parents = (*xs, *cell) if decay is None else (*xs, *cell, decay)
-    return _make(out.reshape(h.shape), "gru", parents,
-                 partial(_gru_backward, xs, cell, decay, zr, cand))
+    return out, zr, cand
 
 
 def _broadcasts_to(shape, target) -> bool:
@@ -421,22 +423,26 @@ def _stacked_t_at(blocks, d):
     return out
 
 
-def linear(inputs, w, b=None, tanh=False) -> Tensor:
+def linear(inputs, w, b=None, act=None) -> Tensor:
     """Affine map `concat(inputs, -1) @ w + b` recorded as one tape node
-    with op "linear"; without `b` it is the product alone, and with
-    `tanh` the node's value is tanh of that map.
+    with op "linear"; without `b` it is the product alone, and with `act`
+    ("tanh", "relu" or a clip `(lo, hi)`) the node's value is that
+    activation of the map.
 
     The inputs share their leading axes, their widths add up to w's rows,
     and b is (w's columns,). The forward concatenates the inputs' rows
     into a temporary 2-D buffer, runs one 2-D GEMM, adds the bias and
-    applies the tanh in place, so its values are bit-identical to the
-    composition of concat, matmul, add and tanh. The finite check runs on
-    the map before the tanh, which would turn an overflow into +-1. The
-    node keeps only its parents and its own output: backward takes the
-    tanh's derivative from the output, the weight gradient block by block
-    and input k's gradient from w's rows for that input."""
+    applies the activation in place, so its values are bit-identical to
+    the composition of concat, matmul, add and the activation. The finite
+    check runs on the map before the activation, which would turn an
+    overflow into a finite value. The node keeps only its parents and its
+    own output y: backward takes the activation's derivative from y
+    (1 - y^2, y > 0, lo < y < hi), the weight gradient block by block and
+    input k's gradient from w's rows for that input."""
     xs, w = tuple(map(as_tensor, inputs)), as_tensor(w)
     b = None if b is None else as_tensor(b)
+    if act not in (None, "tanh", "relu") and not (isinstance(act, tuple) and len(act) == 2):
+        raise ConfigError(f"linear: act must be None, 'tanh', 'relu' or (lo, hi), got {act!r}")
     lead = xs[0].shape[:-1] if xs else None
     if (not xs or any(x.ndim == 0 or x.shape[:-1] != lead for x in xs)
             or w.ndim != 2 or sum(x.shape[-1] for x in xs) != w.shape[0]
@@ -447,12 +453,15 @@ def linear(inputs, w, b=None, tanh=False) -> Tensor:
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
     out = _affine(rows, w.data, None if b is None else b.data).reshape(*lead, w.shape[1])
     parents = (*xs, w) if b is None else (*xs, w, b)
-    # `_make` keeps `out` itself as the node's data, so the in-place tanh
+    # `_make` keeps `out` itself as the node's data, so the in-place epilogue
     # after its finite check reaches the node and the backward holding `out`
-    node = _make(out, "linear", parents,
-                 partial(_linear_backward, xs, w, b, out if tanh else None))
-    if tanh:
+    node = _make(out, "linear", parents, partial(_linear_backward, xs, w, b, act, out))
+    if act == "tanh":
         np.tanh(out, out=out)
+    elif act == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif act is not None:
+        np.minimum(np.maximum(out, act[0], out=out), act[1], out=out)
     return node
 
 
@@ -464,9 +473,14 @@ def _affine(rows, w, b):
     return out
 
 
-def _linear_backward(xs, w, b, act, grad):
-    if act is not None:  # through the tanh epilogue; `act` is its output
-        grad = grad * (1.0 - act * act)
+def _linear_backward(xs, w, b, act, y, grad):
+    # through the epilogue, whose derivative reads its output y
+    if act == "tanh":
+        grad = grad * (1.0 - y * y)
+    elif act == "relu":
+        grad = grad * (y > 0.0)
+    elif act is not None:
+        grad = grad * ((y > act[0]) & (y < act[1]))
     g = grad.reshape(-1, grad.shape[-1])
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
     if w.requires_grad:
@@ -480,6 +494,28 @@ def _linear_backward(xs, w, b, act, grad):
         if x.requires_grad:
             _accumulate(x, (g @ w.data[start:stop].T).reshape(x.shape), owned=True)
         start = stop
+
+
+def weighted_sum(terms) -> Tensor:
+    """Sum of `a * w` over the (a, w) pairs of `terms` (at least one), left
+    to right, as one tape node "weighted_sum" that keeps only its parents;
+    its values and gradients are bit-identical to the composed muls and adds."""
+    pairs = tuple((as_tensor(a), as_tensor(w)) for a, w in terms)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # _make rejects non-finite
+            out = None
+            for a, w in pairs:
+                out = a.data * w.data if out is None else out + a.data * w.data
+    except ValueError:
+        shapes = " and ".join(str(t.shape) for pair in pairs for t in pair)
+        raise ShapeError(f"weighted_sum: shapes {shapes} do not broadcast") from None
+    return _make(out, "weighted_sum", tuple(t for pair in pairs for t in pair),
+                 partial(_weighted_sum_backward, pairs))
+
+
+def _weighted_sum_backward(pairs, grad):
+    for pair in pairs:  # as the product's `mul` node would
+        _pointwise_backward((_times_b, _times_a), pair, None, grad)
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -608,37 +644,3 @@ def backward(root: Tensor) -> None:
         if node._backward is not None:
             node._backward(node.grad)
             node.grad = None  # interior grads are transient
-
-
-def grad_check(f, params, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` is a zero-argument callable returning a scalar Tensor and must be
-    deterministic (freeze any sampling noise before calling). Relative
-    error per coordinate is |analytic - numeric| / max(1, |analytic|,
-    |numeric|).
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    out = f()
-    backward(out)
-    analytic = [p.grad.copy() for p in params]
-
-    worst = 0.0
-    with no_grad():
-        for p, ana in zip(params, analytic):
-            flat = p.data.reshape(-1)
-            ana_flat = ana.reshape(-1)
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + h
-                f_plus = f().item()
-                flat[i] = saved - h
-                f_minus = f().item()
-                flat[i] = saved
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                a = ana_flat[i]
-                rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                worst = max(worst, rel)
-    return worst

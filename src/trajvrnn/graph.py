@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, linear, matmul, relu, reshape, tmean, transpose
+from .autodiff import Tensor, linear, matmul, reshape, tmean, transpose, weighted_sum
 from .errors import CapacityError, ConfigError
 
 
@@ -55,20 +55,16 @@ def pool_visibility(features: Tensor, mask) -> Tensor:
 
 
 def fuse(branch_outputs, weights) -> Tensor:
-    """Weighted elementwise sum of whichever branch outputs are present.
+    """(f_st * alpha + f_dl * beta) + f_ec * gamma over the branch outputs
+    present, as one `weighted_sum` node that keeps only its parents.
 
     branch_outputs / weights: equal-length lists; entries may be None to
     drop a branch (disabled by ablation, or EC on a future step).
     """
-    total = None
-    for out, w in zip(branch_outputs, weights):
-        if out is None:
-            continue
-        term = out * w
-        total = term if total is None else total + term
-    if total is None:
+    terms = [(out, w) for out, w in zip(branch_outputs, weights) if out is not None]
+    if not terms:
         raise ConfigError("graph fusion needs at least one enabled branch")
-    return total
+    return weighted_sum(terms)
 
 
 class SpatialEncoder:
@@ -113,7 +109,7 @@ class SpatialEncoder:
         else:
             inp = Tensor(masked_input_vector(coords, mask))
             w0, b0, w1, b1 = self.embed_past
-        return linear([linear([inp], w0, b0, tanh=True)], w1, b1)
+        return linear([linear([inp], w0, b0, act="tanh")], w1, b1)
 
     def edge_weight_matrices(self) -> Tensor:
         """Generate the three (D_G, D) category weight matrices, laid out
@@ -124,7 +120,7 @@ class SpatialEncoder:
         """
         cfg = self.cfg
         onehots = Tensor(np.eye(3))
-        hidden = linear([onehots], self.ec_w0, self.ec_b0, tanh=True)
+        hidden = linear([onehots], self.ec_w0, self.ec_b0, act="tanh")
         raw = linear([hidden], self.ec_w1, self.ec_b1)
         stacked = reshape(raw, (3, cfg.ec_pool, cfg.d_graph, cfg.d_embed))
         thetas = tmean(stacked, axis=1)
@@ -138,7 +134,7 @@ class SpatialEncoder:
         k = np.maximum(m.sum(axis=-1), 1.0)[..., None, None]
         out = pooled[..., 0:1, :] * (1.0 / k)
         for w in self.st_weights:
-            out = relu(linear([out], w))
+            out = linear([out], w, act="relu")
         return out * m[..., None]
 
     def dl_branch(self, features: Tensor) -> Tensor:
@@ -148,7 +144,7 @@ class SpatialEncoder:
             raise CapacityError(f"{n} agents exceed the configured maximum "
                                 f"{self.cfg.n_agents_max}")
         adj = self.dl_adj[0:n, 0:n]
-        return relu(linear([matmul(adj, features)], self.dl_weight))
+        return linear([matmul(adj, features)], self.dl_weight, act="relu")
 
     def ec_branch(self, pooled: Tensor, mask, thetas=None) -> Tensor:
         """Edge-conditioned update: mean over all nodes j (self included,

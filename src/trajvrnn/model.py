@@ -42,8 +42,8 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Parameter, Tensor, _accumulate, _make, backward, clamp, exp,
-                       linear, new_parameter, no_grad, relu, tmean, tsum)
+from .autodiff import (Parameter, Tensor, _accumulate, _make, backward, exp, linear,
+                       new_parameter, no_grad, relu, tmean, tsum)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
@@ -342,10 +342,9 @@ class TrajectoryModel:
     def _gauss_head(self, inputs, head) -> LatentDistribution:
         """Diagonal Gaussian from an MLP over the concatenated `inputs`."""
         w0, b0, w_mu, b_mu, w_lv, b_lv = head
-        hidden = linear(inputs, w0, b0, tanh=True)
+        hidden = linear(inputs, w0, b0, act="tanh")
         mu = linear([hidden], w_mu, b_mu)
-        lv = clamp(linear([hidden], w_lv, b_lv),
-                   -self.cfg.logvar_limit, self.cfg.logvar_limit)
+        lv = linear([hidden], w_lv, b_lv, act=(-self.cfg.logvar_limit, self.cfg.logvar_limit))
         return LatentDistribution(mu=mu, logvar=lv)
 
     def prior_params(self, h_prev: Tensor) -> LatentDistribution:
@@ -355,18 +354,18 @@ class TrajectoryModel:
         return self._gauss_head([graph_features, h_prev], self.post_head)
 
     def zfeat_past(self, z: Tensor) -> Tensor:
-        return linear([z], *self.zfeat_past_w, tanh=True)
+        return linear([z], *self.zfeat_past_w, act="tanh")
 
     def zfeat_future(self, z: Tensor, z_tp: Tensor) -> Tensor:
         if z_tp is None:
             raise ConfigError("zfeat_future needs the last past-step latent")
-        return linear([z, z_tp], *self.zfeat_future_w, tanh=True)
+        return linear([z, z_tp], *self.zfeat_future_w, act="tanh")
 
     def _decode(self, features: Tensor, h_prev: Tensor, head) -> Tensor:
         """The 5 raw outputs (.., 5) that `bigauss_nll` takes; the first
         two are the mean."""
         w0, b0, w_out, b_out = head
-        hidden = linear([features, h_prev], w0, b0, tanh=True)
+        hidden = linear([features, h_prev], w0, b0, act="tanh")
         return linear([hidden], w_out, b_out)
 
     def decode_imputation(self, zf: Tensor, h_prev: Tensor) -> Tensor:

@@ -1,18 +1,25 @@
-"""Ops that only the tests' oracles use: autodiff primitives for composing
-the fused nodes out of smaller ones, and the per-pair arrays that the
-graph branches are checked against: the normalised static adjacency
-and the edge categories.
+"""Code that only the tests use: the central-difference gradient check,
+autodiff primitives for composing the fused nodes out of smaller ones,
+the per-pair arrays that the graph branches are checked against (the
+normalised static adjacency and the edge categories), and a loader for
+`scripts/tape_memory.py`, whose `held_arrays(node)` lists the arrays a
+node's backward keeps.
 
-The library has no subtraction, log, concatenation or standalone tanh
-node (a tanh is an epilogue of `linear` or `gru`), and its static and
+The library has no subtraction, log, concatenation, clamp or standalone
+tanh node (a tanh, a relu after a weight product or a clip is an
+epilogue of `linear`, a tanh also of `gru`), and its static and
 edge-conditioned branches build nothing per pair. These are built on the
 autodiff engine's own `_pointwise`, `_make` and `_accumulate`, so the
 grad checks cover them like any primitive.
 """
 
+import importlib.util
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 
-from trajvrnn.autodiff import _accumulate, _make, _pointwise, as_tensor
+from trajvrnn.autodiff import _accumulate, _make, _pointwise, as_tensor, backward, no_grad
 from trajvrnn.errors import ShapeError
 
 CAT_BOTH_VISIBLE = 0
@@ -97,3 +104,59 @@ def _tanh_vjp(grad, out, a):
 
 def tanh(a):
     return _pointwise("tanh", np.tanh, (_tanh_vjp,), a)
+
+
+def _clip(a, lo, hi):
+    return np.minimum(np.maximum(a, lo), hi)
+
+
+def _inside(grad, out, a, lo, hi):
+    return grad * ((a > lo) & (a < hi))
+
+
+def clamp(a, lo, hi):
+    """Elementwise min(max(a, lo), hi); gradient is zero where a bound wins."""
+    return _pointwise("clamp", partial(_clip, lo=lo, hi=hi), (partial(_inside, lo=lo, hi=hi),), a)
+
+
+def grad_check(f, params, h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    `f` is a zero-argument callable returning a scalar Tensor and must be
+    deterministic (freeze any sampling noise before calling). Relative
+    error per coordinate is |analytic - numeric| / max(1, |analytic|,
+    |numeric|).
+    """
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    out = f()
+    backward(out)
+    analytic = [p.grad.copy() for p in params]
+
+    worst = 0.0
+    with no_grad():
+        for p, ana in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            ana_flat = ana.reshape(-1)
+            for i in range(flat.size):
+                saved = flat[i]
+                flat[i] = saved + h
+                f_plus = f().item()
+                flat[i] = saved - h
+                f_minus = f().item()
+                flat[i] = saved
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                a = ana_flat[i]
+                rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+                worst = max(worst, rel)
+    return worst
+
+
+def tape_memory_script():
+    """`scripts/tape_memory.py`, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "tape_memory.py"
+    spec = importlib.util.spec_from_file_location("tape_memory", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -6,14 +6,13 @@ import pytest
 
 from trajvrnn import autodiff as ad
 from trajvrnn.autodiff import (
-    Parameter, Tensor, backward, clamp, div, exp, getitem, grad_check,
-    gru, linear, matmul, mul, no_grad, relu, reshape,
-    tmean, transpose, tsum,
+    Parameter, Tensor, backward, div, exp, getitem, gru, linear, matmul, mul, no_grad, relu,
+    reshape, tmean, transpose, tsum,
 )
-from trajvrnn.errors import NumericError, ShapeError
+from trajvrnn.errors import ConfigError, NumericError, ShapeError
 from trajvrnn.model import LatentDistribution, bigauss_nll, gauss_kl, sample_latent
 
-from oracle_ops import concat, log, sub, tanh
+from oracle_ops import clamp, concat, grad_check, log, sub, tanh, tape_memory_script
 
 
 def test_matmul_manual_product():
@@ -239,6 +238,7 @@ KL_NAMES = ("mu_q", "lv_q", "mu_p", "lv_p")
     "exp", "log", "tanh", "relu", "sum", "mean", "reshape", "slice",
     "bcast", "gru", "gru2", "linear", "linear2", "clamp", "linear_nobias",
     "bigauss_nll", "gauss_kl", "sample_latent", "gru_decay", "linear_tanh",
+    "linear_relu", "linear_clip", "weighted_sum",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -284,7 +284,11 @@ def test_grad_check_every_primitive(op_name):
         "linear2": lambda: tsum(tanh(linear([c, d], v, lb))),
         # no bias, and a transposed (non-contiguous) weight off the tape
         "linear_nobias": lambda: tsum(tanh(linear([c], transpose(u)))),
-        "linear_tanh": lambda: tsum(exp(linear([c, d], v, lb, tanh=True))),
+        "linear_tanh": lambda: tsum(exp(linear([c, d], v, lb, act="tanh"))),
+        "linear_relu": lambda: tsum(tanh(linear([c, d], v, lb, act="relu"))),
+        "linear_clip": lambda: tsum(tanh(linear([c, d], v, lb, act=(-0.5, 0.5)))),
+        # a used twice and u broadcast over the rows
+        "weighted_sum": lambda: tsum(tanh(ad.weighted_sum([(a, b), (u[0], a)]))),
         "clamp": lambda: tsum(tanh(clamp(k, -1.0, 1.0) * 1.5)),
         "add": lambda: tsum(tanh(a + b)),
         "sub": lambda: tsum(tanh(sub(a, b))),
@@ -322,12 +326,14 @@ def _touches(op_name, pname):
         return pname in GRU_SHAPES or pname == "dk"
     if op_name == "linear":
         return pname in ("a", "w", "lb")
-    if op_name in ("linear2", "linear_tanh"):
+    if op_name in ("linear2", "linear_tanh", "linear_relu", "linear_clip"):
         return pname in ("c", "d", "v", "lb")
     if op_name == "linear_nobias":
         return pname in ("c", "u")
     if op_name == "clamp":
         return pname == "k"
+    if op_name == "weighted_sum":
+        return pname in ("a", "b", "u")
     if op_name == "bigauss_nll":
         return pname == "raw"
     if op_name == "gauss_kl":
@@ -414,6 +420,32 @@ def test_gru_decay_matches_decayed_h(lead, widths, n_h, per_unit):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tape", [True, False])
+@pytest.mark.parametrize("huge", ["wz", "wh", "both"])
+def test_gru_overflow_raises_silently(huge, tape):
+    """A GEMM that overflows a gate or the candidate pre-activation raises
+    NumericError naming `gru`, with no numpy warning; the sigmoid and the
+    tanh would squash the inf into a finite 0 or 1."""
+    x, h = np.array([[10.0]]), np.zeros((1, 2))
+    weights = {name: np.zeros((3, 2)) for name in ("wz", "wr", "wh")}
+    for name in ("wz", "wh") if huge == "both" else (huge,):
+        weights[name] = np.full((3, 2), 1e308)
+    x = Parameter("x", x) if tape else x
+    with pytest.raises(NumericError, match="'gru'"):
+        gru([x], h, weights["wz"], np.zeros(2), weights["wr"], np.zeros(2),
+            weights["wh"], np.zeros(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", [[1e308, 1e308], [1e308, -1e308]])
+def test_matmul_overflow_raises_silently(row):
+    """An inf, or an inf - inf, from the product raises NumericError naming
+    `matmul` with no numpy warning."""
+    with pytest.raises(NumericError, match="'matmul'"):
+        matmul(Tensor([row]), Tensor([[10.0], [10.0]]))
+
+
 def test_gru_decay_shape_error_names_it():
     cell = [Tensor(np.ones(shape)) for shape in GRU_SHAPES.values()]
     with pytest.raises(ShapeError) as err:
@@ -479,18 +511,61 @@ def test_linear_tanh_matches_composed(lead, widths):
               for i, shape in enumerate(shapes)]
     *inputs, w, b = params
     composed = tanh(linear(inputs, w, b))
-    fused = linear(inputs, w, b, tanh=True)
+    fused = linear(inputs, w, b, act="tanh")
     assert fused.op == "linear" and fused.parents == tuple(params)
     assert np.array_equal(fused.data, composed.data)
     [held] = [a for a in fused._backward.args if isinstance(a, np.ndarray)]
     assert held is fused.data
     with no_grad():
-        assert np.array_equal(linear(inputs, w, b, tanh=True).data, composed.data)
+        assert np.array_equal(linear(inputs, w, b, act="tanh").data, composed.data)
     grads = []
     for out in (composed, fused):
         for p in params:
             p.zero_grad()
         backward(tsum(tanh(out)))
+        grads.append([p.grad.copy() for p in params])
+    for want, got in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# the model's log-variance bound at its default `logvar_limit`
+LIMIT = 10.0
+EPILOGUES = {"relu": ("relu", relu),
+             "clip": ((-LIMIT, LIMIT), lambda t: clamp(t, -LIMIT, LIMIT))}
+
+
+@pytest.mark.parametrize("name", sorted(EPILOGUES))
+@pytest.mark.parametrize("lead", [(2, 3), (64, 10)])
+def test_linear_epilogue_matches_composed(lead, name):
+    """The relu and clip epilogues against relu(linear(...)) and
+    clamp(linear(...)) with relu and clamp nodes on the tape. Zero input
+    rows make the map equal the bias, which puts pre-activations exactly
+    at 0, at +-LIMIT and beyond them. Forward bit-equal, with and without
+    the tape; gradients within 1e-12 of it; the node keeps no array but
+    its own value."""
+    act, composed_act = EPILOGUES[name]
+    rng = np.random.default_rng(lead[0] + len(name))
+    edges = [0.0, LIMIT, -LIMIT, 1.5 * LIMIT, -1.5 * LIMIT, -0.0, 0.5, -0.5]
+    rows = rng.normal(size=lead + (16,)) * LIMIT
+    rows[0] = 0.0
+    x, w, b = params = [Parameter("x", rows), Parameter("w", rng.normal(size=(16, 8)) / 4.0),
+                        Parameter("b", np.array(edges))]
+    upstream = rng.normal(size=lead + (8,))
+    composed = composed_act(linear([x], w, b))
+    fused = linear([x], w, b, act=act)
+    assert fused.op == "linear" and fused.parents == tuple(params)
+    assert np.array_equal(fused.data, composed.data)
+    at_edges = composed_act(Tensor(edges)).data
+    assert all(np.array_equal(row, at_edges) for row in fused.data[0])
+    [held] = tape_memory_script().held_arrays(fused)
+    assert held is fused.data
+    with no_grad():
+        assert np.array_equal(linear([x], w, b, act=act).data, composed.data)
+    grads = []
+    for out in (composed, fused):
+        for p in params:
+            p.zero_grad()
+        backward(tsum(out * upstream))
         grads.append([p.grad.copy() for p in params])
     for want, got in zip(*grads):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -507,7 +582,7 @@ def test_linear_overflow_raises_silently(act, bias):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="'linear'"):
-            linear([x], w, np.full(4, bias), tanh=act)
+            linear([x], w, np.full(4, bias), act="tanh" if act else None)
 
 
 @pytest.mark.parametrize("shapes", [
@@ -521,6 +596,12 @@ def test_linear_shape_error_names_every_shape(shapes):
         linear(inputs, w, b)
     message = str(err.value)
     assert message.startswith("linear") and all(str(s) in message for s in shapes)
+
+
+@pytest.mark.parametrize("act", ["sigmoid", (1.0,), True])
+def test_linear_rejects_unknown_act(act):
+    with pytest.raises(ConfigError, match="act"):
+        linear([Tensor(np.ones((2, 3)))], Tensor(np.ones((3, 4))), act=act)
 
 
 def test_linear_without_bias():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from trajvrnn.autodiff import (Tensor, as_tensor, backward, grad_check, linear, matmul, relu,
-                               tsum)
+from trajvrnn.autodiff import (Parameter, Tensor, as_tensor, backward, linear, matmul, no_grad,
+                               relu, tsum)
 from trajvrnn.errors import CapacityError, ConfigError
 from trajvrnn.graph import SpatialEncoder, fuse, masked_input_vector, pool_visibility
 from trajvrnn.model import ModelConfig
 
 from oracle_ops import (CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE,
-                        build_static_adjacency, edge_categories, normalize_static)
+                        build_static_adjacency, edge_categories, grad_check, normalize_static,
+                        tape_memory_script)
 
 
 def small_cfg(**kw):
@@ -312,6 +313,45 @@ def test_fuse_selects_branches():
         fuse([f_st, f_dl, f_ec], [one, one, one]).data, [[7.0]])
     np.testing.assert_array_equal(
         fuse([None, f_dl, None], [zero, one, one]).data, [[2.0]])
+
+
+def _composed_fuse(branch_outputs, weights):
+    """The branch fusion as mul and add nodes, in `fuse`'s order."""
+    total = None
+    for out, w in zip(branch_outputs, weights):
+        if out is not None:
+            total = out * w if total is None else total + out * w
+    return total
+
+
+@pytest.mark.parametrize("present", [(1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+                                     (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_fuse_matches_composed_products(present):
+    """One `weighted_sum` node against the muls and adds it replaces, with
+    all branches on and with one or two off: forward bit-equal, with and
+    without the tape; gradients within 1e-12 of it; the node keeps no array
+    (its parents hold the values that backward reads)."""
+    rng = np.random.default_rng(sum(b << i for i, b in enumerate(present)))
+    outs = [Parameter(f"f{i}", rng.normal(size=(2, 5, 4, 6))) if on else None
+            for i, on in enumerate(present)]
+    weights = [Parameter(f"w{i}", rng.normal(size=6)) for i in range(3)]
+    params = [p for out, w in zip(outs, weights) if out is not None for p in (out, w)]
+    upstream = rng.normal(size=(2, 5, 4, 6))
+    composed = _composed_fuse(outs, weights)
+    fused = fuse(outs, weights)
+    assert fused.op == "weighted_sum" and fused.parents == tuple(params)
+    assert np.array_equal(fused.data, composed.data)
+    assert tape_memory_script().held_arrays(fused) == []
+    with no_grad():
+        assert np.array_equal(fuse(outs, weights).data, composed.data)
+    grads = []
+    for out in (composed, fused):
+        for p in params:
+            p.zero_grad()
+        backward(tsum(out * upstream))
+        grads.append([p.grad.copy() for p in params])
+    for want, got in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fuse_requires_a_branch():

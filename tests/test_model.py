@@ -1,15 +1,12 @@
-import importlib.util
 import math
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trajvrnn import model as model_module
-from trajvrnn.autodiff import (Parameter, Tensor, backward, exp, grad_check, no_grad,
-                               tsum)
+from trajvrnn.autodiff import Parameter, Tensor, backward, exp, no_grad, tsum
 from trajvrnn.errors import ConfigError, DataError, ShapeError
 from trajvrnn.model import (
     LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, gauss_kl, gru_step,
@@ -17,7 +14,7 @@ from trajvrnn.model import (
 )
 from trajvrnn.optim import Adam
 
-from oracle_ops import log, sub, tanh
+from oracle_ops import grad_check, log, sub, tanh, tape_memory_script
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -589,7 +586,8 @@ def _tape_nodes(root, leaves=False):
 def test_training_tape_holds_no_affine_intermediates():
     """Every affine map is one `linear` node and the GRU takes its inputs as
     blocks: the tape keeps no concat copy and no matmul output that only
-    feeds a bias add, and each log-variance clamp is one node."""
+    feeds a bias add, and each log-variance clip is the epilogue of its
+    `linear` node."""
     cfg = tiny_cfg(seed=37)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=38)
@@ -600,7 +598,11 @@ def test_training_tape_holds_no_affine_intermediates():
     assert ops.count("concat") == 0
     # one GRU per step but the last, whose state would reach no loss
     assert ops.count("gru") == steps - 1
-    assert ops.count("clamp") == 2 * steps  # prior and posterior log-variance
+    assert ops.count("clamp") == 0
+    clipped = [node for node in nodes if node.op == "linear"
+               and node._backward.args[3] == (-cfg.logvar_limit, cfg.logvar_limit)]
+    assert len(clipped) == 2 * steps  # prior and posterior log-variance
+    assert all((np.abs(node.data) <= cfg.logvar_limit).all() for node in clipped)
     bias_adds = [node for node in nodes if node.op == "add"
                  and any(p.op == "matmul" for p in node.parents)
                  and any(isinstance(p, Parameter) for p in node.parents)]
@@ -611,36 +613,30 @@ def test_training_tape_node_count_is_pinned():
     """The train tape at `tiny_cfg` (4 past and 2 future steps), pinned:
     the encoder runs once per window and the decay once over the past
     window, so each step adds its slices of both, not their graphs; each
-    tanh is the epilogue of its `linear` node and each past step's decay
-    an operand of its `gru` node."""
+    tanh, each relu after a weight product and each log-variance clip is
+    the epilogue of its `linear` node, each window's branch fusion one
+    `weighted_sum` node and each past step's decay an operand of its `gru`
+    node."""
     cfg = tiny_cfg(seed=40)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
-    assert len(ops) == 189
-    assert ops.count("tanh") == 0
+    assert len(ops) == 163
+    assert ops.count("tanh") == ops.count("clamp") == 0
+    assert ops.count("weighted_sum") == 2
     # per step: its features; per past step: its decay; per encoder call:
     # dl.adj[:n, :n] and the ST branch's visible row of the pooling
     assert ops.count("getitem") == (cfg.t_past + cfg.t_future) + cfg.t_past + 2 * 2
-    # per window: three ST layers and one DL layer; and the one decay
-    assert ops.count("relu") == 2 * (3 + 1) + 1
-
-
-def _tape_memory_script():
-    """`scripts/tape_memory.py`, whose `held_arrays(node)` lists the arrays
-    a node's backward keeps."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "tape_memory.py"
-    spec = importlib.util.spec_from_file_location("tape_memory", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    # the decay's; the ST and DL layers' are `linear` epilogues
+    assert ops.count("relu") == 1
 
 
 def test_training_tape_keeps_only_what_backward_reads():
     """Checked on the arrays each node's backward keeps as well as on the
-    node values: no tanh node sits on a `linear` node, whose tanh
-    epilogue keeps only the node's own value; no `mul` node, and no array
+    node values: no tanh, relu or clamp node sits on a `linear` node,
+    whose epilogue keeps only the node's own value; the branch fusion's
+    `weighted_sum` keeps nothing but its parents; no `mul` node, and no array
     at all, holds a decayed (B, N, H) hidden state, since each past
     step's decay is an operand of its `gru` node; and each `gru` node
     keeps exactly its gates z|r and its candidate, not r * h.
@@ -650,14 +646,16 @@ def test_training_tape_keeps_only_what_backward_reads():
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     nodes = _tape_nodes(model.training_losses(coords, mask, noise)["total"])
-    held_arrays = _tape_memory_script().held_arrays
+    held_arrays = tape_memory_script().held_arrays
     held = {id(node): held_arrays(node) for node in nodes}
     rows, h_shape = 2 * 3, (2, 3, cfg.d_hidden)
-    assert not [node for node in nodes
-                if node.op == "tanh" and any(p.op == "linear" for p in node.parents)]
+    assert not [node for node in nodes if node.op in ("tanh", "relu", "clamp")
+                and any(p.op == "linear" for p in node.parents)]
     for node in nodes:
         if node.op == "linear":
             assert all(a is node.data for a in held[id(node)])
+    fusions = [node for node in nodes if node.op == "weighted_sum"]
+    assert len(fusions) == 2 and all(held[id(node)] == [] for node in fusions)
     assert not [node for node in nodes if node.op == "mul" and node.shape == h_shape]
     grus = [node for node in nodes if node.op == "gru"]
     # parents: the two input blocks, h, the six weights and the decay
@@ -683,7 +681,7 @@ def test_tape_memory_counts_what_backward_keeps():
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     total = model.training_losses(coords, mask, noise)["total"]
-    table = _tape_memory_script().tape_bytes(total)
+    table = tape_memory_script().tape_bytes(total)
     rows, h = 2 * 3, cfg.d_hidden
     assert table["gru"] == [5, 5 * rows * h * 8, 5 * 3 * rows * h * 8]
     assert table["linear"][2] == 0 and "tanh" not in table
@@ -691,10 +689,11 @@ def test_tape_memory_counts_what_backward_keeps():
 
 
 def test_tape_memory_script_prints_a_row_per_op(capsys):
-    _tape_memory_script().main(["--batch", "1", "--agents", "2"])
+    tape_memory_script().main(["--batch", "1", "--agents", "2"])
     out = capsys.readouterr().out.splitlines()
     rows = {line.split()[0]: line.split()[1:] for line in out[1:-1]}
-    assert rows["gru"][0] == "49" and "tanh" not in rows
+    assert rows["gru"][0] == "49" and "tanh" not in rows and "clamp" not in rows
+    assert rows["relu"][0] == "1" and rows["weighted_sum"][0] == "2"
     assert out[-1].startswith("tracemalloc: forward left")
 
 
