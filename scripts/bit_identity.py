@@ -1,7 +1,9 @@
 """Print digests of everything a behaviour-preserving refactor must keep
 bit-identical: gen-data's circle and camera .trajset bytes, the circle and
 camera .trajset bytes of a 300-sequence pool at N=10, T=40+10 (more scenes
-than the simulator integrates in one block), the losses of
+than the simulator integrates in one block), the coordinates and reference
+tracks of a 64-sequence pool at N=64 and its circle and camera masks, the
+I-L2 (all and missing-only) and P-L2 metrics of a random batch, the losses of
 several train steps, every parameter's gradient after one backward,
 batched and single-sequence run_inference outputs of the untrained and
 the trained model, the .ckpt bytes, the bytes of a load_checkpoint ->
@@ -45,8 +47,10 @@ from trajvrnn.checkpoint import (load_checkpoint, restore_model,
                                  restore_optimizer, save_checkpoint)
 from trajvrnn.cli import main
 from trajvrnn.config import format_config, parse_config
-from trajvrnn.data import (MaskingSpec, build_dataset, generate_sequences, read_dataset,
-                           stack_arrays, write_dataset)
+from trajvrnn.baselines import metric_i_l2, metric_p_l2
+from trajvrnn.data import (MaskingSpec, apply_camera_mask, apply_circle_mask, build_dataset,
+                           generate_sequences, read_dataset, stack_arrays, stack_past,
+                           write_dataset)
 from trajvrnn.model import TrajectoryModel
 from trajvrnn.optim import Adam
 
@@ -150,6 +154,18 @@ def check(work, arrays):
                  MaskingSpec(mode="camera", angle=20.0)):
         write_dataset(pool_path, build_dataset(pool, spec, "train", 7))
         print("trajset pool300", spec.mode, file_digest(pool_path))
+    wide = generate_sequences(64, 64, 40, 10, seed=8)
+    print("pool64 N=64", digest(b"".join(s.coords.tobytes() + s.reference_track.tobytes()
+                                         for s in wide)))
+    past, ref = stack_past(wide)
+    print("pool64 N=64 masks", digest(apply_circle_mask(past, ref, 5.0).tobytes()),
+          digest(apply_camera_mask(past, ref, 20.0).tobytes()))
+    rng = np.random.default_rng(9)
+    estimate, truth = rng.normal(scale=10.0, size=(2, 256, 40, 10, 2))
+    mask = (rng.random((256, 40, 10)) < 0.6).astype(np.float64)
+    print("metrics", repr(metric_i_l2(estimate, truth)),
+          repr(metric_i_l2(estimate, truth, mask, variant="missing-only")),
+          repr(metric_p_l2(estimate, truth)))
 
     tag = "default"
     cfg = parse_config(CONFIG)

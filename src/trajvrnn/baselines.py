@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SCENE_CENTER
+from .data import SCENE_CENTER, _length
 from .errors import ShapeError
 
 
@@ -81,7 +81,7 @@ def _pooled_distance(estimate, truth, select=None):
     truth = np.asarray(truth, dtype=np.float64)
     if estimate.shape != truth.shape:
         raise ShapeError(f"estimate {estimate.shape} vs truth {truth.shape}")
-    dist = np.linalg.norm(estimate - truth, axis=-1)
+    dist = _length(estimate[..., 0] - truth[..., 0], estimate[..., 1] - truth[..., 1])
     if select is not None:
         select = np.asarray(select, dtype=bool)
         if select.shape != dist.shape:

@@ -5,8 +5,9 @@ Agents follow damped second-order dynamics: each is attracted to a
 personal offset around a shared reference track (a waypoint-seeking
 "ball"), repelled softly from the others, and confined to a bounded
 field. All scenes of one `generate_sequences` call are integrated
-together, in blocks of a fixed size, as (S, 2) reference and (S, N, 2)
-agent arrays; each scene draws from its own child of the seed's
+together, in blocks of a fixed size, as (S, 2) reference and (2, N, S)
+agent arrays (scenes innermost, so the pairwise repulsion loops over
+scenes); each scene draws from its own child of the seed's
 `SeedSequence`, so sequence i depends only on the seed and i.
 
 Visibility is then simulated two ways: a circle of radius r around the
@@ -14,6 +15,12 @@ reference, or a camera aperture of half-angle theta tracking the
 reference from a fixed sideline position. Both masks work over any
 leading axes, so a dataset is masked in one call. Masks mark
 availability only; ground-truth coordinates are always retained.
+
+Arithmetic over the (x, y) axis is written per component: a length is
+`_length(x, y)`, `sqrt(x * x + y * y)`, which rounds exactly like
+`np.linalg.norm(v, axis=-1)`, and a dot product is `x * x' + y * y'`,
+which rounds exactly like `(v * w).sum(axis=-1)`. A numpy reduction, or
+any loop, over a 2-wide axis costs several times the arithmetic it does.
 
 Files are a small text header followed by a raw little-endian binary
 payload (`container.py`), so coordinates round-trip bit-exactly.
@@ -115,31 +122,44 @@ class MaskingSpec:
 # generation
 
 
-_BLOCK = 256  # scenes integrated together; bounds the (S, N, N, 2) repulsion temporaries
+_BLOCK = 256  # scenes integrated together; bounds the (2, N, N, S) repulsion temporaries
+
+
+def _length(x, y):
+    """Length of the 2-vectors with components `x` and `y`, rounded exactly
+    like `np.linalg.norm` over their (x, y) axis."""
+    return np.sqrt(x * x + y * y)
 
 
 def _norm(v):
-    """Length of each 2-vector in `v` (.., 2). A BLAS dot per row, so it
-    rounds like `np.linalg.norm` of a single 2-vector (the dot may fuse
-    its multiply-add, which `sqrt((v * v).sum(-1))` does not)."""
+    """Length of each 2-vector in `v` (.., 2) for the reference track. A
+    BLAS dot per row, so it rounds like `np.linalg.norm` of a single
+    2-vector, which is a BLAS dot too: the dot may fuse its multiply-add,
+    which `_length` does not. One scene's reference track was integrated
+    as a 1-D vector, so it alone keeps this form."""
     return np.sqrt(np.vecdot(v, v))
 
 
-def _draw_offsets(rng, n, radius):
-    r = radius * np.sqrt(rng.uniform(size=n))
-    theta = rng.uniform(0, 2 * np.pi, size=n)
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+def _offsets(radius, u, a):
+    """Offsets (2, ..), component first, at distance `radius * sqrt(u)` and
+    angle `2 pi a` for draws `u`, `a` of `Generator.random`. As
+    Generator.uniform(lo, hi) is lo + (hi - lo) * random(), exactly, these
+    are the offsets of radii drawn as uniform(size=n) and angles drawn as
+    uniform(0, 2 pi, size=n)."""
+    r = radius * np.sqrt(u)
+    theta = 2 * np.pi * a
+    return np.stack([r * np.cos(theta), r * np.sin(theta)])
 
 
 def _offset_redraws(rngs, phases, t_total, p: DynamicsParams):
-    """Which agents redraw their offset at each step, (S, T, N), and the
-    offsets they draw, (S, T, N, 2). The schedule is fixed by `phases`, so
-    each scene takes all its draws in one call; per due step they come in
-    the order `_draw_offsets` takes them, k radii and then k angles."""
+    """Which agents redraw their offset at each step, (T, N, S), and the
+    offsets they draw, (T, 2, N, S). The schedule is fixed by `phases`
+    (S, N), so each scene takes all its draws in one call; per due step they
+    come k radii and then k angles."""
     steps = np.arange(t_total)[:, None]
     due = ((steps + phases[:, None, :]) % p.offset_resample == 0) & (steps > 0)
     k = due.sum(axis=2).ravel()
-    scene, step, _ = np.nonzero(due)
+    scene, step, agent = np.nonzero(due)
     group = scene * t_total + step
     # due agent e, counted in (scene, step, agent) order, follows `before` due
     # agents of earlier (scene, step) pairs, which took 2 * before draws, and
@@ -148,20 +168,18 @@ def _offset_redraws(rngs, phases, t_total, p: DynamicsParams):
     before = (np.cumsum(k) - k)[group]
     radius_at = np.arange(scene.size) + before
     raw = np.concatenate([rng.random(2 * n) for rng, n in zip(rngs, due.sum(axis=(1, 2)))])
-    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), exactly
-    r = p.offset_radius * np.sqrt(raw[radius_at])
-    theta = 2 * np.pi * raw[radius_at + k[group]]
-    fresh = np.zeros(due.shape + (2,))
-    fresh[due] = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    return due, fresh
+    fresh = np.zeros((t_total, 2, phases.shape[1], len(rngs)))
+    fresh[step, :, agent, scene] = _offsets(p.offset_radius, raw[radius_at],
+                                            raw[radius_at + k[group]]).T
+    return due.transpose(1, 2, 0).copy(), fresh
 
 
 def _simulate(rngs, ids, n_agents, t_total, p: DynamicsParams):
     """Integrate one block of scenes together, scene i drawing only from
     `rngs[i]`: its reference start and waypoint, a new waypoint whenever
-    its reference reaches one, then its agents' offsets, start offsets and
-    phases, then every offset redraw. Returns coords (S, T, N, 2) and the
-    reference tracks (S, T, 2)."""
+    its reference reaches one, then its agents' offset radii and angles,
+    start-scatter radii and angles and phases, then every offset redraw.
+    Returns coords (S, T, N, 2) and the reference tracks (S, T, 2)."""
     fh = p.field_half
     pos, waypoint = (np.array(a) * fh for a in zip(*[
         (rng.uniform(-0.4, 0.4, size=2), rng.uniform(-0.8, 0.8, size=2)) for rng in rngs]))
@@ -178,40 +196,46 @@ def _simulate(rngs, ids, n_agents, t_total, p: DynamicsParams):
         vel[fast] *= (p.ball_v_max / speed[fast])[:, None]
         pos = pos + vel
 
-    offsets, scatter, phases = map(np.array, zip(*[
-        (_draw_offsets(rng, n_agents, p.offset_radius),
-         _draw_offsets(rng, n_agents, p.offset_radius),
-         rng.integers(0, max(1, p.offset_resample), size=n_agents)) for rng in rngs]))
+    # agents are (2, N, S) from here on; each scene draws 4 * N uniforms,
+    # offset radii and angles then start-scatter radii and angles
+    draws, phases = map(np.array, zip(*[
+        (rng.random(4 * n_agents), rng.integers(0, max(1, p.offset_resample), size=n_agents))
+        for rng in rngs]))
+    u = np.ascontiguousarray(draws.reshape(len(rngs), 4, n_agents).transpose(1, 2, 0))
+    offsets = _offsets(p.offset_radius, u[0], u[1])
+    ref = np.ascontiguousarray(track.transpose(1, 2, 0))[:, :, None]  # (T, 2, 1, S)
     # agents start scattered around the reference, inside the field
-    pos = np.clip(track[:, 0, None] + offsets + scatter, -fh, fh)
+    pos = np.clip(ref[0] + offsets + _offsets(p.offset_radius, u[2], u[3]), -fh, fh)
     vel = np.zeros_like(pos)
     if p.offset_resample > 0:
         due, fresh = _offset_redraws(rngs, phases, t_total, p)
     coords = np.empty((len(rngs), t_total, n_agents, 2))
     diverged_at = np.full(len(rngs), -1)
     for t in range(t_total):
-        coords[:, t] = pos
+        coords[:, t] = pos.T
         if p.offset_resample > 0:
-            np.copyto(offsets, fresh[:, t], where=due[:, t, :, None])
-        target = track[:, t, None] + offsets
+            np.copyto(offsets, fresh[t], where=due[t])
+        target = ref[t] + offsets
         acc = p.attraction * (target - pos) - p.damping * vel
         if p.repulsion != 0.0:
-            diff = pos[:, :, None, :] - pos[:, None, :, :]
-            dist2 = (diff ** 2).sum(axis=-1) + 1.0
-            acc += p.repulsion * (diff / dist2[..., None]).sum(axis=2)
+            # (2, j, i, S): the sum over j runs over an outer axis, so it
+            # adds in j order, as a sum over j of one scene's (i, j, 2) does
+            diff = pos[:, None] - pos[:, :, None]
+            dist2 = diff[0] ** 2 + diff[1] ** 2 + 1.0
+            acc += p.repulsion * (diff / dist2).sum(axis=1)
         over = np.abs(pos) - fh
-        acc -= p.wall_push * np.sign(pos) * np.clip(over, 0.0, None)
+        acc -= p.wall_push * np.sign(pos) * np.maximum(over, 0.0)
         vel = vel + acc
-        speed = np.linalg.norm(vel, axis=-1, keepdims=True)
+        speed = _length(*vel)
         np.divide(vel * p.v_max, speed, out=vel, where=speed > p.v_max)
         pos = pos + vel
-        gone = np.abs(pos).max(axis=(1, 2)) > fh * 10
+        gone = np.abs(pos).max(axis=(0, 1)) > fh * 10
         if gone.any():
             diverged_at[gone & (diverged_at < 0)] = t
             # a diverged scene restarts at rest so it cannot overflow; the
             # first scene to diverge at all is reported once the block is done
-            pos[gone] = 0.0
-            vel[gone] = 0.0
+            pos[..., gone] = 0.0
+            vel[..., gone] = 0.0
     for seq_id, step in zip(ids, diverged_at):
         if step >= 0:
             raise DataError(f"sequence {seq_id}: integration diverged at step {step}")
@@ -262,7 +286,7 @@ def apply_circle_mask(past, ref, radius: float) -> np.ndarray:
     (.., T, N, 2) and `ref` (.., T, 2); the mask is (.., T, N)."""
     if radius <= 0:
         raise ConfigError("radius must be > 0")
-    dist = np.linalg.norm(past - ref[..., None, :], axis=-1)
+    dist = _length(past[..., 0] - ref[..., None, 0], past[..., 1] - ref[..., None, 1])
     return (dist <= radius).astype(np.float64)
 
 
@@ -273,14 +297,15 @@ def apply_camera_mask(past, ref, angle_deg: float, camera=DEFAULT_CAMERA) -> np.
     if not (0 < angle_deg < 180):
         raise ConfigError("angle must be in (0, 180) degrees")
     cam = np.asarray(camera, dtype=np.float64)
-    view = ref - cam
-    view_norm = np.linalg.norm(view, axis=-1)
+    view_x, view_y = ref[..., 0] - cam[0], ref[..., 1] - cam[1]
+    view_norm = _length(view_x, view_y)
     if (view_norm == 0).any():
         raise DataError("reference track passes through the camera position")
-    rel = past - cam
-    rel_norm = np.linalg.norm(rel, axis=-1)
+    x, y = past[..., 0] - cam[0], past[..., 1] - cam[1]
+    rel_norm = _length(x, y)
+    dot = x * view_x[..., None] + y * view_y[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_ang = (rel * view[..., None, :]).sum(axis=-1) / (rel_norm * view_norm[..., None])
+        cos_ang = dot / (rel_norm * view_norm[..., None])
     cos_ang = np.where(rel_norm == 0, 1.0, cos_ang)  # at-camera convention
     return (cos_ang >= np.cos(np.radians(angle_deg))).astype(np.float64)
 

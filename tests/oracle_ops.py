@@ -1,9 +1,10 @@
 """Code that only the tests use: the central-difference gradient check,
 autodiff primitives for composing the fused nodes out of smaller ones,
 the per-pair arrays that the graph branches are checked against (the
-normalised static adjacency and the edge categories), and a loader for
-`scripts/tape_memory.py`, whose `held_arrays(node)` lists the arrays a
-node's backward keeps.
+normalised static adjacency and the edge categories), the visibility
+masks and the pooled metric distance written as reductions over the
+(x, y) axis, and a loader for `scripts/tape_memory.py`, whose
+`held_arrays(node)` lists the arrays a node's backward keeps.
 
 The library has no subtraction, log, concatenation, clamp or standalone
 tanh node (a tanh, a relu after a weight product or a clip is an
@@ -117,6 +118,42 @@ def _inside(grad, out, a, lo, hi):
 def clamp(a, lo, hi):
     """Elementwise min(max(a, lo), hi); gradient is zero where a bound wins."""
     return _pointwise("clamp", partial(_clip, lo=lo, hi=hi), (partial(_inside, lo=lo, hi=hi),), a)
+
+
+def circle_mask(past, ref, radius):
+    """`apply_circle_mask` with `np.linalg.norm` over the (x, y) axis."""
+    dist = np.linalg.norm(past - ref[..., None, :], axis=-1)
+    return (dist <= radius).astype(np.float64)
+
+
+def camera_cosines(past, ref, camera):
+    """Cosine between each agent's and the reference's direction from the
+    camera, 1 for an agent at the camera, with `np.linalg.norm` and a sum
+    over the (x, y) axis."""
+    cam = np.asarray(camera, dtype=np.float64)
+    view = ref - cam
+    view_norm = np.linalg.norm(view, axis=-1)
+    rel = past - cam
+    rel_norm = np.linalg.norm(rel, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_ang = (rel * view[..., None, :]).sum(axis=-1) / (rel_norm * view_norm[..., None])
+    return np.where(rel_norm == 0, 1.0, cos_ang)
+
+
+def camera_mask(past, ref, angle_deg, camera):
+    """`apply_camera_mask` from `camera_cosines`."""
+    return (camera_cosines(past, ref, camera) >= np.cos(np.radians(angle_deg))).astype(np.float64)
+
+
+def pooled_distance(estimate, truth, select=None):
+    """The metrics' mean Euclidean distance, with `np.linalg.norm` over the
+    (x, y) axis; 0.0 when `select` picks nothing."""
+    dist = np.linalg.norm(estimate - truth, axis=-1)
+    if select is not None:
+        if not select.any():
+            return 0.0
+        dist = dist[select]
+    return float(dist.mean())
 
 
 def grad_check(f, params, h: float = 1e-5) -> float:

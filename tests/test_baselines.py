@@ -10,6 +10,8 @@ from trajvrnn.report import (
     report_table, reports_to_csv,
 )
 
+from oracle_ops import pooled_distance
+
 
 def single_agent(track):
     return np.asarray(track, dtype=float)[:, None, :]
@@ -147,6 +149,21 @@ def test_metric_permutation_invariance_and_translation_bound():
     offset = np.array([0.3, -0.7])
     shifted = metric_i_l2(imputed + offset, truth)
     assert shifted <= metric_i_l2(imputed, truth) + np.linalg.norm(offset) + 1e-12
+
+
+def test_metrics_match_norm_oracle():
+    rng = np.random.default_rng(33)
+    estimate, truth = rng.normal(scale=10.0, size=(2, 256, 40, 10, 2))
+    mask = (rng.random((256, 40, 10)) < 0.6).astype(np.float64)
+    assert metric_i_l2(estimate, truth) == pooled_distance(estimate, truth)
+    assert metric_i_l2(estimate, truth, mask, variant="missing-only") == \
+        pooled_distance(estimate, truth, mask == 0)
+    assert metric_p_l2(estimate[:, :10], truth[:, :10]) == \
+        pooled_distance(estimate[:, :10], truth[:, :10])
+    # one cell per call, so the mean is that cell's distance: a pooled mean
+    # of many cells hides a last-bit difference in one
+    for one, want in zip(estimate.reshape(-1, 1, 2)[:200], truth.reshape(-1, 1, 2)):
+        assert metric_p_l2(one, want) == pooled_distance(one, want)
 
 
 def test_linear_fit_beats_mean_on_circle_data():

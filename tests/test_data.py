@@ -9,6 +9,8 @@ from trajvrnn.data import (
 )
 from trajvrnn.errors import ConfigError, DataError
 
+from oracle_ops import camera_cosines, camera_mask, circle_mask
+
 
 def make_seq(coords, ref, t_past=None):
     coords = np.asarray(coords, dtype=float)
@@ -152,6 +154,51 @@ def test_masks_over_leading_axes_match_one_sequence_at_a_time(spec):
         one = apply_mask(seq.past, seq.reference_track[: seq.t_past], spec)
         assert one.dtype == mask.dtype and one.tobytes() == mask.tobytes()
     assert np.array_equal(build_dataset(seqs, spec, "train", 23).masks, masks)
+
+
+def random_scenes(seed):
+    """Past (3, 4, 6, 5, 2) and reference (3, 4, 6, 2) spread over the field:
+    two leading axes in front of (T, N)."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(scale=10.0, size=(3, 4, 6, 5, 2)), rng.normal(scale=10.0, size=(3, 4, 6, 2))
+
+
+def test_circle_mask_matches_norm_oracle():
+    past, ref = random_scenes(31)
+    for radius in (0.5, 5.0, 12.0):
+        assert np.array_equal(apply_circle_mask(past, ref, radius), circle_mask(past, ref, radius))
+    # a radius equal to an agent's distance from the reference: one rounding
+    # step of the distance decides whether that agent is seen
+    for radius in np.linalg.norm(past - ref[..., None, :], axis=-1).ravel()[:60]:
+        assert np.array_equal(apply_circle_mask(past, ref, radius), circle_mask(past, ref, radius))
+
+
+def angle_with_cosine(c):
+    """A half-angle in degrees whose np.cos(np.radians(angle)) is exactly `c`,
+    from the 200 floats either side of arccos(c); None if none of them is."""
+    lo = hi = np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
+    for _ in range(200):
+        for angle in (lo, hi):
+            if np.cos(np.radians(angle)) == c:
+                return angle
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return None
+
+
+def test_camera_mask_matches_norm_oracle():
+    past, ref = random_scenes(32)
+    camera = (2.5, -15.0)
+    past[0, 0, 0, 0] = camera  # an agent at the camera
+    for angle in (5.0, 20.0, 90.0, 170.0):
+        assert np.array_equal(apply_camera_mask(past, ref, angle, camera),
+                              camera_mask(past, ref, angle, camera))
+    # half-angles whose cosine equals an agent's cosine exactly
+    angles = [a for a in map(angle_with_cosine, camera_cosines(past, ref, camera).ravel()[:80])
+              if a is not None and 0 < a < 180]
+    assert len(angles) >= 20
+    for angle in angles:
+        assert np.array_equal(apply_camera_mask(past, ref, angle, camera),
+                              camera_mask(past, ref, angle, camera))
 
 
 def test_masking_needs_sequences_of_one_shape():

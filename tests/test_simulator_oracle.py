@@ -103,6 +103,7 @@ def assert_matches_oracle(count, n_agents, t_past, t_future, seed, p):
     (200, 6, 20, 5, 8),
     (300, 10, 40, 10, 9),   # crosses a block boundary
     (300, 3, 2, 1, 10),
+    (3, 64, 6, 2, 13),      # the sum over 64 neighbours keeps its order
 ])
 def test_generator_matches_oracle(count, n_agents, t_past, t_future, seed):
     assert_matches_oracle(count, n_agents, t_past, t_future, seed, DynamicsParams())
