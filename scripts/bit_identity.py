@@ -3,7 +3,9 @@ bit-identical: gen-data's circle and camera .trajset bytes, the circle and
 camera .trajset bytes of a 300-sequence pool at N=10, T=40+10 (more scenes
 than the simulator integrates in one block), the coordinates and reference
 tracks of a 64-sequence pool at N=64 and its circle and camera masks, the
-I-L2 (all and missing-only) and P-L2 metrics of a random batch, the losses of
+I-L2 (all and missing-only) and P-L2 metrics of a random batch and a digest
+of its per-cell distances (a pooled mean absorbs a last-bit change in one
+distance, so each cell also goes through `metric_p_l2` alone), the losses of
 several train steps, every parameter's gradient after one backward,
 batched and single-sequence run_inference outputs of the untrained and
 the trained model, the .ckpt bytes, the bytes of a load_checkpoint ->
@@ -166,6 +168,9 @@ def check(work, arrays):
     print("metrics", repr(metric_i_l2(estimate, truth)),
           repr(metric_i_l2(estimate, truth, mask, variant="missing-only")),
           repr(metric_p_l2(estimate, truth)))
+    cells = [metric_p_l2(e, t) for e, t in zip(estimate.reshape(-1, 1, 2),
+                                                 truth.reshape(-1, 1, 2))]
+    print("metrics per cell", digest(np.array(cells).tobytes()))
 
     tag = "default"
     cfg = parse_config(CONFIG)

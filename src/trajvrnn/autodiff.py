@@ -3,12 +3,15 @@
 Every op eagerly computes a numpy result and, when gradients are enabled
 and an input requires them, records a backward function on the output
 node; an elementwise op is a forward plus one vector-Jacobian product
-per input (`_pointwise`). The recorded graph is the tape. Each tensor
-gets a sequence number when it is made, after its parents, so creation
-order is a topological order: `backward` collects the nodes the root
-reaches and fires them in reverse creation order, each exactly once and
-in a fixed order (bit-reproducible). On an unrolled recurrence that is
-step-by-step BPTT order, so about one step's gradients wait at a time.
+per input (`_pointwise`). The recorded graph is the tape. Its ten ops
+are `add`, `mul`, `matmul`, `getitem`, `reshape`, `transpose`, `tmean`
+and the fused `linear`, `gru` and `weighted_sum`; each model term (the
+decay, the latent draw, the NLL, the KL) is one `_make` node in
+`trajvrnn.model`. Each tensor gets a sequence number when it is made,
+after its parents, so creation order is a topological order: `backward`
+fires the nodes the root reaches in reverse creation order, each once
+(bit-reproducible). On an unrolled recurrence that is step-by-step BPTT
+order, so about one step's gradients wait at a time.
 
 - Fold: every product of an activation with a weight matrix is a
   `linear` node, `concat(inputs, -1) @ w (+ b)` with an optional tanh,
@@ -112,12 +115,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __getitem__(self, index):
         return getitem(self, index)
 
@@ -211,10 +208,8 @@ def _pointwise_backward(vjps, parents, out, grad):
             _accumulate(t, g, owned=g is not grad)
 
 
-# numpy warnings off for these forwards; _make rejects non-finite results
+# numpy warnings off for this forward; _make rejects non-finite results
 _matmul = np.errstate(over="ignore", invalid="ignore")(np.matmul)
-_divide = np.errstate(divide="ignore", invalid="ignore")(np.divide)
-_exp = np.errstate(over="ignore")(np.exp)
 
 
 @np.errstate(over="ignore")  # exp(-a) -> inf for a << 0 gives a finite 0.0
@@ -234,44 +229,12 @@ def _times_a(grad, out, a, b):
     return grad * a
 
 
-def _over_b(grad, out, a, b):
-    return grad / b
-
-
-def _div_b(grad, out, a, b):
-    return -grad * a / (b * b)
-
-
-def _times_out(grad, out, a):
-    return grad * out
-
-
-def _relu(a):
-    return np.maximum(a, 0.0)
-
-
-def _positive(grad, out, a):
-    return grad * (a > 0.0)
-
-
 def add(a, b) -> Tensor:
     return _pointwise("add", np.add, (None, None), a, b)
 
 
 def mul(a, b) -> Tensor:
     return _pointwise("mul", np.multiply, (_times_b, _times_a), a, b)
-
-
-def div(a, b) -> Tensor:
-    return _pointwise("div", _divide, (_over_b, _div_b), a, b)
-
-
-def exp(a) -> Tensor:
-    return _pointwise("exp", _exp, (_times_out,), a)
-
-
-def relu(a) -> Tensor:
-    return _pointwise("relu", _relu, (_positive,), a)
 
 
 def matmul(a, b) -> Tensor:
@@ -516,18 +479,6 @@ def weighted_sum(terms) -> Tensor:
 def _weighted_sum_backward(pairs, grad):
     for pair in pairs:  # as the product's `mul` node would
         _pointwise_backward((_times_b, _times_a), pair, None, grad)
-
-
-def tsum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis)
-
-    def backward(grad):
-        if a.requires_grad:
-            g = grad if axis is None else np.expand_dims(grad, axis)
-            _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _make(out, "sum", (a,), backward)
 
 
 def tmean(a, axis=None) -> Tensor:

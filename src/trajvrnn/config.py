@@ -41,6 +41,8 @@ class RunConfig(ModelConfig):
             raise ConfigError(f"gen_split must be train or test, got {self.gen_split!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ConfigError("checkpoint_every must be >= 0 (0: no periodic checkpoints)")
         for mode in self.gen_modes:
             if mode not in ("circle", "camera"):
                 raise ConfigError(f"unknown generation mode {mode!r}")

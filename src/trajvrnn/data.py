@@ -330,6 +330,13 @@ class Dataset:
     results: list | None = None   # per record: (imputed past, predicted future)
 
     def __post_init__(self):
+        self.check()
+
+    def check(self):
+        """DataError unless every record has the first's windows and N and
+        a (t_past, N) mask, and `results`, when present, holds one
+        (imputed, predicted) pair per record, shaped (t_past, N, 2) and
+        (t_future, N, 2)."""
         if len(self.sequences) != len(self.masks):
             raise DataError(f"{len(self.sequences)} sequences vs "
                             f"{len(self.masks)} masks")
@@ -340,11 +347,6 @@ class Dataset:
             if mask.shape != (seq.t_past, seq.n_agents):
                 raise DataError(f"sequence {seq.id}: mask shape {mask.shape} does "
                                 f"not match ({seq.t_past}, {seq.n_agents})")
-        self.check_results()
-
-    def check_results(self):
-        """`results`, when present, holds one (imputed, predicted) pair per
-        record, shaped (t_past, N, 2) and (t_future, N, 2); else DataError."""
         if self.results is None:
             return
         if len(self.results) != len(self.sequences):
@@ -382,11 +384,25 @@ def build_dataset(sequences, spec: MaskingSpec, split: str, seed: int) -> Datase
                    sequences=sequences, masks=list(masks))
 
 
+def _record_dtype(t_past, t_future, n_agents, has_results) -> np.dtype:
+    """The packed layout of one `.trajset` record."""
+    t_total = t_past + t_future
+    layout = [("coords", "<f8", (t_total, n_agents, 2)), ("ref", "<f8", (t_total, 2)),
+              ("mask", "<u1", (t_past, n_agents))]
+    if has_results:
+        layout += [("imputed", "<f8", (t_past, n_agents, 2)),
+                   ("predicted", "<f8", (t_future, n_agents, 2))]
+    return np.dtype(layout)
+
+
 def write_dataset(path, ds: Dataset) -> None:
     seqs = ds.sequences
     if not seqs:
         raise DataError("refusing to write an empty dataset")
-    ds.check_results()  # `results` may have been set after the Dataset was built
+    ds.check()  # the records may have been changed after the Dataset was built
+    masks = np.stack(ds.masks)
+    if not ((masks == 0.0) | (masks == 1.0)).all():
+        raise DataError("mask entries must be 0 or 1")
     header = [f"mode={ds.spec.mode}"]
     if ds.spec.mode == "circle":
         header.append(f"radius={ds.spec.radius!r}")
@@ -403,14 +419,14 @@ def write_dataset(path, ds: Dataset) -> None:
                f"has_results={0 if ds.results is None else 1}"]
     header += [f"record {s.id}" for s in seqs]
 
-    chunks = []
-    for i, (seq, mask) in enumerate(zip(seqs, ds.masks)):
-        chunks += [np.ascontiguousarray(seq.coords, "<f8"),
-                   np.ascontiguousarray(seq.reference_track, "<f8"),
-                   mask.astype("<u1")]
-        if ds.results is not None:
-            chunks += [np.ascontiguousarray(a, "<f8") for a in ds.results[i]]
-    container.write(path, MAGIC, header, chunks)
+    table = np.empty(len(seqs), _record_dtype(ds.t_past, ds.t_future, ds.n_agents,
+                                              ds.results is not None))
+    table["coords"] = [seq.coords for seq in seqs]
+    table["ref"] = [seq.reference_track for seq in seqs]
+    table["mask"] = masks
+    if ds.results is not None:
+        table["imputed"], table["predicted"] = zip(*ds.results)
+    container.write(path, MAGIC, header, [table])
 
 
 _HEADER_KEYS = {"mode", "radius", "angle", "camera", "units", "split", "seed",
@@ -437,13 +453,7 @@ def read_dataset(path) -> Dataset:
         else:
             cam = tuple(float(v) for v in fields["camera"].split(","))
             spec = MaskingSpec(mode=fields["mode"], angle=float(fields["angle"]), camera=cam)
-        t_total = t_past + t_future
-        layout = [("coords", "<f8", (t_total, n_agents, 2)), ("ref", "<f8", (t_total, 2)),
-                  ("mask", "<u1", (t_past, n_agents))]
-        if has_results:
-            layout += [("imputed", "<f8", (t_past, n_agents, 2)),
-                       ("predicted", "<f8", (t_future, n_agents, 2))]
-        record = np.dtype(layout)
+        record = _record_dtype(t_past, t_future, n_agents, has_results)
     except (KeyError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad header field ({exc})") from None
 

@@ -23,15 +23,15 @@ window in one call.
 
 Training maximises the sequential evidence lower bound: reconstruction
 negative log-likelihood plus a weighted KL between posterior and prior,
-accumulated over both windows. Each of the three per-step terms is one
-tape node with a closed-form backward: `sample_latent` (the
+accumulated over both windows. Each model term is one tape node with a
+closed-form backward: `temporal_decay`, `sample_latent` (the
 reparameterised draw), `bigauss_nll` (the split of the decoder's 5 raw
-outputs and the NLL) and `gauss_kl`. Their forwards keep the evaluation
-order of the primitive ops they replace, so the losses are bit-identical
-to that composition, and they keep no (B, N, Z) intermediate for
-backward. Inference samples latents from the prior, copies observations
-through at visible steps, and rolls the future autoregressively on its
-own decoded means.
+outputs and the NLL) and `gauss_kl`, the last two summed over the agents.
+Their forwards keep the evaluation order of the primitive ops they
+replace, so the losses are bit-identical to that composition, and they
+keep no (B, N, Z) intermediate for backward. Inference samples latents
+from the prior, copies observations through at visible steps, and rolls
+the future autoregressively on its own decoded means.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Parameter, Tensor, _accumulate, _make, backward, exp, linear,
-                       new_parameter, no_grad, relu, tmean, tsum)
+from .autodiff import (Parameter, Tensor, _accumulate, _check_finite, _make, _unbroadcast,
+                       backward, linear, new_parameter, no_grad, tmean)
 from .errors import ConfigError, DataError, ShapeError
 from .graph import SpatialEncoder
 
@@ -114,8 +114,9 @@ class ModelConfig:
             raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.coord_scale <= 0 or self.logvar_limit <= 0:
             raise ConfigError("coord_scale and logvar_limit must be positive")
-        if self.lr < 0 or self.lr_decay < 0:
-            raise ConfigError("lr and lr_decay must be >= 0")
+        if self.lr < 0 or self.lr_decay < 0 or self.lr_decay_every < 0:
+            raise ConfigError("lr, lr_decay and lr_decay_every must be >= 0 "
+                              "(lr_decay_every=0: never decay)")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -169,32 +170,56 @@ def temporal_lags(mask, lag_mode: str = "current"):
 
 
 def temporal_decay(delta, weight: Tensor, bias: Tensor) -> Tensor:
-    """Decay factor 1 / exp(max(0, w * lag + b)) in (0, 1]."""
-    pre = Tensor(np.asarray(delta, dtype=np.float64)) * weight + bias
-    return 1.0 / exp(relu(pre))
+    """Decay factor 1 / exp(max(0, w * lag + b)) in (0, 1] of the lags
+    `delta`, one tape node "temporal_decay" with parents (weight, bias)
+    that keeps only the lags; backward recomputes the rest. The exp is
+    checked before the division, which would turn an overflow into 0."""
+    weight, bias = ad.as_tensor(weight), ad.as_tensor(bias)
+    delta = np.asarray(delta, dtype=np.float64)
+    pre, grow = _decay_terms(delta, weight.data, bias.data)
+    for array in (pre, grow):
+        _check_finite(array, "temporal_decay", (weight, bias))
+    return _make(1.0 / grow, "temporal_decay", (weight, bias),
+                 partial(_temporal_decay_backward, delta, weight, bias))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # checked by temporal_decay
+def _decay_terms(delta, w, b):  # in the order of the composed ops
+    pre = delta * w + b
+    return pre, np.exp(np.maximum(pre, 0.0))
+
+
+@np.errstate(over="ignore")  # grow * grow -> inf gives the composed ops' 0
+def _temporal_decay_backward(delta, weight, bias, grad):
+    pre, grow = _decay_terms(delta, weight.data, bias.data)
+    g = -grad / (grow * grow) * grow * (pre > 0.0)  # through 1 / ., exp, max(0, .)
+    if weight.requires_grad:
+        _accumulate(weight, _unbroadcast(g * delta, weight.shape), owned=True)
+    if bias.requires_grad:
+        _accumulate(bias, _unbroadcast(g, bias.shape))
 
 
 def bigauss_nll(target, raw) -> Tensor:
-    """Per-agent negative log density of the bivariate Gaussian that the
-    decoder's 5 raw outputs (.., 5) describe: mu_x, mu_y, log sigma_x,
-    log sigma_y and the pre-tanh correlation, rho = 0.999 tanh(.).
+    """Negative log density of the bivariate Gaussians that the decoder's
+    5 raw outputs (.., N, 5) describe (mu_x, mu_y, log sigma_x, log
+    sigma_y, pre-tanh rho; rho = 0.999 tanh(.)), summed over the N agents.
 
     One tape node "bigauss_nll" whose only parent is `raw`; the target
-    (.., 2) is data. The node keeps `raw` and the target and nothing else:
-    backward recomputes the split and takes the closed-form gradient
-    (Graves 2013, arXiv:1308.0850, section 4.1)."""
+    (.., N, 2) is data. The node keeps them and nothing else: backward
+    recomputes the split and takes the closed-form gradient (Graves 2013,
+    arXiv:1308.0850, section 4.1)."""
     raw = ad.as_tensor(raw)
     target = ad.as_tensor(target).data
-    if raw.ndim == 0 or raw.shape[-1] != 5 or target.shape != raw.shape[:-1] + (2,):
+    if raw.ndim < 2 or raw.shape[-1] != 5 or target.shape != raw.shape[:-1] + (2,):
         raise ShapeError(f"bigauss_nll: target {target.shape} does not fit raw "
-                         f"outputs {raw.shape}")
+                         f"outputs {raw.shape}; expected (.., N, 2) and (.., N, 5)")
     nll, _ = _bigauss_terms(target, raw.data)
     return _make(nll, "bigauss_nll", (raw,), partial(_bigauss_nll_backward, target, raw))
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # _make rejects non-finite
 def _bigauss_terms(target, raw):
-    """The NLL summed over the last axis, composed in the order of the
+    """The NLL summed over the agents, composed in the order of the
     primitive ops it replaces, and the terms its gradient reads."""
     sigma = np.exp(raw[..., 2:4])
     tanh_rho = np.tanh(raw[..., 4:5])
@@ -205,33 +230,33 @@ def _bigauss_terms(target, raw):
     quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
     nll = (LOG_2PI + np.log(sigma[..., 0:1]) + np.log(sigma[..., 1:2])
            + 0.5 * np.log(one_minus) + quad / (2.0 * one_minus))
-    return nll.sum(axis=-1), (sigma, tanh_rho, rho, z, one_minus, quad)
+    return nll.sum(axis=-1).sum(axis=-1), (sigma, tanh_rho, rho, z, one_minus, quad)
 
 
 def _bigauss_nll_backward(target, raw, grad):
     _, (sigma, tanh_rho, rho, z, one_minus, quad) = _bigauss_terms(target, raw.data)
     zx, zy = z[..., 0:1], z[..., 1:2]
-    g = grad[..., None] / one_minus
+    g = grad[..., None, None] / one_minus  # one value per sequence, to every agent
     dz = np.concatenate([zx - rho * zy, zy - rho * zx], axis=-1) * g
     out = np.empty(raw.shape)
     out[..., 0:2] = -dz / sigma
-    out[..., 2:4] = grad[..., None] - z * dz
+    out[..., 2:4] = grad[..., None, None] - z * dz
     drho = (rho * (quad / one_minus - 1.0) - zx * zy) * g
     out[..., 4:5] = drho * (RHO_LIMIT * (1.0 - tanh_rho * tanh_rho))
     _accumulate(raw, out, owned=True)
 
 
 def gauss_kl(post: LatentDistribution, prior: LatentDistribution) -> Tensor:
-    """Closed-form KL(post || prior) for diagonal Gaussians, summed over
-    the latent axis; one value per agent.
+    """Closed-form KL(post || prior) for diagonal Gaussians (.., N, Z),
+    summed over the latent axis and the N agents.
 
     One tape node "gauss_kl" with parents (post.mu, post.logvar, prior.mu,
     prior.logvar), all of one shape. It keeps nothing but its parents:
     backward recomputes exp(logvar) and the mean offset from them (Kingma
     and Welling 2014, appendix B)."""
     parents = (post.mu, post.logvar, prior.mu, prior.logvar)
-    if len({p.shape for p in parents}) != 1:
-        raise ShapeError(f"gauss_kl: shapes {[p.shape for p in parents]} differ")
+    if len({p.shape for p in parents}) != 1 or post.mu.ndim < 2:
+        raise ShapeError(f"gauss_kl: shapes {[p.shape for p in parents]} are not one (.., N, Z)")
     return _make(_kl_forward(*(p.data for p in parents)), "gauss_kl", parents,
                  partial(_gauss_kl_backward, parents))
 
@@ -242,12 +267,12 @@ def _kl_forward(mu_q, lv_q, mu_p, lv_p):
     per_dim = (0.5 * (lv_p - lv_q)
                + (np.exp(lv_q) + dmu * dmu) / (2.0 * np.exp(lv_p))
                - 0.5)
-    return per_dim.sum(axis=-1)
+    return per_dim.sum(axis=-1).sum(axis=-1)
 
 
 def _gauss_kl_backward(parents, grad):
     mu_q, lv_q, mu_p, lv_p = parents
-    g = grad[..., None]
+    g = grad[..., None, None]
     var_p = np.exp(lv_p.data)
     diff = mu_q.data - mu_p.data
     dmu = diff / var_p
@@ -471,8 +496,8 @@ class TrajectoryModel:
                 for key in ("imp_nll", "imp_kl", "pre_nll", "pre_kl")}
         for past, t, prior, post, raw in self._rollout(x, mask, noise, teacher=True):
             stream = "imp" if past else "pre"
-            sums[f"{stream}_nll"] = sums[f"{stream}_nll"] + tsum(bigauss_nll(x[:, t], raw), axis=-1)
-            sums[f"{stream}_kl"] = sums[f"{stream}_kl"] + tsum(gauss_kl(post, prior), axis=-1)
+            sums[f"{stream}_nll"] = sums[f"{stream}_nll"] + bigauss_nll(x[:, t], raw)
+            sums[f"{stream}_kl"] = sums[f"{stream}_kl"] + gauss_kl(post, prior)
 
         losses = {}
         for stream, kl_weight in (("imp", cfg.lambda_imp_kl), ("pre", cfg.lambda_pre_kl)):

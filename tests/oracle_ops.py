@@ -6,12 +6,15 @@ masks and the pooled metric distance written as reductions over the
 (x, y) axis, and a loader for `scripts/tape_memory.py`, whose
 `held_arrays(node)` lists the arrays a node's backward keeps.
 
-The library has no subtraction, log, concatenation, clamp or standalone
-tanh node (a tanh, a relu after a weight product or a clip is an
-epilogue of `linear`, a tanh also of `gru`), and its static and
+The library has no subtraction, division, exp, log, sum, concatenation,
+clamp, relu or standalone tanh node: a tanh, a relu after a weight
+product or a clip is an epilogue of `linear` (a tanh also of `gru`), the
+temporal decay 1 / exp(relu(w * lag + b)) is one node, and the NLL and
+the KL sum over the agents inside their own nodes. Its static and
 edge-conditioned branches build nothing per pair. These are built on the
 autodiff engine's own `_pointwise`, `_make` and `_accumulate`, so the
-grad checks cover them like any primitive.
+grad checks cover them like any primitive, and the fused nodes are
+checked against their compositions.
 """
 
 import importlib.util
@@ -27,7 +30,10 @@ CAT_BOTH_VISIBLE = 0
 CAT_ONE_VISIBLE = 1
 CAT_NONE_VISIBLE = 2
 
+# numpy warnings off for these forwards; _make rejects non-finite results
 _log = np.errstate(divide="ignore", invalid="ignore")(np.log)
+_divide = np.errstate(divide="ignore", invalid="ignore")(np.divide)
+_exp = np.errstate(over="ignore")(np.exp)
 
 
 def _negate(grad, out, a, b):
@@ -38,12 +44,56 @@ def _over_a(grad, out, a):
     return grad / a
 
 
+def _over_b(grad, out, a, b):
+    return grad / b
+
+
+def _div_b(grad, out, a, b):
+    return -grad * a / (b * b)
+
+
+def _times_out(grad, out, a):
+    return grad * out
+
+
+def _relu(a):
+    return np.maximum(a, 0.0)
+
+
+def _positive(grad, out, a):
+    return grad * (a > 0.0)
+
+
 def sub(a, b):
     return _pointwise("sub", np.subtract, (None, _negate), a, b)
 
 
+def div(a, b):
+    return _pointwise("div", _divide, (_over_b, _div_b), a, b)
+
+
+def exp(a):
+    return _pointwise("exp", _exp, (_times_out,), a)
+
+
 def log(a):
     return _pointwise("log", _log, (_over_a,), a)
+
+
+def relu(a):
+    return _pointwise("relu", _relu, (_positive,), a)
+
+
+def tsum(a, axis=None):
+    a = as_tensor(a)
+    out = a.data.sum(axis=axis)
+
+    def backward(grad):
+        if a.requires_grad:
+            g = grad if axis is None else np.expand_dims(grad, axis)
+            _accumulate(a, np.broadcast_to(g, a.shape))
+
+    return _make(out, "sum", (a,), backward)
 
 
 def concat(tensors, axis=-1):

