@@ -13,7 +13,11 @@ save_checkpoint round trip of that .ckpt, eval's report.csv / report.txt
 and the result.trajset that `run` writes, all for the default config. The
 losses, gradients and inference outputs are also printed for the switches
 lag_mode=previous, share_streams=false, use_td=false, mode=impute-only and
-mode=predict-only.
+mode=predict-only. Last come the reference-shape lines: the default
+ModelConfig (H=256, Z=64) on 64 sequences at N=10, T=40+10, with its
+batched run_inference outputs, then one train step's losses and the
+gradients it left. Only at such shapes do `gru` and `linear` carry
+enough multiply-adds to spread their rows over CPUs.
 
 The untrained digests and the step-0 losses depend on the forward pass
 alone; the later losses and the trained digests also carry any low-bit
@@ -42,6 +46,11 @@ import io
 import os
 import tempfile
 
+# one BLAS thread before numpy loads, so that `gru` and `linear` may split
+# their rows at the reference shape (they do not on top of BLAS threads);
+# every digest is the same at any BLAS thread count
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from trajvrnn.autodiff import backward
@@ -53,7 +62,7 @@ from trajvrnn.baselines import metric_i_l2, metric_p_l2
 from trajvrnn.data import (MaskingSpec, apply_camera_mask, apply_circle_mask, build_dataset,
                            generate_sequences, read_dataset, stack_arrays, stack_past,
                            write_dataset)
-from trajvrnn.model import TrajectoryModel
+from trajvrnn.model import ModelConfig, TrajectoryModel
 from trajvrnn.optim import Adam
 
 CONFIG = """\
@@ -197,6 +206,32 @@ def check(work, arrays):
     for variant in VARIANTS:
         train_and_infer(variant, parse_config(CONFIG + variant + "\n"), coords, masks,
                         arrays)
+    reference_shape(arrays)
+
+
+def reference_shape(arrays):
+    """Print the default model's batched run_inference digest over 64
+    circle-masked sequences at N=10, then one train step's losses and
+    gradient digest on them."""
+    tag = "reference B=64 N=10"
+    cfg = ModelConfig()
+    pool = generate_sequences(64, 10, cfg.t_past, cfg.t_future, seed=11)
+    coords, masks = stack_arrays(build_dataset(pool, MaskingSpec(mode="circle", radius=5.0),
+                                               "train", 11))
+    model = TrajectoryModel(cfg)
+    imputed, predicted = model.run_inference(coords[:, :cfg.t_past], masks, seed=2)
+    arrays[f"{tag} infer_batch imputed"] = imputed
+    arrays[f"{tag} infer_batch predicted"] = predicted
+    print(tag, "infer_batch", digest(imputed.tobytes() + predicted.tobytes()))
+    losses = model.train_step(coords, masks, Adam(model.parameters()),
+                              rng=np.random.default_rng(1))
+    for k, v in losses.items():
+        arrays[f"{tag} step 0 {k}"] = np.float64(v)
+    print(tag, "step 0", " ".join(f"{k}={v!r}" for k, v in sorted(losses.items())))
+    for name, p in model.params.items():
+        arrays[f"{tag} grad {name}"] = p.grad.copy()
+    print(tag, "grads", digest(b"".join(name.encode() + p.grad.tobytes()
+                                         for name, p in model.params.items())))
 
 
 def compare(dir_a, dir_b):

@@ -32,6 +32,16 @@ order, so about one step's gradients wait at a time.
   as a list of blocks, and it takes an optional decay that it applies to
   h itself. Of its intermediates it keeps only the gate values and the
   candidate: backward recomputes the decayed h and r * h.
+- Rows on every CPU: `gru` and `linear` cut their rows into one block
+  per CPU the process may use (`_split_rows`) once an op carries enough
+  multiply-adds; the caller runs block 0 and worker threads the rest,
+  each the same numpy calls as the whole, writing its rows of the output
+  in place. Their backwards run the weight-gradient GEMMs on a worker
+  while the caller runs the input-gradient ones (the B/W split of Zero
+  Bubble pipeline parallelism, arXiv:2401.10241) and accumulate after
+  the join in a fixed order. Workers touch only numpy arrays, so the
+  tape stays on the calling thread, and every value and gradient is
+  bit-identical to the one-thread run.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -39,7 +49,9 @@ NumericError immediately rather than letting it propagate.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
+from contextvars import copy_context
 from functools import partial
 from itertools import count
 from operator import attrgetter
@@ -50,6 +62,40 @@ from .errors import ConfigError, NumericError, ShapeError
 
 _grad_enabled = True
 _creation = count()  # each tensor's sequence number; see `backward`
+
+# Least multiply-adds a row block carries, so an op spreads over CPUs
+# from twice this. On the 2-vCPU Xeon it was set on, a hand-off to a
+# worker (submit plus result) takes about 18 us; split over two threads
+# a 2.2e7-MAC GEMM took 287 us against 518 us inline, a 4.7e6-MAC one
+# 80 against 110 us, and a 1.2e6-MAC one lost. Whole ops also pay each
+# block's Python and numpy call overhead, so 1e7 keeps every desk-shape
+# op (the H=64 GRU is 7e6) inline and splits the reference-shape GRU.
+_BLOCK_MACS = 1e7
+# The OpenBLAS 0.3.31 dgemm measured (x86-64, AVX-512) sums a partial
+# tile of the last 8 output columns in an order that depends on where the
+# row range ends. With whole 8-column tiles a row block's product was
+# bit-identical to those rows of the whole product at every shape tried,
+# so only such widths are split.
+_TILE_COLS = 8
+_POOL = None  # made on first use; see `_pool`
+
+
+def _free_cpus() -> int:
+    """CPUs the row blocks may use: those the process may run on, over the
+    threads each BLAS call takes. OpenBLAS reads the first of these
+    variables that is set when it loads, else takes every CPU. Row blocks
+    on top of 2 BLAS threads on 2 CPUs took 1.04 s per reference train
+    step against 0.97 s without them, and 1.23 against 1.12 s per B=256
+    inference."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(var, "")
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, (cpus or 1) // int(threads))
+    return 1
+
+
+_CPUS = _free_cpus()
 
 
 @contextmanager
@@ -161,9 +207,12 @@ def _check_finite(data, op, parents):
         raise NumericError(f"non-finite values produced by op '{op}' (inputs from: {srcs})")
 
 
-def _make(data, op, parents, backward):
+def _make(data, op, parents, backward, checked=False):
+    """The op's output tensor, on the tape when it needs a gradient;
+    `checked`: the op ran `_check_finite` itself."""
     data = np.asarray(data, dtype=np.float64)
-    _check_finite(data, op, parents)
+    if not checked:
+        _check_finite(data, op, parents)
     if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward, op=op)
     return Tensor(data, op=op)
@@ -177,6 +226,65 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _pool():
+    """The worker threads, one per CPU besides the caller's. Their module
+    loads on first use: a process that never splits an op is spared its
+    0.7 MB and 3 ms."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max(1, _CPUS - 1), thread_name_prefix="trajvrnn-rows")
+    return _POOL
+
+
+def _drop_pool():
+    global _POOL
+    _POOL = None  # a forked child has none of the parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _submit(fn, *args):
+    # in a copy of the caller's context, so numpy's error state carries over
+    return _pool().submit(copy_context().run, fn, *args)
+
+
+def _row_blocks(m, cols, macs):
+    """Bounds of the row blocks, one per CPU, that an op over m rows with
+    outputs `cols` wide and `macs` multiply-adds runs as; None (one block)
+    for few multiply-adds, on one CPU, for widths that are not whole
+    tiles, or below 2 rows a block (numpy sends a one-row product to
+    gemv, which sums in another order)."""
+    n = min(_CPUS, m // 2, int(macs // _BLOCK_MACS)) if cols % _TILE_COLS == 0 else 1
+    return [m * i // n for i in range(n + 1)] if n > 1 else None
+
+
+def _split_rows(bounds, part):
+    """Run `part(lo, hi)` over the row blocks, block 0 on the caller and
+    the rest on workers; join every block, then raise the first block's
+    exception in block order."""
+    futures = [_submit(part, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        part(0, bounds[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the block, raising nothing
+    for future in futures:
+        future.result()
+
+
+def _later(macs, fn, *args):
+    """Start `fn(*args)` on a worker when an op of `macs` multiply-adds
+    spreads over CPUs, else run it now; returns the join, which gives
+    fn's value."""
+    if _CPUS < 2 or macs < 2 * _BLOCK_MACS:
+        value = fn(*args)
+        return lambda: value
+    return _submit(fn, *args).result
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +406,28 @@ def gru(inputs, h, wz, bz, wr, br, wh, bh, decay=None) -> Tensor:
                  partial(_gru_backward, xs, cell, decay, zr, cand))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # pre-activations checked before squashing
 def _gru_forward(parents, rows, h, decay, wz, bz, wr, br, wh, bh):
     hs = _decayed(h, decay).reshape(-1, h.shape[-1])
+    weights = (wz, bz, wr, br, wh, bh)
+    (m, n_h), k = hs.shape, wz.shape[0]
+    bounds = _row_blocks(m, n_h, 3 * m * k * n_h)
+    if bounds is None:
+        return _gru_rows(parents, rows, hs, *weights)
+    zr, cand, out = np.empty((2, m, n_h)), np.empty((m, n_h)), np.empty((m, n_h))
+    _split_rows(bounds, lambda lo, hi: _gru_rows(
+        parents, [row[lo:hi] for row in rows], hs[lo:hi], *weights,
+        zr[:, lo:hi], cand[lo:hi], out[lo:hi]))
+    return out, zr, cand
+
+
+@np.errstate(over="ignore", invalid="ignore")  # pre-activations checked before squashing
+def _gru_rows(parents, rows, hs, wz, bz, wr, br, wh, bh, zr=None, cand=None, out=None):
+    """The cell over rows, into zr, cand and out when given, else into new
+    arrays made as each is needed, which keeps a one-block call's peak
+    memory and page faults low; returns out, zr, cand."""
     xh = np.concatenate([*rows, hs], axis=1)
-    zr = np.empty((2, len(hs), hs.shape[1]))
+    if zr is None:
+        zr = np.empty((2, len(hs), hs.shape[1]))
     np.matmul(xh, wz, out=zr[0])
     zr[0] += bz
     np.matmul(xh, wr, out=zr[1])
@@ -310,11 +435,11 @@ def _gru_forward(parents, rows, h, decay, wz, bz, wr, br, wh, bh):
     del xh  # freed before the second concat: it sets the no-grad peak
     _check_finite(zr, "gru", parents)
     z, r = _sigmoid(zr, out=zr)
-    cand = np.concatenate([*rows, r * hs], axis=1) @ wh
+    cand = np.matmul(np.concatenate([*rows, r * hs], axis=1), wh, out=cand)
     cand += bh
     _check_finite(cand, "gru", parents)
     np.tanh(cand, out=cand)
-    out = 1.0 - z
+    out = np.subtract(1.0, z, out=out)
     out *= hs
     out += z * cand
     return out, zr, cand
@@ -344,24 +469,24 @@ def _gru_backward(xs, cell, decay, zr, cand, grad):
     dz -= g * hs
     dz *= z  # through z = sigmoid(.)
     dz *= 1.0 - z
+    # weight gradients on a worker beside the input gradients' GEMMs
+    macs = 3 * cand.size * wz.shape[0]
+    gwz = _later(macs, _stacked_t_at, (*rows, hs), dz) if wz.requires_grad else None
+    gwh = _later(macs, lambda: _stacked_t_at((*rows, r * hs), dc)) if wh.requires_grad else None
     dxrh = dc @ wh.data.T
     dr = dxrh[:, n_x:] * hs  # through r * h, then r = sigmoid(.)
     dr *= r
     dr *= 1.0 - r
+    gwr = _later(macs, _stacked_t_at, (*rows, hs), dr) if wr.requires_grad else None
     dxh = dz @ wz.data.T
     dxh += dr @ wr.data.T
-    rh = r * hs
-    for w, b, d, below in ((wz, bz, dz, hs), (wr, br, dr, hs), (wh, bh, dc, rh)):
-        if w.requires_grad:
-            _accumulate(w, _stacked_t_at((*rows, below), d), owned=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(d.reshape(grad.shape), b.shape), owned=True)
-    start = 0
+    gbs = [_unbroadcast(d.reshape(grad.shape), b.shape) if b.requires_grad else None
+           for b, d in ((bz, dz), (br, dr), (bh, dc))]
+    dxs, start = [], 0
     for x, row in zip(xs, rows):
         stop = start + row.shape[1]
-        if x.requires_grad:
-            dx = dxh[:, start:stop] + dxrh[:, start:stop]
-            _accumulate(x, dx.reshape(x.shape), owned=True)
+        dxs.append((dxh[:, start:stop] + dxrh[:, start:stop]).reshape(x.shape)
+                   if x.requires_grad else None)
         start = stop
     scaled = decay is not None and decay.requires_grad
     if h.requires_grad or scaled:
@@ -369,10 +494,18 @@ def _gru_backward(xs, cell, decay, zr, cand, grad):
         dh += dxrh[:, n_x:] * r
         dh += dxh[:, n_x:]
         dh = dh.reshape(h.shape)
-        if scaled:
-            _accumulate(decay, _unbroadcast(dh * h.data, decay.shape), owned=True)
-        if h.requires_grad:
-            _accumulate(h, dh if decay is None else dh * decay.data, owned=True)
+    for w, b, gw, gb in zip((wz, wr, wh), (bz, br, bh), (gwz, gwr, gwh), gbs):
+        if gw is not None:
+            _accumulate(w, gw(), owned=True)
+        if gb is not None:
+            _accumulate(b, gb, owned=True)
+    for x, dx in zip(xs, dxs):
+        if dx is not None:
+            _accumulate(x, dx, owned=True)
+    if scaled:
+        _accumulate(decay, _unbroadcast(dh * h.data, decay.shape), owned=True)
+    if h.requires_grad:
+        _accumulate(h, dh if decay is None else dh * decay.data, owned=True)
 
 
 def _stacked_t_at(blocks, d):
@@ -414,26 +547,36 @@ def linear(inputs, w, b=None, act=None) -> Tensor:
         raise ShapeError(f"linear: inputs {[x.shape for x in xs]} do not fit "
                          f"weight {w.shape} and {bias}")
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    out = _affine(rows, w.data, None if b is None else b.data).reshape(*lead, w.shape[1])
     parents = (*xs, w) if b is None else (*xs, w, b)
-    # `_make` keeps `out` itself as the node's data, so the in-place epilogue
-    # after its finite check reaches the node and the backward holding `out`
-    node = _make(out, "linear", parents, partial(_linear_backward, xs, w, b, act, out))
-    if act == "tanh":
-        np.tanh(out, out=out)
-    elif act == "relu":
-        np.maximum(out, 0.0, out=out)
-    elif act is not None:
-        np.minimum(np.maximum(out, act[0], out=out), act[1], out=out)
-    return node
+    m, (k, n) = len(rows[0]), w.shape
+    bias = None if b is None else b.data
+    bounds = _row_blocks(m, n, m * k * n)
+    if bounds is None:
+        out = _linear_rows(rows, w.data, bias, act, parents)
+    else:
+        out = np.empty((m, n))
+        _split_rows(bounds, lambda lo, hi: _linear_rows(
+            [row[lo:hi] for row in rows], w.data, bias, act, parents, out[lo:hi]))
+    out = out.reshape(*lead, n)
+    return _make(out, "linear", parents, partial(_linear_backward, xs, w, b, act, out),
+                 checked=True)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _make rejects non-finite
-def _affine(rows, w, b):
-    out = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)) @ w
+@np.errstate(over="ignore", invalid="ignore")  # checked before the epilogue
+def _linear_rows(rows, w, b, act, parents, out=None):
+    """The map and its epilogue over rows, into out when given, else into
+    a new array; returns it."""
+    y = np.matmul(rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1), w, out=out)
     if b is not None:
-        out += b
-    return out
+        y += b
+    _check_finite(y, "linear", parents)
+    if act == "tanh":
+        np.tanh(y, out=y)
+    elif act == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif act is not None:
+        np.minimum(np.maximum(y, act[0], out=y), act[1], out=y)
+    return y
 
 
 def _linear_backward(xs, w, b, act, y, grad):
@@ -446,17 +589,21 @@ def _linear_backward(xs, w, b, act, y, grad):
         grad = grad * ((y > act[0]) & (y < act[1]))
     g = grad.reshape(-1, grad.shape[-1])
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    if w.requires_grad:
-        _accumulate(w, _stacked_t_at(rows, g), owned=True)
+    # the weight gradient on a worker beside the input gradients' GEMMs
+    gw = _later(g.size * w.shape[0], _stacked_t_at, rows, g) if w.requires_grad else None
+    dxs, start = [], 0
+    for x, r in zip(xs, rows):
+        stop = start + r.shape[1]
+        dxs.append((g @ w.data[start:stop].T).reshape(x.shape) if x.requires_grad else None)
+        start = stop
+    if gw is not None:
+        _accumulate(w, gw(), owned=True)
     if b is not None and b.requires_grad:
         gb = _unbroadcast(grad, b.shape)
         _accumulate(b, gb, owned=gb is not grad)
-    start = 0
-    for x, r in zip(xs, rows):
-        stop = start + r.shape[1]
-        if x.requires_grad:
-            _accumulate(x, (g @ w.data[start:stop].T).reshape(x.shape), owned=True)
-        start = stop
+    for x, dx in zip(xs, dxs):
+        if dx is not None:
+            _accumulate(x, dx, owned=True)
 
 
 def weighted_sum(terms) -> Tensor:

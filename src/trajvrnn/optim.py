@@ -23,6 +23,12 @@ class Adam:
         self.lr = float(lr)
         self.decay_factor = float(decay_factor)
         self.decay_interval = int(decay_interval)
+        # `not 0 <= x < inf` is true for nan too
+        if not (0.0 <= self.lr < np.inf and 0.0 <= self.decay_factor < np.inf
+                and self.decay_interval >= 0):
+            raise ConfigError(f"Adam needs finite lr and decay_factor >= 0 and decay_interval "
+                              f">= 0 (0: never decay), got {lr!r}, {decay_factor!r}, "
+                              f"{decay_interval!r}")
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}

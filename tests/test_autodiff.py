@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
 import zlib
 
@@ -622,3 +627,205 @@ def test_linear_without_bias():
     with pytest.raises(ShapeError) as err:
         linear([x], Tensor(np.ones((5, 4))))
     assert "(5, 4)" in str(err.value) and "no bias" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# row blocks on several CPUs: forced on by lowering the module's cutoff
+
+
+@pytest.fixture
+def split_everywhere(monkeypatch):
+    """Every op of 4 or more rows spreads over up to 3 CPUs, with a pool
+    of its own; yields the list of (function, args) handed to a worker."""
+    handed = []
+    submit = ad._submit
+
+    def counting(fn, *args):
+        handed.append((fn, args))
+        return submit(fn, *args)
+
+    monkeypatch.setattr(ad, "_BLOCK_MACS", 1)
+    monkeypatch.setattr(ad, "_CPUS", 3)
+    monkeypatch.setattr(ad, "_POOL", None)
+    monkeypatch.setattr(ad, "_submit", counting)
+    yield handed
+    if ad._POOL is not None:
+        ad._POOL.shutdown()
+
+
+# (leading axes, row blocks of the forward at 3 CPUs): one and two rows stay
+# inline (a one-row block would be a gemv), 5 rows split 2 + 3, 7 rows
+# 2 + 2 + 3 and 2 x 5 rows 3 + 3 + 4
+SPLITS = [((1,), 1), ((2,), 1), ((5,), 2), ((7,), 3), ((2, 5), 3)]
+
+
+@pytest.mark.parametrize("lead,blocks", SPLITS)
+def test_split_gru_is_bit_identical(monkeypatch, split_everywhere, lead, blocks):
+    """gru split into row blocks gives the inline values and every
+    gradient, decay included, bit for bit."""
+    rng = np.random.default_rng(len(lead) + lead[-1])
+    shapes = [lead + (3,), lead + (5,), lead + (8,)] + [(16, 8), (8,)] * 3
+    cell = [Parameter(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+    decay = Parameter("decay", rng.uniform(0.1, 1.0, size=lead + (1,)))
+    (*inputs, h), weights = cell[:3], cell[3:]
+    runs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(ad, "_CPUS", cpus)
+        with no_grad():
+            before = len(split_everywhere)
+            gru(inputs, h, *weights, decay=decay)
+            assert len(split_everywhere) - before == (blocks - 1 if cpus == 3 else 0)
+        for p in (*cell, decay):
+            p.zero_grad()
+        out = gru(inputs, h, *weights, decay=decay)
+        backward(tsum(tanh(out)))
+        runs.append([out.data.copy()] + [p.grad.copy() for p in (*cell, decay)])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("act", [None, "tanh", "relu", (-0.5, 0.5)])
+@pytest.mark.parametrize("lead,blocks", SPLITS)
+def test_split_linear_is_bit_identical(monkeypatch, split_everywhere, lead, blocks, act):
+    """linear split into row blocks gives the inline values and every
+    gradient bit for bit, with each epilogue."""
+    rng = np.random.default_rng(len(lead) + lead[-1])
+    shapes = [lead + (3,), lead + (6,), (9, 16), (16,)]
+    params = [Parameter(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+    runs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(ad, "_CPUS", cpus)
+        with no_grad():
+            before = len(split_everywhere)
+            linear(params[:2], *params[2:], act=act)
+            assert len(split_everywhere) - before == (blocks - 1 if cpus == 3 else 0)
+        for p in params:
+            p.zero_grad()
+        out = linear(params[:2], *params[2:], act=act)
+        backward(tsum(tanh(out)))
+        runs.append([out.data.copy()] + [p.grad.copy() for p in params])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def test_split_holds_with_more_workers_than_cores(monkeypatch, split_everywhere):
+    """Eight blocks of a gru, forward and backward, with threads switching
+    every microsecond: 20 rounds give the inline values and gradients."""
+    monkeypatch.setattr(ad, "_CPUS", 8)
+    rng = np.random.default_rng(8)
+    shapes = [(5, 8, 3), (5, 8, 8), (11, 8), (8,), (11, 8), (8,), (11, 8), (8,)]
+    cell = [Parameter(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+
+    def run():
+        for p in cell:
+            p.zero_grad()
+        out = gru([cell[0]], *cell[1:])
+        backward(tsum(tanh(out)))
+        return [out.data] + [p.grad.copy() for p in cell]
+
+    with monkeypatch.context() as inline:
+        inline.setattr(ad, "_CPUS", 1)
+        want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert all(np.array_equal(a, b) for a, b in zip(want, run()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(split_everywhere) == 20 * (7 + 3)
+
+
+@pytest.mark.parametrize("env,cpus", [
+    ({}, 1),  # OpenBLAS takes every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+])
+def test_row_blocks_leave_blas_threads_their_cpus(monkeypatch, env, cpus):
+    """Of 4 CPUs the row blocks take those the BLAS threads, as OpenBLAS
+    reads them from the environment, leave over."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert ad._free_cpus() == cpus
+
+
+def test_partial_column_tile_stays_inline(split_everywhere):
+    """An output width that is not a whole number of 8-column tiles is not
+    split, since its edge rows would round differently; the backward's
+    weight gradient still goes to a worker."""
+    x = Parameter("x", np.ones((7, 3)))
+    w = Parameter("w", np.ones((3, 12)))
+    out = linear([x], w)
+    assert split_everywhere == []
+    backward(tsum(out))
+    assert [fn for fn, _ in split_everywhere] == [ad._stacked_t_at]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tape", [True, False])
+@pytest.mark.parametrize("op", ["gru", "linear"])
+def test_overflow_in_last_row_block_raises_silently(split_everywhere, op, tape):
+    """A product that overflows only in rows a worker computes raises
+    NumericError naming the op, with no numpy warning from that thread."""
+    x = np.ones((7, 8))
+    x[-1] = 1e300
+    x = Parameter("x", x) if tape else x
+    w = np.full((16, 8), 1e10)
+    with pytest.raises(NumericError, match=f"'{op}'"):
+        if op == "gru":
+            gru([x], np.zeros((7, 8)), w, np.zeros(8), w, np.zeros(8), w, np.zeros(8))
+        else:
+            linear([x], w[:8], np.zeros(8), act="tanh")
+    assert len(split_everywhere) == 2
+
+
+def test_split_rows_joins_every_block_then_raises_the_first(split_everywhere):
+    """Blocks 1 and 2 both fail: the caller sees block 1's error, and only
+    after block 2, the slower one, has finished."""
+    finished = []
+
+    def part(lo, hi):
+        if lo > 0:
+            time.sleep(0.05 * lo)
+            finished.append(lo)
+            raise ValueError(lo)
+        assert threading.current_thread() is threading.main_thread()
+
+    with pytest.raises(ValueError) as err:
+        ad._split_rows([0, 3, 6, 9], part)
+    assert err.value.args == (3,) and sorted(finished) == [3, 6]
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_split_op(monkeypatch, split_everywhere):
+    """After a fork the child has none of the parent's worker threads; it
+    makes its own pool and a split op in it finishes with the parent's
+    values. With one worker, which is idle at the fork, the parent's pool
+    would queue the child's block for a thread that does not exist."""
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    rng = np.random.default_rng(5)
+    x, w = rng.normal(size=(7, 4)), rng.normal(size=(4, 8))
+    want = linear([x], w).data
+    assert ad._POOL is not None and split_everywhere
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(linear([x], w).data, want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on a split op")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

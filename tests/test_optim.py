@@ -66,3 +66,14 @@ def test_state_roundtrip():
     assert opt2.step_count == opt.step_count
     assert np.array_equal(opt2.m["p"], opt.m["p"])
     assert np.array_equal(opt2.v["p"], opt.v["p"])
+
+
+@pytest.mark.parametrize("kwargs", [dict(lr=-0.1), dict(lr=float("nan")), dict(lr=float("inf")),
+                                    dict(decay_factor=-0.5), dict(decay_factor=float("nan")),
+                                    dict(decay_factor=float("inf")), dict(decay_interval=-5)])
+def test_bad_schedule_is_a_config_error(kwargs):
+    """Library callers build Adam without a checked ModelConfig, so the
+    optimizer checks its own schedule; 0 stays allowed for each."""
+    with pytest.raises(ConfigError, match="Adam"):
+        Adam([Parameter("p", [1.0])], **kwargs)
+    Adam([Parameter("p", [1.0])], lr=0.0, decay_factor=0.0, decay_interval=0)
