@@ -32,16 +32,17 @@ order, so about one step's gradients wait at a time.
   as a list of blocks, and it takes an optional decay that it applies to
   h itself. Of its intermediates it keeps only the gate values and the
   candidate: backward recomputes the decayed h and r * h.
-- Rows on every CPU: `gru` and `linear` cut their rows into one block
-  per CPU the process may use (`_split_rows`) once an op carries enough
-  multiply-adds; the caller runs block 0 and worker threads the rest,
-  each the same numpy calls as the whole, writing its rows of the output
-  in place. Their backwards run the weight-gradient GEMMs on a worker
-  while the caller runs the input-gradient ones (the B/W split of Zero
-  Bubble pipeline parallelism, arXiv:2401.10241) and accumulate after
-  the join in a fixed order. Workers touch only numpy arrays, so the
-  tape stays on the calling thread, and every value and gradient is
-  bit-identical to the one-thread run.
+- Rows on every CPU: `gru` and `linear` make their outputs up front and
+  fill them by `_split_rows`: one row block per CPU the process may use
+  once an op carries enough multiply-adds, else one block, block 0 on the
+  caller and the rest on worker threads. Each block calls the affine
+  kernel `_affine_rows` (concat, GEMM into its rows of the output, bias,
+  finite check, epilogue), once for `linear` and three times for the
+  cell. Backwards run the weight-gradient GEMMs on a worker beside the
+  caller's input-gradient ones (the B/W split of Zero Bubble pipeline
+  parallelism, arXiv:2401.10241) and accumulate after the join in a fixed
+  order. Workers touch only numpy arrays, so the tape stays on the calling
+  thread, and every value and gradient is bit-identical to one thread.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -69,7 +70,7 @@ _creation = count()  # each tensor's sequence number; see `backward`
 # a 2.2e7-MAC GEMM took 287 us against 518 us inline, a 4.7e6-MAC one
 # 80 against 110 us, and a 1.2e6-MAC one lost. Whole ops also pay each
 # block's Python and numpy call overhead, so 1e7 keeps every desk-shape
-# op (the H=64 GRU is 7e6) inline and splits the reference-shape GRU.
+# op (the H=64 GRU is 7e6) in one block and splits the reference-shape GRU.
 _BLOCK_MACS = 1e7
 # The OpenBLAS 0.3.31 dgemm measured (x86-64, AVX-512) sums a partial
 # tile of the last 8 output columns in an order that depends on where the
@@ -255,18 +256,20 @@ def _submit(fn, *args):
 
 def _row_blocks(m, cols, macs):
     """Bounds of the row blocks, one per CPU, that an op over m rows with
-    outputs `cols` wide and `macs` multiply-adds runs as; None (one block)
-    for few multiply-adds, on one CPU, for widths that are not whole
-    tiles, or below 2 rows a block (numpy sends a one-row product to
-    gemv, which sums in another order)."""
+    outputs `cols` wide and `macs` multiply-adds runs as; one block for
+    few multiply-adds, on one CPU, for widths that are not whole tiles,
+    or below 2 rows a block (numpy sends a one-row product to gemv, which
+    sums in another order)."""
     n = min(_CPUS, m // 2, int(macs // _BLOCK_MACS)) if cols % _TILE_COLS == 0 else 1
-    return [m * i // n for i in range(n + 1)] if n > 1 else None
+    return [m * i // n for i in range(n + 1)] if n > 1 else [0, m]
 
 
 def _split_rows(bounds, part):
     """Run `part(lo, hi)` over the row blocks, block 0 on the caller and
     the rest on workers; join every block, then raise the first block's
     exception in block order."""
+    if len(bounds) == 2:
+        return part(0, bounds[1])
     futures = [_submit(part, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         part(0, bounds[1])
@@ -297,7 +300,8 @@ def _pointwise(op, forward, vjps, *inputs) -> Tensor:
     gradient itself), which is then summed back to that input's shape."""
     parents = tuple(map(as_tensor, inputs))
     try:
-        out = forward(*[t.data for t in parents])
+        with np.errstate(over="ignore", invalid="ignore"):  # _make rejects non-finite
+            out = forward(*[t.data for t in parents])
     except ValueError:
         shapes = " and ".join(str(t.shape) for t in parents)
         raise ShapeError(f"{op}: shapes {shapes} do not broadcast") from None
@@ -400,49 +404,29 @@ def gru(inputs, h, wz, bz, wr, br, wh, bh, decay=None) -> Tensor:
                          f"fit gate weights {wz.shape}, {wr.shape}, {wh.shape} and biases "
                          f"{bz.shape}, {br.shape}, {bh.shape}")
     parents = (*xs, *cell) if decay is None else (*xs, *cell, decay)
-    out, zr, cand = _gru_forward(parents, [x.data.reshape(-1, x.shape[-1]) for x in xs],
-                                 h, decay, wz, bz, wr, br, wh, bh)
-    return _make(out.reshape(h.shape), "gru", parents,
-                 partial(_gru_backward, xs, cell, decay, zr, cand))
-
-
-def _gru_forward(parents, rows, h, decay, wz, bz, wr, br, wh, bh):
-    hs = _decayed(h, decay).reshape(-1, h.shape[-1])
-    weights = (wz, bz, wr, br, wh, bh)
-    (m, n_h), k = hs.shape, wz.shape[0]
-    bounds = _row_blocks(m, n_h, 3 * m * k * n_h)
-    if bounds is None:
-        return _gru_rows(parents, rows, hs, *weights)
-    zr, cand, out = np.empty((2, m, n_h)), np.empty((m, n_h)), np.empty((m, n_h))
-    _split_rows(bounds, lambda lo, hi: _gru_rows(
-        parents, [row[lo:hi] for row in rows], hs[lo:hi], *weights,
+    rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
+    hs = _decayed(h, decay).reshape(-1, n_h)
+    # zr first: zr last read train-desk 0.6% faster, infer-eval 5% slower (2-vCPU Xeon)
+    zr, cand, out = np.empty((2, *hs.shape)), np.empty(hs.shape), np.empty(hs.shape)
+    _split_rows(_row_blocks(len(hs), n_h, 3 * hs.size * wz.shape[0]), lambda lo, hi: _gru_rows(
+        parents, [row[lo:hi] for row in rows], hs[lo:hi], wz, bz, wr, br, wh, bh,
         zr[:, lo:hi], cand[lo:hi], out[lo:hi]))
-    return out, zr, cand
+    return _make(out.reshape(h.shape), "gru", parents,
+                 partial(_gru_backward, xs, cell, decay, zr, cand), checked=True)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # pre-activations checked before squashing
-def _gru_rows(parents, rows, hs, wz, bz, wr, br, wh, bh, zr=None, cand=None, out=None):
-    """The cell over rows, into zr, cand and out when given, else into new
-    arrays made as each is needed, which keeps a one-block call's peak
-    memory and page faults low; returns out, zr, cand."""
-    xh = np.concatenate([*rows, hs], axis=1)
-    if zr is None:
-        zr = np.empty((2, len(hs), hs.shape[1]))
-    np.matmul(xh, wz, out=zr[0])
-    zr[0] += bz
-    np.matmul(xh, wr, out=zr[1])
-    zr[1] += br
+def _gru_rows(parents, rows, hs, wz, bz, wr, br, wh, bh, zr, cand, out):
+    """The cell over rows, into zr, cand and out: three affine maps, the
+    two gates sharing one concatenation of the rows and h."""
+    xh = [np.concatenate([*rows, hs], axis=1)]
+    _affine_rows("gru", parents, xh, wz, bz, None, zr[0])
+    _affine_rows("gru", parents, xh, wr, br, None, zr[1])
     del xh  # freed before the second concat: it sets the no-grad peak
-    _check_finite(zr, "gru", parents)
     z, r = _sigmoid(zr, out=zr)
-    cand = np.matmul(np.concatenate([*rows, r * hs], axis=1), wh, out=cand)
-    cand += bh
-    _check_finite(cand, "gru", parents)
-    np.tanh(cand, out=cand)
-    out = np.subtract(1.0, z, out=out)
+    _affine_rows("gru", parents, [*rows, r * hs], wh, bh, "tanh", cand)
+    np.subtract(1.0, z, out=out)
     out *= hs
     out += z * cand
-    return out, zr, cand
 
 
 def _broadcasts_to(shape, target) -> bool:
@@ -550,33 +534,28 @@ def linear(inputs, w, b=None, act=None) -> Tensor:
     parents = (*xs, w) if b is None else (*xs, w, b)
     m, (k, n) = len(rows[0]), w.shape
     bias = None if b is None else b.data
-    bounds = _row_blocks(m, n, m * k * n)
-    if bounds is None:
-        out = _linear_rows(rows, w.data, bias, act, parents)
-    else:
-        out = np.empty((m, n))
-        _split_rows(bounds, lambda lo, hi: _linear_rows(
-            [row[lo:hi] for row in rows], w.data, bias, act, parents, out[lo:hi]))
+    out = np.empty((m, n))
+    _split_rows(_row_blocks(m, n, m * k * n), lambda lo, hi: _affine_rows(
+        "linear", parents, [row[lo:hi] for row in rows], w.data, bias, act, out[lo:hi]))
     out = out.reshape(*lead, n)
     return _make(out, "linear", parents, partial(_linear_backward, xs, w, b, act, out),
                  checked=True)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked before the epilogue
-def _linear_rows(rows, w, b, act, parents, out=None):
-    """The map and its epilogue over rows, into out when given, else into
-    a new array; returns it."""
-    y = np.matmul(rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1), w, out=out)
+def _affine_rows(op, parents, rows, w, b, act, out):
+    """concat(rows, 1) @ w, plus b when given, into out; then the finite
+    check naming `op`, then the epilogue `act` in place."""
+    np.matmul(rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1), w, out=out)
     if b is not None:
-        y += b
-    _check_finite(y, "linear", parents)
+        out += b
+    _check_finite(out, op, parents)
     if act == "tanh":
-        np.tanh(y, out=y)
+        np.tanh(out, out=out)
     elif act == "relu":
-        np.maximum(y, 0.0, out=y)
+        np.maximum(out, 0.0, out=out)
     elif act is not None:
-        np.minimum(np.maximum(y, act[0], out=y), act[1], out=y)
-    return y
+        np.minimum(np.maximum(out, act[0], out=out), act[1], out=out)
 
 
 def _linear_backward(xs, w, b, act, y, grad):
@@ -630,7 +609,8 @@ def _weighted_sum_backward(pairs, grad):
 
 def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.mean(axis=axis)
+    with np.errstate(over="ignore", invalid="ignore"):  # _make rejects non-finite
+        out = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.shape[axis]
 
     def backward(grad):

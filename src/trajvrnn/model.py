@@ -180,7 +180,7 @@ def temporal_decay(delta, weight: Tensor, bias: Tensor) -> Tensor:
     for array in (pre, grow):
         _check_finite(array, "temporal_decay", (weight, bias))
     return _make(1.0 / grow, "temporal_decay", (weight, bias),
-                 partial(_temporal_decay_backward, delta, weight, bias))
+                 partial(_temporal_decay_backward, delta, weight, bias), checked=True)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked by temporal_decay

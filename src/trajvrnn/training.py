@@ -16,7 +16,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, restore_model, restore_optimizer, save_checkpoint
 from .config import RunConfig
 from .data import Dataset, stack_arrays
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .model import TrajectoryModel
 from .optim import Adam
 
@@ -81,10 +81,13 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
     then writes `checkpoint_epoch_NNNN.ckpt` every `checkpoint_every` epochs
     but the last, and `checkpoint_final.ckpt`. On a non-finite loss the
     state is saved as `checkpoint_diagnostic.ckpt` and the error re-raised.
-    A dataset the new or restored model cannot read is a DataError.
+    A dataset the new or restored model cannot read is a DataError, and a
+    checkpoint of a later epoch than `config.epochs` a ConfigError.
     """
     if resume is not None:
         ck = load_checkpoint(resume)
+        if ck.epoch > config.epochs:
+            raise ConfigError(f"{resume} holds epoch {ck.epoch}, past epochs={config.epochs}")
         model = restore_model(ck)
         optimizer = restore_optimizer(ck, model)
         start_epoch = ck.epoch

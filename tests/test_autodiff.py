@@ -14,8 +14,11 @@ from trajvrnn.autodiff import (
     Parameter, Tensor, backward, getitem, gru, linear, matmul, mul, no_grad, reshape, tmean,
     transpose,
 )
+from trajvrnn.data import MaskingSpec, build_dataset, generate_sequences, stack_arrays
 from trajvrnn.errors import ConfigError, NumericError, ShapeError
-from trajvrnn.model import LatentDistribution, bigauss_nll, gauss_kl, sample_latent, temporal_decay
+from trajvrnn.model import (LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll,
+                            gauss_kl, sample_latent, temporal_decay)
+from trajvrnn.optim import Adam
 
 from oracle_ops import (clamp, concat, div, exp, grad_check, log, relu, sub, tanh,
                         tape_memory_script, tsum)
@@ -458,6 +461,19 @@ def test_matmul_overflow_raises_silently(row):
         matmul(Tensor([row]), Tensor([[10.0], [10.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("op,args", [
+    ("add", ([1e308], [1e308])), ("mul", ([1e308], [1e308])), ("mul", ([np.inf], [0.0])),
+    ("mean", ([1e308, 1e308],)),
+])
+def test_pointwise_and_mean_overflow_raises_silently(op, args):
+    """An overflow, or an inf * 0, in add, mul or tmean raises NumericError
+    naming the op with no numpy warning."""
+    fn = {"add": ad.add, "mul": mul, "mean": tmean}[op]
+    with pytest.raises(NumericError, match=f"'{op}'"):
+        fn(*map(Tensor, args))
+
+
 def test_gru_decay_shape_error_names_it():
     cell = [Tensor(np.ones(shape)) for shape in GRU_SHAPES.values()]
     with pytest.raises(ShapeError) as err:
@@ -634,9 +650,9 @@ def test_linear_without_bias():
 
 
 @pytest.fixture
-def split_everywhere(monkeypatch):
-    """Every op of 4 or more rows spreads over up to 3 CPUs, with a pool
-    of its own; yields the list of (function, args) handed to a worker."""
+def handed_off(monkeypatch):
+    """Two CPUs and a pool of its own, at the module's cutoff; yields the
+    list of (function, args) handed to a worker."""
     handed = []
     submit = ad._submit
 
@@ -644,13 +660,45 @@ def split_everywhere(monkeypatch):
         handed.append((fn, args))
         return submit(fn, *args)
 
-    monkeypatch.setattr(ad, "_BLOCK_MACS", 1)
-    monkeypatch.setattr(ad, "_CPUS", 3)
+    monkeypatch.setattr(ad, "_CPUS", 2)
     monkeypatch.setattr(ad, "_POOL", None)
     monkeypatch.setattr(ad, "_submit", counting)
     yield handed
     if ad._POOL is not None:
         ad._POOL.shutdown()
+
+
+@pytest.fixture
+def split_everywhere(monkeypatch, handed_off):
+    """As `handed_off`, but every op of 4 or more rows spreads over up to
+    3 CPUs."""
+    monkeypatch.setattr(ad, "_BLOCK_MACS", 1)
+    monkeypatch.setattr(ad, "_CPUS", 3)
+    return handed_off
+
+
+def test_desk_train_step_and_single_inference_stay_on_one_thread(handed_off):
+    """At the module's cutoff on two CPUs, no op of a desk-shape train step
+    (H=64, Z=16, B=16, N=16, T=40+10), forward or backward, and none of a
+    B=1 run_inference of the default model goes to a worker."""
+    seqs = generate_sequences(16, 16, 40, 10, seed=8)
+    coords, masks = stack_arrays(build_dataset(seqs, MaskingSpec(mode="camera", angle=20.0),
+                                               split="train", seed=8))
+    model = TrajectoryModel(ModelConfig(d_hidden=64, d_latent=16, seed=8))
+    model.train_step(coords, masks, Adam(model.parameters()), rng=np.random.default_rng(8))
+    assert handed_off == []
+    TrajectoryModel(ModelConfig(seed=8)).run_inference(coords[0, :40, :10], masks[0, :, :10])
+    assert handed_off == []
+
+
+def test_reference_gru_hands_one_block_to_a_worker(handed_off):
+    """A reference-shape gru (640 rows, inputs 16 + 64, H=256) at the
+    module's cutoff on two CPUs runs as two row blocks."""
+    rng = np.random.default_rng(9)
+    weights = [rng.normal(size=shape) for shape in [(336, 256), (256,)] * 3]
+    gru([rng.normal(size=(640, 16)), rng.normal(size=(640, 64))],
+        rng.normal(size=(640, 256)), *weights)
+    assert len(handed_off) == 1
 
 
 # (leading axes, row blocks of the forward at 3 CPUs): one and two rows stay

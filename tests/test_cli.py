@@ -347,6 +347,19 @@ def test_resume_shape_mismatch_is_data_error(tmp_path):
     assert not (tmp_path / "resumed").exists()
 
 
+def test_resume_past_epochs_is_config_error(tmp_path, capsys):
+    """Resuming a 4-epoch checkpoint with epochs=2 would train nothing and
+    label the epoch-4 state epoch 2: it exits 1 before any output."""
+    _, out_dir = _gen_and_train(tmp_path, epochs=4)
+    train_file = tmp_path / "data" / "circle_5_train.trajset"
+    cfg = write_cfg(tmp_path, f"train_path={train_file}\nepochs=2\n", name="short.cfg")
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "resumed"),
+                 "--checkpoint", str(out_dir / "checkpoint_final.ckpt")])
+    assert code == 1
+    assert "epoch 4, past epochs=2" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+
+
 def test_run_and_export_plot_roundtrip(tmp_path):
     cfg, out_dir = _gen_and_train(tmp_path)
     ck = out_dir / "checkpoint_final.ckpt"
