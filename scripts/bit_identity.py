@@ -17,7 +17,10 @@ mode=predict-only. Last come the reference-shape lines: the default
 ModelConfig (H=256, Z=64) on 64 sequences at N=10, T=40+10, with its
 batched run_inference outputs, then one train step's losses and the
 gradients it left. Only at such shapes do `gru` and `linear` carry
-enough multiply-adds to spread their rows over CPUs.
+enough multiply-adds to spread their rows over CPUs and to queue their
+weight gradients on a worker, so the last line repeats the gradient
+digest from a step on one CPU: in one run on one checkout it must equal
+the line before it.
 
 The untrained digests and the step-0 losses depend on the forward pass
 alone; the later losses and the trained digests also carry any low-bit
@@ -53,6 +56,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
+from trajvrnn import autodiff
 from trajvrnn.autodiff import backward
 from trajvrnn.checkpoint import (load_checkpoint, restore_model,
                                  restore_optimizer, save_checkpoint)
@@ -212,7 +216,8 @@ def check(work, arrays):
 def reference_shape(arrays):
     """Print the default model's batched run_inference digest over 64
     circle-masked sequences at N=10, then one train step's losses and
-    gradient digest on them."""
+    gradient digest on them, then that gradient digest again from a step
+    on one CPU: no row block and no queued weight gradient."""
     tag = "reference B=64 N=10"
     cfg = ModelConfig()
     pool = generate_sequences(64, 10, cfg.t_past, cfg.t_future, seed=11)
@@ -223,15 +228,26 @@ def reference_shape(arrays):
     arrays[f"{tag} infer_batch imputed"] = imputed
     arrays[f"{tag} infer_batch predicted"] = predicted
     print(tag, "infer_batch", digest(imputed.tobytes() + predicted.tobytes()))
-    losses = model.train_step(coords, masks, Adam(model.parameters()),
-                              rng=np.random.default_rng(1))
+    losses, grads = reference_step(model, coords, masks)
     for k, v in losses.items():
         arrays[f"{tag} step 0 {k}"] = np.float64(v)
     print(tag, "step 0", " ".join(f"{k}={v!r}" for k, v in sorted(losses.items())))
     for name, p in model.params.items():
         arrays[f"{tag} grad {name}"] = p.grad.copy()
-    print(tag, "grads", digest(b"".join(name.encode() + p.grad.tobytes()
-                                         for name, p in model.params.items())))
+    print(tag, "grads", grads)
+    cpus, autodiff._CPUS = autodiff._CPUS, 1
+    try:
+        print(tag, "grads on one CPU", reference_step(TrajectoryModel(cfg), coords, masks)[1])
+    finally:
+        autodiff._CPUS = cpus
+
+
+def reference_step(model, coords, masks):
+    """One train step's losses and the digest of the gradients it left."""
+    losses = model.train_step(coords, masks, Adam(model.parameters()),
+                              rng=np.random.default_rng(1))
+    return losses, digest(b"".join(name.encode() + p.grad.tobytes()
+                                   for name, p in model.params.items()))
 
 
 def compare(dir_a, dir_b):

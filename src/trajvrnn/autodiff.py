@@ -38,11 +38,17 @@ order, so about one step's gradients wait at a time.
   caller and the rest on worker threads. Each block calls the affine
   kernel `_affine_rows` (concat, GEMM into its rows of the output, bias,
   finite check, epilogue), once for `linear` and three times for the
-  cell. Backwards run the weight-gradient GEMMs on a worker beside the
-  caller's input-gradient ones (the B/W split of Zero Bubble pipeline
-  parallelism, arXiv:2401.10241) and accumulate after the join in a fixed
-  order. Workers touch only numpy arrays, so the tape stays on the calling
+  cell. Workers touch only numpy arrays, so the tape stays on the calling
   thread, and every value and gradient is bit-identical to one thread.
+- Weight gradients on their own stream: nothing reads a Parameter's
+  `.grad` before `backward` returns, so a backward queues each large
+  weight-gradient GEMM of a Parameter, with its `+=` into `.grad`, and
+  goes on to the next input gradient (the B/W split of Zero Bubble
+  pipeline parallelism, arXiv:2401.10241). Each term runs after the one
+  before it, so a Parameter sums its terms in firing order; an inline
+  write into its `.grad` waits for its last term first. The caller waits
+  for the oldest term at `_STREAM_DEPTH` queued, and `backward` joins the
+  stream once, before it returns or raises.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -68,10 +74,22 @@ _creation = count()  # each tensor's sequence number; see `backward`
 # from twice this. On the 2-vCPU Xeon it was set on, a hand-off to a
 # worker (submit plus result) takes about 18 us; split over two threads
 # a 2.2e7-MAC GEMM took 287 us against 518 us inline, a 4.7e6-MAC one
-# 80 against 110 us, and a 1.2e6-MAC one lost. Whole ops also pay each
-# block's Python and numpy call overhead, so 1e7 keeps every desk-shape
-# op (the H=64 GRU is 7e6) in one block and splits the reference-shape GRU.
-_BLOCK_MACS = 1e7
+# 80 against 110 us, and a 1.2e6-MAC one lost. With the weight-gradient
+# stream, 5e6 against 1e7 read the same per reference train step and
+# 4.8% less per B=256 inference (12 interleaved calls each, 9 faster). It
+# keeps every desk-shape op (the H=64 GRU is 3 x 256 x 96 x 64 = 4.7e6)
+# in one block.
+_BLOCK_MACS = 5e6
+# Least multiply-adds of a Parameter's weight-gradient GEMM that goes on
+# the stream. 2e6, 3e6 and 1e7 read within noise of each other per
+# reference train step (two runs of 12-14 interleaved steps each), and
+# no stream 20% slower. Below 2.7e6 the desk step's DL layer and past
+# embedding (10240 x 16 x 16) would queue, as would the reference heads.
+_STREAM_MACS = 3e6
+# Most terms queued at once, each keeping its arrays (dz, dr or dc: 1.3 MB
+# at the reference GRU) alive: about three reference steps. Unbounded, at
+# most 2 were outstanding, and 8 to 64 read the same step time and RSS.
+_STREAM_DEPTH = 16
 # The OpenBLAS 0.3.31 dgemm measured (x86-64, AVX-512) sums a partial
 # tile of the last 8 output columns in an order that depends on where the
 # row range ends. With whole 8-column tiles a row block's product was
@@ -79,6 +97,8 @@ _BLOCK_MACS = 1e7
 # so only such widths are split.
 _TILE_COLS = 8
 _POOL = None  # made on first use; see `_pool`
+_STREAM = []  # the terms this backward queued, oldest first; see `_weight_grad`
+_QUEUED = {}  # Parameter -> its last queued term
 
 
 def _free_cpus() -> int:
@@ -243,6 +263,8 @@ def _pool():
 def _drop_pool():
     global _POOL
     _POOL = None  # a forked child has none of the parent's threads
+    _STREAM.clear()
+    _QUEUED.clear()
 
 
 if hasattr(os, "register_at_fork"):
@@ -280,14 +302,32 @@ def _split_rows(bounds, part):
         future.result()
 
 
-def _later(macs, fn, *args):
-    """Start `fn(*args)` on a worker when an op of `macs` multiply-adds
-    spreads over CPUs, else run it now; returns the join, which gives
-    fn's value."""
-    if _CPUS < 2 or macs < 2 * _BLOCK_MACS:
-        value = fn(*args)
-        return lambda: value
-    return _submit(fn, *args).result
+def _weight_grad(w, macs, fn, *args):
+    """Add the weight gradient fn(*args), a GEMM of `macs` multiply-adds,
+    into w.grad: queued behind the stream's last term for a Parameter w
+    when a CPU is free and macs reach _STREAM_MACS, else now."""
+    if not w.requires_grad:
+        return
+    if _CPUS < 2 or macs < _STREAM_MACS or not isinstance(w, Parameter) or w.grad is None:
+        _accumulate(w, fn(*args), owned=True)
+        return
+    if len(_STREAM) >= _STREAM_DEPTH:
+        _STREAM[-_STREAM_DEPTH].exception()  # the oldest still held; waits, raising nothing
+    _QUEUED[w] = term = _submit(_add_term, _STREAM[-1] if _STREAM else None, w, fn, args)
+    _STREAM.append(term)
+
+
+def _add_term(prev, w, fn, args):
+    if prev is not None:
+        prev.exception()  # in queue order on a pool of any width
+    w.grad += fn(*args)
+
+
+def _settle(node):
+    """Wait for node's last queued term, before an inline write into its .grad."""
+    term = _QUEUED.pop(node, None)
+    if term is not None:
+        term.exception()
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +493,25 @@ def _gru_backward(xs, cell, decay, zr, cand, grad):
     dz -= g * hs
     dz *= z  # through z = sigmoid(.)
     dz *= 1.0 - z
-    # weight gradients on a worker beside the input gradients' GEMMs
-    macs = 3 * cand.size * wz.shape[0]
-    gwz = _later(macs, _stacked_t_at, (*rows, hs), dz) if wz.requires_grad else None
-    gwh = _later(macs, lambda: _stacked_t_at((*rows, r * hs), dc)) if wh.requires_grad else None
+    macs = cand.size * wz.shape[0]  # of each weight gradient; dz, dr and dc stay unchanged
+    _weight_grad(wz, macs, _stacked_t_at, (*rows, hs), dz)
+    _weight_grad(wh, macs, lambda: _stacked_t_at((*rows, r * hs), dc))
     dxrh = dc @ wh.data.T
     dr = dxrh[:, n_x:] * hs  # through r * h, then r = sigmoid(.)
     dr *= r
     dr *= 1.0 - r
-    gwr = _later(macs, _stacked_t_at, (*rows, hs), dr) if wr.requires_grad else None
+    _weight_grad(wr, macs, _stacked_t_at, (*rows, hs), dr)
     dxh = dz @ wz.data.T
     dxh += dr @ wr.data.T
-    gbs = [_unbroadcast(d.reshape(grad.shape), b.shape) if b.requires_grad else None
-           for b, d in ((bz, dz), (br, dr), (bh, dc))]
-    dxs, start = [], 0
+    for b, d in ((bz, dz), (br, dr), (bh, dc)):
+        if b.requires_grad:  # a view of d, which a queued term may still read, is copied
+            gb = _unbroadcast(d.reshape(grad.shape), b.shape)
+            _accumulate(b, gb, owned=gb.base is None)
+    start = 0
     for x, row in zip(xs, rows):
         stop = start + row.shape[1]
-        dxs.append((dxh[:, start:stop] + dxrh[:, start:stop]).reshape(x.shape)
-                   if x.requires_grad else None)
+        if x.requires_grad:
+            _accumulate(x, (dxh[:, start:stop] + dxrh[:, start:stop]).reshape(x.shape), owned=True)
         start = stop
     scaled = decay is not None and decay.requires_grad
     if h.requires_grad or scaled:
@@ -478,14 +519,6 @@ def _gru_backward(xs, cell, decay, zr, cand, grad):
         dh += dxrh[:, n_x:] * r
         dh += dxh[:, n_x:]
         dh = dh.reshape(h.shape)
-    for w, b, gw, gb in zip((wz, wr, wh), (bz, br, bh), (gwz, gwr, gwh), gbs):
-        if gw is not None:
-            _accumulate(w, gw(), owned=True)
-        if gb is not None:
-            _accumulate(b, gb, owned=True)
-    for x, dx in zip(xs, dxs):
-        if dx is not None:
-            _accumulate(x, dx, owned=True)
     if scaled:
         _accumulate(decay, _unbroadcast(dh * h.data, decay.shape), owned=True)
     if h.requires_grad:
@@ -568,21 +601,16 @@ def _linear_backward(xs, w, b, act, y, grad):
         grad = grad * ((y > act[0]) & (y < act[1]))
     g = grad.reshape(-1, grad.shape[-1])
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    # the weight gradient on a worker beside the input gradients' GEMMs
-    gw = _later(g.size * w.shape[0], _stacked_t_at, rows, g) if w.requires_grad else None
-    dxs, start = [], 0
-    for x, r in zip(xs, rows):
-        stop = start + r.shape[1]
-        dxs.append((g @ w.data[start:stop].T).reshape(x.shape) if x.requires_grad else None)
-        start = stop
-    if gw is not None:
-        _accumulate(w, gw(), owned=True)
+    _weight_grad(w, g.size * w.shape[0], _stacked_t_at, rows, g)
     if b is not None and b.requires_grad:
         gb = _unbroadcast(grad, b.shape)
         _accumulate(b, gb, owned=gb is not grad)
-    for x, dx in zip(xs, dxs):
-        if dx is not None:
-            _accumulate(x, dx, owned=True)
+    start = 0
+    for x, r in zip(xs, rows):
+        stop = start + r.shape[1]
+        if x.requires_grad:
+            _accumulate(x, (g @ w.data[start:stop].T).reshape(x.shape), owned=True)
+        start = stop
 
 
 def weighted_sum(terms) -> Tensor:
@@ -666,6 +694,8 @@ def getitem(a, index) -> Tensor:
 
     def backward(grad):
         if a.requires_grad:
+            if _QUEUED:
+                _settle(a)
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             if basic:
@@ -685,6 +715,8 @@ def _accumulate(node: Tensor, grad: np.ndarray, owned: bool = False) -> None:
     `owned` (the op has just made it and nothing else refers to it), else
     copied: a view, a broadcast or an array sent to two parents must not
     become a buffer that a later `+=` writes through."""
+    if _QUEUED:
+        _settle(node)
     if node.grad is None:
         node.grad = np.asarray(grad) if owned else np.array(grad, dtype=np.float64)
     else:
@@ -711,14 +743,22 @@ def backward(root: Tensor) -> None:
 
     The root must be a scalar (single element). Nodes fire in reverse
     creation order, and each interior gradient is discarded once its
-    node has fired; Parameter leaves keep theirs.
+    node has fired; Parameter leaves keep theirs. A node's exception
+    comes before a queued weight gradient's.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         return
     root.grad = np.ones_like(root.data)
-    for node in _reached(root):
-        if node._backward is not None:
-            node._backward(node.grad)
-            node.grad = None  # interior grads are transient
+    try:
+        for node in _reached(root):
+            if node._backward is not None:
+                node._backward(node.grad)
+                node.grad = None  # interior grads are transient
+    finally:  # every term is in before backward returns or raises
+        errors = [term.exception() for term in _STREAM]  # waits, raising nothing
+        _STREAM.clear()
+        _QUEUED.clear()
+    for error in filter(None, errors):
+        raise error

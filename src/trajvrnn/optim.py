@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moment decays and denominator guard
 
@@ -38,15 +38,20 @@ class Adam:
             p.zero_grad()
 
     def step(self):
-        """One Adam update from the gradients currently held by the parameters."""
+        """One Adam update from the gradients currently held by the
+        parameters. A missing, misshapen or non-finite gradient raises
+        before any parameter, moment or the step count changes."""
+        for p in self.params:
+            if p.grad is None or p.grad.shape != p.data.shape:
+                raise ConfigError(f"parameter {p.name!r} has no gradient of shape {p.data.shape}")
+            if not np.isfinite(p.grad).all():
+                raise NumericError(f"parameter {p.name!r} has a non-finite gradient")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
         for p in self.params:
             g = p.grad
-            if g is None or g.shape != p.data.shape:
-                raise ConfigError(f"parameter {p.name!r} has no gradient of shape {p.data.shape}")
             m = self.m[p.name]
             v = self.v[p.name]
             m *= BETA1

@@ -671,8 +671,9 @@ def handed_off(monkeypatch):
 @pytest.fixture
 def split_everywhere(monkeypatch, handed_off):
     """As `handed_off`, but every op of 4 or more rows spreads over up to
-    3 CPUs."""
+    3 CPUs and every Parameter's weight gradient goes on the stream."""
     monkeypatch.setattr(ad, "_BLOCK_MACS", 1)
+    monkeypatch.setattr(ad, "_STREAM_MACS", 1)
     monkeypatch.setattr(ad, "_CPUS", 3)
     return handed_off
 
@@ -803,13 +804,14 @@ def test_row_blocks_leave_blas_threads_their_cpus(monkeypatch, env, cpus):
 def test_partial_column_tile_stays_inline(split_everywhere):
     """An output width that is not a whole number of 8-column tiles is not
     split, since its edge rows would round differently; the backward's
-    weight gradient still goes to a worker."""
+    weight gradient still goes to a worker, on the stream."""
     x = Parameter("x", np.ones((7, 3)))
     w = Parameter("w", np.ones((3, 12)))
     out = linear([x], w)
     assert split_everywhere == []
     backward(tsum(out))
-    assert [fn for fn, _ in split_everywhere] == [ad._stacked_t_at]
+    assert [(fn, args[1:3]) for fn, args in split_everywhere] == [
+        (ad._add_term, (w, ad._stacked_t_at))]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -877,3 +879,196 @@ def test_forked_child_runs_a_split_op(monkeypatch, split_everywhere):
             pytest.fail("the forked child hung on a split op")
         time.sleep(0.01)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+# ---------------------------------------------------------------------------
+# the weight-gradient stream
+
+
+def _terms(handed):
+    return [args for fn, args in handed if fn is ad._add_term]
+
+
+def test_reference_gru_backward_queues_its_weight_gradients(handed_off):
+    """At the module's cutoffs on two CPUs, the backward of a
+    reference-shape gru hands its three weight gradients, one per gate,
+    to the stream, and the counter sees them."""
+    rng = np.random.default_rng(9)
+    weights = [Parameter(f"p{i}", rng.normal(size=shape))
+               for i, shape in enumerate([(336, 256), (256,)] * 3)]
+    out = gru([rng.normal(size=(640, 16)), rng.normal(size=(640, 64))],
+              rng.normal(size=(640, 256)), *weights)
+    assert len(handed_off) == 1
+    backward(tmean(out))
+    assert sorted(args[1].name for args in _terms(handed_off)) == ["p0", "p2", "p4"]
+    assert ad._STREAM == [] and ad._QUEUED == {}
+
+
+def test_train_step_with_queued_weight_gradients_is_bit_identical(monkeypatch, handed_off):
+    """A train step at H=256, Z=64 on 16 x 10 agents, at the module's
+    cutoffs on two CPUs, queues weight gradients and gives the losses,
+    every gradient and every updated parameter of one CPU bit for bit."""
+    seqs = generate_sequences(16, 10, 12, 3, seed=4)
+    coords, masks = stack_arrays(build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0),
+                                               split="train", seed=4))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ad, "_CPUS", cpus)
+        model = TrajectoryModel(ModelConfig(t_past=12, t_future=3, seed=4))
+        before = len(_terms(handed_off))
+        losses = model.train_step(coords, masks, Adam(model.parameters()),
+                                  rng=np.random.default_rng(4))
+        assert (len(_terms(handed_off)) > before) == (cpus == 2)
+        runs.append([np.float64(losses[k]) for k in sorted(losses)]
+                    + [a for p in model.params.values() for a in (p.grad, p.data)])
+    assert len(runs[0]) == len(runs[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("queued_first", [True, False])
+def test_parameter_with_queued_and_inline_terms_is_bit_identical(monkeypatch, handed_off,
+                                                                 queued_first):
+    """One weight feeds a linear whose gradient is queued and one whose
+    gradient runs inline, on top of a gradient already in .grad: the sum
+    is added in firing order, as on one CPU, whichever fires first."""
+    rng = np.random.default_rng(12)
+    big, small = rng.normal(size=(2000, 64)), rng.normal(size=(3, 64))
+    w = Parameter("w", rng.normal(size=(64, 64)))
+    start = rng.normal(size=(64, 64))
+    grads = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ad, "_CPUS", cpus)
+        w.grad[...] = start
+        order = (small, big) if queued_first else (big, small)  # the later fires first
+        outs = [linear([x], w) for x in order]
+        backward(tmean(outs[0]) + tmean(outs[1]))
+        grads.append(w.grad.copy())
+    assert len(_terms(handed_off)) == 1
+    assert np.array_equal(*grads)
+
+
+def test_terms_of_one_weight_add_in_firing_order_on_a_wide_pool(monkeypatch, split_everywhere):
+    """Twelve queued terms of one weight on a pool of 7 workers, each
+    slower than the one after it, add up to the one-CPU bits: each term
+    waits for the one queued before it."""
+    monkeypatch.setattr(ad, "_CPUS", 8)
+    rng = np.random.default_rng(15)
+    w = Parameter("w", rng.normal(size=(16, 16)))
+    xs = [rng.normal(scale=10.0 ** (i % 5), size=(4, 16)) for i in range(12)]
+    start = rng.normal(size=(16, 16))
+    product, calls = ad._stacked_t_at, []
+
+    def slower_first(blocks, d):
+        calls.append(None)
+        time.sleep(0.002 * (12 - len(calls) % 12))
+        return product(blocks, d)
+
+    def run():
+        w.grad[...] = start
+        loss = tmean(linear([xs[0]], w))
+        for x in xs[1:]:
+            loss = loss + tmean(linear([x], w))
+        backward(loss)
+        return w.grad.copy()
+
+    with monkeypatch.context() as inline:
+        inline.setattr(ad, "_CPUS", 1)
+        want = run()
+    monkeypatch.setattr(ad, "_stacked_t_at", slower_first)
+    for _ in range(3):
+        assert np.array_equal(run(), want)
+    assert len(_terms(split_everywhere)) == 36
+
+
+@pytest.mark.parametrize("failing", ["node", "term", "both"])
+def test_backward_that_raises_joins_every_queued_term(monkeypatch, split_everywhere, failing):
+    """A node's backward raises while a slow queued term runs: backward
+    joins the term before the error leaves it, so no .grad changes
+    afterwards. A term's own error is raised only when no node failed."""
+    rng = np.random.default_rng(13)
+    a = Parameter("a", rng.normal(size=(4, 8)))
+    w = Parameter("w", rng.normal(size=(8, 8)))
+    x = rng.normal(size=(6, 8))
+    want = x.T @ np.full((6, 8), 1.0 / 48)  # d mean(x @ w) / dw
+    product = ad._stacked_t_at
+
+    def slow(blocks, d):
+        time.sleep(0.2)
+        if failing != "node":
+            raise ValueError("term")
+        return product(blocks, d)
+
+    monkeypatch.setattr(ad, "_stacked_t_at", slow)
+    scaled = mul(a, 2.0)  # made first, so it fires last
+    loss = tmean(scaled) + tmean(linear([x], w))
+    if failing != "term":
+        scaled._backward = lambda grad: (_ for _ in ()).throw(RuntimeError("node"))
+    with pytest.raises(RuntimeError if failing != "term" else ValueError):
+        backward(loss)
+    assert ad._STREAM == [] and ad._QUEUED == {}
+    after = w.grad.copy()
+    time.sleep(0.3)
+    assert np.array_equal(w.grad, after)
+    assert np.array_equal(after, np.zeros((8, 8)) if failing != "node" else want)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_backward_with_queued_terms(monkeypatch, split_everywhere):
+    """After a fork the child has neither the parent's worker nor its
+    stream; a backward in it queues its weight gradients on a pool of its
+    own and leaves the parent's gradients."""
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    rng = np.random.default_rng(6)
+    x, w = rng.normal(size=(7, 4)), Parameter("w", rng.normal(size=(4, 8)))
+    backward(tmean(linear([x], w)))
+    want = w.grad.copy()
+    assert _terms(split_everywhere) and ad._POOL is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            w.zero_grad()
+            backward(tmean(linear([x], w)))
+            code = 0 if np.array_equal(w.grad, want) and _terms(split_everywhere) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on a queued weight gradient")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_stream_holds_at_most_its_depth(monkeypatch, split_everywhere):
+    """With a slow worker the caller waits for the oldest term, so no more
+    than `_STREAM_DEPTH` terms are ever outstanding, and each is added."""
+    monkeypatch.setattr(ad, "_STREAM_DEPTH", 3)
+    product, submit, outstanding = ad._stacked_t_at, ad._submit, []
+
+    def slow(blocks, d):
+        time.sleep(0.01)
+        return product(blocks, d)
+
+    def watched(fn, *args):
+        if fn is ad._add_term:
+            outstanding.append(sum(not term.done() for term in ad._STREAM))
+        return submit(fn, *args)
+
+    monkeypatch.setattr(ad, "_stacked_t_at", slow)
+    monkeypatch.setattr(ad, "_submit", watched)
+    rng = np.random.default_rng(14)
+    ws = [Parameter(f"w{i}", np.zeros((4, 8))) for i in range(10)]
+    x = rng.normal(size=(5, 4))
+    loss = tmean(linear([x], ws[0]))
+    for w in ws[1:]:
+        loss = loss + tmean(linear([x], w))
+    backward(loss)
+    assert len(outstanding) == 10 and max(outstanding) == 2
+    assert all(np.array_equal(w.grad, x.T @ np.full((5, 8), 1.0 / 40)) for w in ws)

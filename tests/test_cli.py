@@ -1,5 +1,8 @@
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from trajvrnn.data import (MaskingSpec, build_dataset, generate_sequences,
                            read_dataset, validate_dataset, write_dataset)
 from trajvrnn.errors import NumericError
 from trajvrnn.model import TrajectoryModel
+from trajvrnn.optim import Adam
 from trajvrnn.report import csv_to_reports
 from trajvrnn.training import fit_normalization
 
@@ -255,6 +259,30 @@ def test_failed_run_keeps_its_loss_log_and_resume_completes_it(tmp_path, monkeyp
     assert (out / "loss_log.csv").read_bytes() == straight
 
 
+def test_non_finite_gradient_leaves_a_finite_diagnostic_checkpoint(tmp_path, monkeypatch):
+    """An inf gradient in epoch 2 stops `train` with exit 3 at Adam's
+    check; the diagnostic checkpoint holds epoch 1's parameters and
+    moments, every array finite and equal to the epoch-1 checkpoint's."""
+    cfg, _ = _gen_and_train(tmp_path, epochs=3, out="warmup")
+    step, calls = Adam.step, []
+
+    def poisoned_step(self):
+        calls.append(self.step_count)
+        if len(calls) > 2:  # 8 sequences in batches of 4: the first step of epoch 2
+            next(iter(self.params)).grad.flat[0] = np.inf
+        return step(self)
+
+    monkeypatch.setattr(Adam, "step", poisoned_step)
+    out = tmp_path / "failed"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    diagnostic = load_checkpoint(out / "checkpoint_diagnostic.ckpt")
+    first = load_checkpoint(out / "checkpoint_epoch_0001.ckpt")
+    assert diagnostic.epoch == 1 and diagnostic.adam_step == first.adam_step == calls[-1]
+    assert all(np.isfinite(a).all() for a in diagnostic.arrays.values())
+    assert diagnostic.arrays.keys() == first.arrays.keys()
+    assert all(np.array_equal(diagnostic.arrays[k], first.arrays[k]) for k in first.arrays)
+
+
 def test_resuming_a_finished_run_lists_each_epoch_once(tmp_path):
     cfg4, out = _gen_and_train(tmp_path, epochs=4)
     finished = (out / "loss_log.csv").read_bytes()
@@ -486,3 +514,50 @@ def test_malformed_file_is_data_error(tiny_config, tmp_path, capsys, case):
                  "--data", str(paths["trajset"]), "--out", str(tmp_path / "ev")])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+BLAS_THREADS = """
+import ctypes, importlib, sys, tomllib
+from pathlib import Path
+if sys.argv[1] == "import":
+    import trajvrnn
+    trajvrnn.Adam
+else:
+    scripts = tomllib.loads(Path(sys.argv[1]).read_text())["project"]["scripts"]
+    module, func = scripts["trajvrnn"].split(":")
+    sys.argv[1:] = ["--help"]
+    assert getattr(importlib.import_module(module), func)() == 0
+import numpy as np
+blas = ctypes.CDLL(str(next((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                            .glob("*openblas*"))))
+for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+    if hasattr(blas, sym):
+        print(getattr(blas, sym)(), file=sys.stderr)
+"""
+
+
+def _blas_threads(env, pyproject):
+    """The thread count the loaded OpenBLAS reports in a fresh process that
+    ran the console entry point `pyproject` names (with --help), or did
+    a plain `import trajvrnn` for "import"."""
+    root = Path(__file__).resolve().parents[1]
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS, pyproject],
+                          env={**clean, "PYTHONPATH": str(root / "src"), **env},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return int(done.stderr.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not list((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                             .glob("*openblas*")), reason="needs numpy's bundled OpenBLAS")
+def test_console_entry_point_runs_on_one_blas_thread_by_default():
+    """The `trajvrnn` command loads OpenBLAS with one thread when no BLAS
+    thread variable is set and with the user's count when one is; a
+    plain `import trajvrnn` leaves OpenBLAS its default of every CPU."""
+    pyproject = str(Path(__file__).resolve().parents[1] / "pyproject.toml")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _blas_threads({}, pyproject) == 1
+    assert _blas_threads({"OMP_NUM_THREADS": "2"}, pyproject) == min(2, cpus)
+    assert _blas_threads({"OPENBLAS_NUM_THREADS": "2"}, pyproject) == min(2, cpus)
+    assert _blas_threads({}, "import") == cpus

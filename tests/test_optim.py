@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trajvrnn.autodiff import Parameter
-from trajvrnn.errors import ConfigError
+from trajvrnn.errors import ConfigError, NumericError
 from trajvrnn.optim import Adam
 
 
@@ -50,6 +50,37 @@ def test_missing_gradient_rejected():
     p.grad = None
     with pytest.raises(ConfigError):
         opt.step()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_gradient_raises_before_any_update(bad):
+    """A non-finite entry in the second of two gradients raises
+    NumericError naming that parameter, with no warning, and leaves both
+    parameters, both moments and the step count as they were."""
+    q, w = Parameter("q", [0.5, -0.5]), Parameter("w", [1.0, 2.0, 3.0])
+    opt = Adam([q, w], lr=0.01)
+    q.grad[...] = 1.0
+    w.grad[...] = 1.0
+    opt.step()
+    state = [a.copy() for a in (q.data, w.data, *opt.state_arrays().values())]
+    w.grad[...] = [1.0, bad, 0.0]
+    with pytest.raises(NumericError, match="'w'"):
+        opt.step()
+    assert opt.step_count == 1
+    after = (q.data, w.data, *opt.state_arrays().values())
+    assert all(np.array_equal(a, b) for a, b in zip(state, after))
+
+
+def test_misshapen_gradient_leaves_earlier_parameters(monkeypatch):
+    """A gradient of the wrong shape on the second parameter raises before
+    the first one moves."""
+    q, w = Parameter("q", [0.5]), Parameter("w", [1.0, 2.0])
+    opt = Adam([q, w])
+    q.grad[...] = 1.0
+    w.grad = np.ones(3)
+    with pytest.raises(ConfigError, match="'w'"):
+        opt.step()
+    assert q.data[0] == 0.5 and opt.step_count == 0
 
 
 def test_state_roundtrip():
