@@ -1,7 +1,5 @@
 """`trajvrnn` and `python -m trajvrnn`: the CLI on one OpenBLAS thread
-unless the environment sets a count, so that `gru` and `linear` may use
-every CPU themselves."""
-
+unless a BLAS thread variable is set, so `gru` and `linear` use the CPUs."""
 import os
 import sys
 

@@ -32,23 +32,18 @@ order, so about one step's gradients wait at a time.
   as a list of blocks, and it takes an optional decay that it applies to
   h itself. Of its intermediates it keeps only the gate values and the
   candidate: backward recomputes the decayed h and r * h.
-- Rows on every CPU: `gru` and `linear` make their outputs up front and
-  fill them by `_split_rows`: one row block per CPU the process may use
-  once an op carries enough multiply-adds, else one block, block 0 on the
-  caller and the rest on worker threads. Each block calls the affine
-  kernel `_affine_rows` (concat, GEMM into its rows of the output, bias,
-  finite check, epilogue), once for `linear` and three times for the
-  cell. Workers touch only numpy arrays, so the tape stays on the calling
-  thread, and every value and gradient is bit-identical to one thread.
-- Weight gradients on their own stream: nothing reads a Parameter's
-  `.grad` before `backward` returns, so a backward queues each large
-  weight-gradient GEMM of a Parameter, with its `+=` into `.grad`, and
-  goes on to the next input gradient (the B/W split of Zero Bubble
-  pipeline parallelism, arXiv:2401.10241). Each term runs after the one
-  before it, so a Parameter sums its terms in firing order; an inline
-  write into its `.grad` waits for its last term first. The caller waits
-  for the oldest term at `_STREAM_DEPTH` queued, and `backward` joins the
-  stream once, before it returns or raises.
+- Rows on every CPU: `gru` and `linear` fill their outputs by
+  `_split_rows`, one row block per free CPU once an op carries enough
+  multiply-adds, block 0 on the caller and the rest on worker threads,
+  each block running the affine kernel `_affine_rows`. Workers touch only
+  numpy arrays, so the tape stays on the calling thread, and every value
+  and gradient is bit-identical to one thread.
+- Weight gradients on their own stream (the B/W split of Zero Bubble,
+  arXiv:2401.10241): a backward queues each large weight-gradient GEMM of
+  a Parameter, with its `+=` into `.grad`, and goes on. Terms run in queue
+  order; an inline write into a `.grad` waits for its last term; the
+  caller waits for the oldest at `_STREAM_DEPTH` queued; `backward` joins
+  the stream once, before it returns or raises.
 
 Tensors are capped at 4 axes. Any op that produces a NaN or Inf raises
 NumericError immediately rather than letting it propagate.
@@ -70,31 +65,17 @@ from .errors import ConfigError, NumericError, ShapeError
 _grad_enabled = True
 _creation = count()  # each tensor's sequence number; see `backward`
 
-# Least multiply-adds a row block carries, so an op spreads over CPUs
-# from twice this. On the 2-vCPU Xeon it was set on, a hand-off to a
-# worker (submit plus result) takes about 18 us; split over two threads
-# a 2.2e7-MAC GEMM took 287 us against 518 us inline, a 4.7e6-MAC one
-# 80 against 110 us, and a 1.2e6-MAC one lost. With the weight-gradient
-# stream, 5e6 against 1e7 read the same per reference train step and
-# 4.8% less per B=256 inference (12 interleaved calls each, 9 faster). It
-# keeps every desk-shape op (the H=64 GRU is 3 x 256 x 96 x 64 = 4.7e6)
-# in one block.
+# Least multiply-adds a row block carries, so an op spreads from twice
+# this; every desk-shape op (the H=64 GRU: 3 x 256 x 96 x 64 = 4.7e6)
+# must stay one block. Set by sweeps on a 2-vCPU Xeon, as are the next two.
 _BLOCK_MACS = 5e6
-# Least multiply-adds of a Parameter's weight-gradient GEMM that goes on
-# the stream. 2e6, 3e6 and 1e7 read within noise of each other per
-# reference train step (two runs of 12-14 interleaved steps each), and
-# no stream 20% slower. Below 2.7e6 the desk step's DL layer and past
-# embedding (10240 x 16 x 16) would queue, as would the reference heads.
+# Least multiply-adds of a weight gradient that goes on the stream; the
+# desk DL layer's and past embedding's 2.6e6 (10240 x 16 x 16) stay inline.
 _STREAM_MACS = 3e6
-# Most terms queued at once, each keeping its arrays (dz, dr or dc: 1.3 MB
-# at the reference GRU) alive: about three reference steps. Unbounded, at
-# most 2 were outstanding, and 8 to 64 read the same step time and RSS.
-_STREAM_DEPTH = 16
-# The OpenBLAS 0.3.31 dgemm measured (x86-64, AVX-512) sums a partial
-# tile of the last 8 output columns in an order that depends on where the
-# row range ends. With whole 8-column tiles a row block's product was
-# bit-identical to those rows of the whole product at every shape tried,
-# so only such widths are split.
+_STREAM_DEPTH = 16  # most terms queued, each holding arrays (1.3 MB at H=256)
+# OpenBLAS's dgemm (0.3.31, AVX-512) sums a partial tile of the last 8
+# output columns in an order that depends on where the row range ends, so
+# only widths of whole 8-column tiles are split.
 _TILE_COLS = 8
 _POOL = None  # made on first use; see `_pool`
 _STREAM = []  # the terms this backward queued, oldest first; see `_weight_grad`
@@ -104,10 +85,7 @@ _QUEUED = {}  # Parameter -> its last queued term
 def _free_cpus() -> int:
     """CPUs the row blocks may use: those the process may run on, over the
     threads each BLAS call takes. OpenBLAS reads the first of these
-    variables that is set when it loads, else takes every CPU. Row blocks
-    on top of 2 BLAS threads on 2 CPUs took 1.04 s per reference train
-    step against 0.97 s without them, and 1.23 against 1.12 s per B=256
-    inference."""
+    variables that is set when it loads, else takes every CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         threads = os.environ.get(var, "")
@@ -250,9 +228,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _pool():
-    """The worker threads, one per CPU besides the caller's. Their module
-    loads on first use: a process that never splits an op is spared its
-    0.7 MB and 3 ms."""
+    """The worker threads, one per CPU besides the caller's, made (and
+    their module loaded) only when an op first hands one work."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -321,13 +298,6 @@ def _add_term(prev, w, fn, args):
     if prev is not None:
         prev.exception()  # in queue order on a pool of any width
     w.grad += fn(*args)
-
-
-def _settle(node):
-    """Wait for node's last queued term, before an inline write into its .grad."""
-    term = _QUEUED.pop(node, None)
-    if term is not None:
-        term.exception()
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +394,9 @@ def gru(inputs, h, wz, bz, wr, br, wh, bh, decay=None) -> Tensor:
     are (X + H, H) and the biases (H,). With `decay` (broadcasting to h's
     shape, such as (..., 1)) the cell runs on h * decay in place of h, and
     decay is a parent whose gradient sums d(h * decay) * h over the
-    broadcast axes. The forward copies the blocks and h (then r * h) into
-    the buffers of its 2-D GEMMs and applies bias, sigmoid and tanh in
-    place, so its values are bit-identical to that formula composed of
-    primitives. The node keeps z|r and c for backward, which recomputes
-    h * decay and r * h; the blocks, h and decay are its parents."""
+    broadcast axes. Its values are bit-identical to that formula composed
+    of primitives. The node keeps z|r and c; backward recomputes h * decay
+    and r * h."""
     xs = tuple(map(as_tensor, inputs))
     cell = tuple(map(as_tensor, (h, wz, bz, wr, br, wh, bh)))
     decay = None if decay is None else as_tensor(decay)
@@ -543,15 +511,11 @@ def linear(inputs, w, b=None, act=None) -> Tensor:
     activation of the map.
 
     The inputs share their leading axes, their widths add up to w's rows,
-    and b is (w's columns,). The forward concatenates the inputs' rows
-    into a temporary 2-D buffer, runs one 2-D GEMM, adds the bias and
-    applies the activation in place, so its values are bit-identical to
-    the composition of concat, matmul, add and the activation. The finite
-    check runs on the map before the activation, which would turn an
-    overflow into a finite value. The node keeps only its parents and its
-    own output y: backward takes the activation's derivative from y
-    (1 - y^2, y > 0, lo < y < hi), the weight gradient block by block and
-    input k's gradient from w's rows for that input."""
+    and b is (w's columns,). Its values are bit-identical to concat,
+    matmul, add and the activation composed; the finite check runs before
+    the activation, which could hide an overflow. The node keeps only its
+    parents and its output y, from which backward takes the activation's
+    derivative (1 - y^2, y > 0, lo < y < hi)."""
     xs, w = tuple(map(as_tensor, inputs)), as_tensor(w)
     b = None if b is None else as_tensor(b)
     if act not in (None, "tanh", "relu") and not (isinstance(act, tuple) and len(act) == 2):
@@ -694,8 +658,8 @@ def getitem(a, index) -> Tensor:
 
     def backward(grad):
         if a.requires_grad:
-            if _QUEUED:
-                _settle(a)
+            if _QUEUED and a in _QUEUED:  # its last queued term goes first
+                _QUEUED.pop(a).exception()
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             if basic:
@@ -715,8 +679,8 @@ def _accumulate(node: Tensor, grad: np.ndarray, owned: bool = False) -> None:
     `owned` (the op has just made it and nothing else refers to it), else
     copied: a view, a broadcast or an array sent to two parents must not
     become a buffer that a later `+=` writes through."""
-    if _QUEUED:
-        _settle(node)
+    if _QUEUED and node in _QUEUED:  # its last queued term goes first
+        _QUEUED.pop(node).exception()
     if node.grad is None:
         node.grad = np.asarray(grad) if owned else np.array(grad, dtype=np.float64)
     else:

@@ -1,4 +1,4 @@
-"""Command-line entry points.
+"""Command-line verbs, which `trajvrnn.__main__` starts.
 
 Verbs: gen-data, train, eval, run, export-plot. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numeric failure.
@@ -227,7 +227,3 @@ def main(argv=None) -> int:
     except TrajvrnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

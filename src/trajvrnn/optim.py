@@ -38,9 +38,8 @@ class Adam:
             p.zero_grad()
 
     def step(self):
-        """One Adam update from the gradients currently held by the
-        parameters. A missing, misshapen or non-finite gradient raises
-        before any parameter, moment or the step count changes."""
+        """One Adam update from the gradients the parameters hold; a missing,
+        misshapen or non-finite one raises before any state changes."""
         for p in self.params:
             if p.grad is None or p.grad.shape != p.data.shape:
                 raise ConfigError(f"parameter {p.name!r} has no gradient of shape {p.data.shape}")
