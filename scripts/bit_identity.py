@@ -16,11 +16,14 @@ lag_mode=previous, share_streams=false, use_td=false, mode=impute-only and
 mode=predict-only. Last come the reference-shape lines: the default
 ModelConfig (H=256, Z=64) on 64 sequences at N=10, T=40+10, with its
 batched run_inference outputs, then one train step's losses and the
-gradients it left. Only at such shapes do `gru` and `linear` carry
-enough multiply-adds to spread their rows over CPUs and to queue their
-weight gradients on a worker, so the last line repeats the gradient
-digest from a step on one CPU: in one run on one checkout it must equal
-the line before it.
+gradients it left, then the batched run_inference outputs of the same
+model on 256 camera-masked sequences at N=10, the shape of perfbench's
+infer-eval, whose `gru` calls also run in row tiles. Only at such shapes
+do `gru` and `linear` carry enough multiply-adds to spread their rows
+over CPUs and to queue their weight gradients on a worker, so the
+gradient and the last inference digest are each repeated on one CPU:
+the script exits with status 1 when a one-CPU line differs from the line
+before it.
 
 The untrained digests and the step-0 losses depend on the forward pass
 alone; the later losses and the trained digests also carry any low-bit
@@ -47,6 +50,7 @@ import contextlib
 import hashlib
 import io
 import os
+import sys
 import tempfile
 
 # one BLAS thread before numpy loads, so that `gru` and `linear` may split
@@ -210,14 +214,31 @@ def check(work, arrays):
     for variant in VARIANTS:
         train_and_infer(variant, parse_config(CONFIG + variant + "\n"), coords, masks,
                         arrays)
-    reference_shape(arrays)
+    held = reference_shape(arrays)
+    return eval_shape(arrays) and held
+
+
+def on_one_cpu(fn, *args):
+    """fn(*args) with no row block and no queued weight gradient."""
+    cpus, autodiff._CPUS = autodiff._CPUS, 1
+    try:
+        return fn(*args)
+    finally:
+        autodiff._CPUS = cpus
+
+
+def print_pair(tag, split, one):
+    """Print a digest and its one-CPU repeat; whether the two are equal."""
+    print(tag, split)
+    print(tag, "on one CPU", one)
+    return split == one
 
 
 def reference_shape(arrays):
     """Print the default model's batched run_inference digest over 64
     circle-masked sequences at N=10, then one train step's losses and
     gradient digest on them, then that gradient digest again from a step
-    on one CPU: no row block and no queued weight gradient."""
+    on one CPU; whether the two digests are equal."""
     tag = "reference B=64 N=10"
     cfg = ModelConfig()
     pool = generate_sequences(64, 10, cfg.t_past, cfg.t_future, seed=11)
@@ -234,12 +255,27 @@ def reference_shape(arrays):
     print(tag, "step 0", " ".join(f"{k}={v!r}" for k, v in sorted(losses.items())))
     for name, p in model.params.items():
         arrays[f"{tag} grad {name}"] = p.grad.copy()
-    print(tag, "grads", grads)
-    cpus, autodiff._CPUS = autodiff._CPUS, 1
-    try:
-        print(tag, "grads on one CPU", reference_step(TrajectoryModel(cfg), coords, masks)[1])
-    finally:
-        autodiff._CPUS = cpus
+    return print_pair(tag + " grads", grads,
+                      on_one_cpu(reference_step, TrajectoryModel(cfg), coords, masks)[1])
+
+
+def eval_shape(arrays):
+    """Print the default model's batched run_inference digest over 256
+    camera-masked sequences at N=10, then that digest again on one CPU;
+    whether the two are equal."""
+    tag = "infer-eval B=256 N=10"
+    cfg = ModelConfig()
+    pool = generate_sequences(256, 10, cfg.t_past, cfg.t_future, seed=12)
+    coords, masks = stack_arrays(build_dataset(pool, MaskingSpec(mode="camera", angle=20.0),
+                                               "test", 12))
+    model = TrajectoryModel(cfg)
+
+    def infer():
+        imputed, predicted = model.run_inference(coords[:, :cfg.t_past], masks, seed=2)
+        return digest(imputed.tobytes() + predicted.tobytes()), imputed, predicted
+
+    split, arrays[f"{tag} infer_batch imputed"], arrays[f"{tag} infer_batch predicted"] = infer()
+    return print_pair(tag + " infer_batch", split, on_one_cpu(infer)[0])
 
 
 def reference_step(model, coords, masks):
@@ -290,7 +326,9 @@ if __name__ == "__main__":
     else:
         arrays = {}
         with tempfile.TemporaryDirectory() as work:
-            check(work, arrays)
+            held = check(work, arrays)
         if args.dump:
             os.makedirs(args.dump, exist_ok=True)
             np.savez(os.path.join(args.dump, "arrays.npz"), **arrays)
+        if not held:
+            sys.exit("a one-CPU digest differs from the digest before it")

@@ -30,8 +30,8 @@ order, so about one step's gradients wait at a time.
 - Fused cell: `gru` records a whole gated recurrent cell as one node with
   a hand-written backward of 2-D GEMMs; like `linear` it takes its inputs
   as a list of blocks, and it takes an optional decay that it applies to
-  h itself. Of its intermediates it keeps only the gate values and the
-  candidate: backward recomputes the decayed h and r * h.
+  h itself. It keeps the gate values and the candidate (backward recomputes
+  the decayed h and r * h), and when unrecorded only a row tile's worth.
 - Rows on every CPU: `gru` and `linear` fill their outputs by
   `_split_rows`, one row block per free CPU once an op carries enough
   multiply-adds, block 0 on the caller and the rest on worker threads,
@@ -65,14 +65,13 @@ from .errors import ConfigError, NumericError, ShapeError
 _grad_enabled = True
 _creation = count()  # each tensor's sequence number; see `backward`
 
-# Least multiply-adds a row block carries, so an op spreads from twice
-# this; every desk-shape op (the H=64 GRU: 3 x 256 x 96 x 64 = 4.7e6)
-# must stay one block. Set by sweeps on a 2-vCPU Xeon, as are the next two.
+# Least multiply-adds handed to a worker, as a row block (an op spreads
+# from twice this) or a weight gradient on the stream; every desk-shape op
+# (the H=64 GRU: 4.7e6) stays one block and every desk weight gradient
+# (at most 2.6e6) inline. Set by sweeps on a 2-vCPU Xeon, as is the next.
 _BLOCK_MACS = 5e6
-# Least multiply-adds of a weight gradient that goes on the stream; the
-# desk DL layer's and past embedding's 2.6e6 (10240 x 16 x 16) stay inline.
-_STREAM_MACS = 3e6
 _STREAM_DEPTH = 16  # most terms queued, each holding arrays (1.3 MB at H=256)
+_TILE_ROWS = 512  # most rows of a `gru` tile: an unrecorded call keeps one tile's gates
 # OpenBLAS's dgemm (0.3.31, AVX-512) sums a partial tile of the last 8
 # output columns in an order that depends on where the row range ends, so
 # only widths of whole 8-column tiles are split.
@@ -212,9 +211,14 @@ def _make(data, op, parents, backward, checked=False):
     data = np.asarray(data, dtype=np.float64)
     if not checked:
         _check_finite(data, op, parents)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward, op=op)
     return Tensor(data, op=op)
+
+
+def _records(parents) -> bool:
+    """Whether an op over `parents` goes on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -253,13 +257,11 @@ def _submit(fn, *args):
     return _pool().submit(copy_context().run, fn, *args)
 
 
-def _row_blocks(m, cols, macs):
-    """Bounds of the row blocks, one per CPU, that an op over m rows with
-    outputs `cols` wide and `macs` multiply-adds runs as; one block for
-    few multiply-adds, on one CPU, for widths that are not whole tiles,
-    or below 2 rows a block (numpy sends a one-row product to gemv, which
-    sums in another order)."""
-    n = min(_CPUS, m // 2, int(macs // _BLOCK_MACS)) if cols % _TILE_COLS == 0 else 1
+def _row_blocks(m, cols, n):
+    """Bounds of n near-equal ranges of m rows; one range for outputs `cols`
+    wide that are not whole tiles, or below 2 rows a range (numpy sends a
+    one-row product to gemv, which sums in another order)."""
+    n = min(n, m // 2) if cols % _TILE_COLS == 0 else 1
     return [m * i // n for i in range(n + 1)] if n > 1 else [0, m]
 
 
@@ -282,10 +284,10 @@ def _split_rows(bounds, part):
 def _weight_grad(w, macs, fn, *args):
     """Add the weight gradient fn(*args), a GEMM of `macs` multiply-adds,
     into w.grad: queued behind the stream's last term for a Parameter w
-    when a CPU is free and macs reach _STREAM_MACS, else now."""
+    when a CPU is free and macs reach _BLOCK_MACS, else now."""
     if not w.requires_grad:
         return
-    if _CPUS < 2 or macs < _STREAM_MACS or not isinstance(w, Parameter) or w.grad is None:
+    if _CPUS < 2 or macs < _BLOCK_MACS or not isinstance(w, Parameter) or w.grad is None:
         _accumulate(w, fn(*args), owned=True)
         return
     if len(_STREAM) >= _STREAM_DEPTH:
@@ -395,8 +397,8 @@ def gru(inputs, h, wz, bz, wr, br, wh, bh, decay=None) -> Tensor:
     shape, such as (..., 1)) the cell runs on h * decay in place of h, and
     decay is a parent whose gradient sums d(h * decay) * h over the
     broadcast axes. Its values are bit-identical to that formula composed
-    of primitives. The node keeps z|r and c; backward recomputes h * decay
-    and r * h."""
+    of primitives. It runs each row block in tiles of at most _TILE_ROWS
+    rows. The node keeps z|r and c; backward recomputes h * decay and r * h."""
     xs = tuple(map(as_tensor, inputs))
     cell = tuple(map(as_tensor, (h, wz, bz, wr, br, wh, bh)))
     decay = None if decay is None else as_tensor(decay)
@@ -413,27 +415,43 @@ def gru(inputs, h, wz, bz, wr, br, wh, bh, decay=None) -> Tensor:
                          f"{bz.shape}, {br.shape}, {bh.shape}")
     parents = (*xs, *cell) if decay is None else (*xs, *cell, decay)
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    hs = _decayed(h, decay).reshape(-1, n_h)
-    # zr first: zr last read train-desk 0.6% faster, infer-eval 5% slower (2-vCPU Xeon)
-    zr, cand, out = np.empty((2, *hs.shape)), np.empty(hs.shape), np.empty(hs.shape)
-    _split_rows(_row_blocks(len(hs), n_h, 3 * hs.size * wz.shape[0]), lambda lo, hi: _gru_rows(
-        parents, [row[lo:hi] for row in rows], hs[lo:hi], wz, bz, wr, br, wh, bh,
-        zr[:, lo:hi], cand[lo:hi], out[lo:hi]))
+    hs, ds = h.reshape(-1, n_h), None
+    if decay is not None:  # a row per row of h, as wide as decay's last axis
+        last = decay.shape[-1] if decay.ndim else 1
+        ds = np.broadcast_to(decay.data, (*h.shape[:-1], last)).reshape(-1, last)
+    m, recorded = len(hs), _records(parents)
+    zr, cand = (np.empty((2, m, n_h)), np.empty((m, n_h))) if recorded else (None, None)
+    out = np.empty((m, n_h))
+
+    def block(lo, hi):  # an unrecorded block's tiles share one tile's z|r and c
+        tiles = [lo + i for i in _row_blocks(hi - lo, n_h, -(-(hi - lo) // _TILE_ROWS))]
+        k = tiles[-1] - tiles[-2]  # the last tile is the longest
+        gates, c = (zr, cand) if recorded else (np.empty((2, k, n_h)), np.empty((k, n_h)))
+        for a, b in zip(tiles, tiles[1:]):
+            at = slice(a, b) if recorded else slice(0, b - a)
+            _gru_rows(parents, [row[a:b] for row in rows], hs[a:b], None if ds is None else ds[a:b],
+                      wz, bz, wr, br, wh, bh, gates[:, at], c[at], out[a:b])
+
+    _split_rows(_row_blocks(m, n_h, min(_CPUS, int(3 * m * n_h * wz.shape[0] // _BLOCK_MACS))),
+                block)
     return _make(out.reshape(h.shape), "gru", parents,
                  partial(_gru_backward, xs, cell, decay, zr, cand), checked=True)
 
 
-def _gru_rows(parents, rows, hs, wz, bz, wr, br, wh, bh, zr, cand, out):
-    """The cell over rows, into zr, cand and out: three affine maps, the
-    two gates sharing one concatenation of the rows and h."""
-    xh = [np.concatenate([*rows, hs], axis=1)]
-    _affine_rows("gru", parents, xh, wz, bz, None, zr[0])
-    _affine_rows("gru", parents, xh, wr, br, None, zr[1])
-    del xh  # freed before the second concat: it sets the no-grad peak
+def _gru_rows(parents, rows, h, decay, wz, bz, wr, br, wh, bh, zr, cand, out):
+    """The cell over rows, into zr, cand and out: three affine maps on one
+    buffer [rows, h * decay], whose h columns become r * h for the last."""
+    xh = np.concatenate([*rows, h], axis=1)
+    hs = xh[:, xh.shape[1] - h.shape[1]:]
+    if decay is not None:
+        hs *= decay
+    _affine_rows("gru", parents, [xh], wz, bz, None, zr[0])
+    _affine_rows("gru", parents, [xh], wr, br, None, zr[1])
     z, r = _sigmoid(zr, out=zr)
-    _affine_rows("gru", parents, [*rows, r * hs], wh, bh, "tanh", cand)
     np.subtract(1.0, z, out=out)
     out *= hs
+    hs *= r
+    _affine_rows("gru", parents, [xh], wh, bh, "tanh", cand)
     out += z * cand
 
 
@@ -444,14 +462,10 @@ def _broadcasts_to(shape, target) -> bool:
         return False
 
 
-def _decayed(h: np.ndarray, decay) -> np.ndarray:
-    return h if decay is None else h * decay.data
-
-
 def _gru_backward(xs, cell, decay, zr, cand, grad):
     h, wz, bz, wr, br, wh, bh = cell
     rows = [x.data.reshape(-1, x.shape[-1]) for x in xs]
-    hs = _decayed(h.data, decay).reshape(-1, h.shape[-1])
+    hs = (h.data if decay is None else h.data * decay.data).reshape(-1, h.shape[-1])
     n_x = sum(row.shape[1] for row in rows)
     g = grad.reshape(cand.shape)
     z, r = zr
@@ -532,8 +546,9 @@ def linear(inputs, w, b=None, act=None) -> Tensor:
     m, (k, n) = len(rows[0]), w.shape
     bias = None if b is None else b.data
     out = np.empty((m, n))
-    _split_rows(_row_blocks(m, n, m * k * n), lambda lo, hi: _affine_rows(
-        "linear", parents, [row[lo:hi] for row in rows], w.data, bias, act, out[lo:hi]))
+    _split_rows(_row_blocks(m, n, min(_CPUS, int(m * k * n // _BLOCK_MACS))), lambda lo, hi:
+                _affine_rows("linear", parents, [row[lo:hi] for row in rows], w.data, bias, act,
+                             out[lo:hi]))
     out = out.reshape(*lead, n)
     return _make(out, "linear", parents, partial(_linear_backward, xs, w, b, act, out),
                  checked=True)

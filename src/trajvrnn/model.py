@@ -298,8 +298,8 @@ class TrajectoryModel:
     """Full imputation + prediction model with named parameters.
 
     Input contract (`check_inputs`, for training, inference and
-    `training.check_compatible` alike): finite coords (B, T, N, 2), T =
-    t_past + t_future to train and t_past to infer, which also takes one
+    `training.check_compatible` alike): finite coords (B, T, N, 2), B, N >= 1,
+    T = t_past + t_future to train and t_past to infer, which also takes one
     (T, N, 2) sequence; a (B, t_past, N) mask of 0 (hidden) or 1 (visible);
     N <= n_agents_max under `use_dl`. Anything else is a DataError."""
 
@@ -408,8 +408,8 @@ class TrajectoryModel:
         cfg = self.cfg
         coords = np.asarray(coords, dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
-        if coords.ndim != 4 or coords.shape[1] != steps or coords.shape[3] != 2:
-            raise DataError(f"expected coords (B, {steps}, N, 2), got {coords.shape}")
+        if coords.ndim != 4 or coords.shape[1] != steps or coords.shape[3] != 2 or not coords.size:
+            raise DataError(f"expected coords (B, {steps}, N, 2), B, N >= 1, got {coords.shape}")
         b, _, n, _ = coords.shape
         if mask.shape != (b, cfg.t_past, n):
             raise DataError(f"expected mask {(b, cfg.t_past, n)}, got {mask.shape}")

@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import zlib
 
@@ -673,7 +674,6 @@ def split_everywhere(monkeypatch, handed_off):
     """As `handed_off`, but every op of 4 or more rows spreads over up to
     3 CPUs and every Parameter's weight gradient goes on the stream."""
     monkeypatch.setattr(ad, "_BLOCK_MACS", 1)
-    monkeypatch.setattr(ad, "_STREAM_MACS", 1)
     monkeypatch.setattr(ad, "_CPUS", 3)
     return handed_off
 
@@ -879,6 +879,113 @@ def test_forked_child_runs_a_split_op(monkeypatch, split_everywhere):
             pytest.fail("the forked child hung on a split op")
         time.sleep(0.01)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+# ---------------------------------------------------------------------------
+# gru row tiles
+
+
+@pytest.fixture
+def tiles(monkeypatch):
+    """Yields the row count of every tile `gru` runs, in any order."""
+    counts = []
+    rows = ad._gru_rows
+
+    def counting(parents, xs, h, *rest):
+        counts.append(len(h))
+        return rows(parents, xs, h, *rest)
+
+    monkeypatch.setattr(ad, "_gru_rows", counting)
+    return counts
+
+
+def _gru_cell(rng, lead, widths, n_h):
+    """Inputs, h, the six weights and a decay slice of the model's layout
+    (one factor per agent, cut from a (B, T, N, 1) array), as Parameters."""
+    shapes = [lead + (n,) for n in widths] + [lead + (n_h,)] + [(sum(widths) + n_h, n_h),
+                                                                 (n_h,)] * 3
+    cell = [Parameter(f"p{i}", rng.normal(size=shape) / np.sqrt(shape[0]))
+            for i, shape in enumerate(shapes)]
+    decay = rng.uniform(0.1, 1.0, size=(lead[0], 3, *lead[1:], 1))[:, 1]
+    return cell, Parameter("decay", decay)
+
+
+@pytest.mark.parametrize("decayed", [False, True])
+def test_tiled_gru_is_bit_identical(monkeypatch, handed_off, tiles, decayed):
+    """1,025 rows at H=16 run as 3 tiles on one CPU and as blocks of 512
+    and 513 rows, the second in 2 tiles, on two: a no-grad call equals a
+    recorded one, and both equal one untiled block, values and gradients
+    bit for bit."""
+    rng = np.random.default_rng(16 + decayed)
+    cell, decay = _gru_cell(rng, (41, 25), (16, 224), 16)
+    params = (*cell, decay) if decayed else cell
+    (*inputs, h), weights = cell[:3], cell[3:]
+    runs = []
+    for cpus, tile_rows, want in ((1, 2048, [1025]), (1, 512, [341, 342, 342]),
+                                  (2, 512, [256, 257, 512])):
+        monkeypatch.setattr(ad, "_CPUS", cpus)
+        monkeypatch.setattr(ad, "_TILE_ROWS", tile_rows)
+        with no_grad():
+            free = gru(inputs, h, *weights, decay=decay if decayed else None).data
+        for p in params:
+            p.zero_grad()
+        out = gru(inputs, h, *weights, decay=decay if decayed else None)
+        backward(tsum(tanh(out)))
+        assert sorted(tiles) == sorted(want * 2)
+        tiles.clear()
+        assert np.array_equal(free, out.data)
+        runs.append([out.data] + [p.grad.copy() for p in params])
+    assert len(handed_off) == 2  # the forwards on two CPUs; each weight gradient inline
+    assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
+
+
+# (H, rows, _TILE_ROWS, tile rows): H=20 is not whole 8-column tiles, and no
+# tile has fewer than 2 rows
+TILINGS = [(20, 1025, 512, [1025]), (16, 5, 1, [2, 3])]
+
+
+@pytest.mark.parametrize("n_h,m,tile_rows,want", TILINGS)
+def test_gru_tiles_only_whole_column_tiles_of_two_rows(monkeypatch, tiles, n_h, m,
+                                                       tile_rows, want):
+    """The tiles of a one-block call, and its values against one tile."""
+    rng = np.random.default_rng(n_h + m)
+    cell, decay = _gru_cell(rng, (m,), (8,), n_h)
+    monkeypatch.setattr(ad, "_CPUS", 1)
+    with no_grad():
+        whole = gru(cell[:1], *cell[1:], decay=decay).data
+        monkeypatch.setattr(ad, "_TILE_ROWS", tile_rows)
+        tiles.clear()
+        assert np.array_equal(gru(cell[:1], *cell[1:], decay=decay).data, whole)
+    assert tiles == want
+
+
+def test_gru_of_no_rows(tiles):
+    """A call over 0 rows, recorded or not, gives a (0, H) output and zero
+    gradients."""
+    rng = np.random.default_rng(17)
+    cell, decay = _gru_cell(rng, (0,), (3,), 8)
+    with no_grad():
+        assert gru(cell[:1], *cell[1:], decay=decay).shape == (0, 8)
+    out = gru(cell[:1], *cell[1:], decay=decay)
+    backward(tsum(out))
+    assert out.shape == (0, 8) and tiles == [0, 0]
+    assert all(not p.grad.any() for p in (*cell, decay))
+
+
+def test_unrecorded_gru_keeps_no_full_gate_array(monkeypatch):
+    """A no-grad call at 8,192 rows, H=64, with the model's decay, peaks
+    below one (2, rows, H) z|r array: it holds its output and one tile."""
+    monkeypatch.setattr(ad, "_CPUS", 1)
+    rng = np.random.default_rng(18)
+    cell, decay = _gru_cell(rng, (128, 64), (16,), 64)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            gru(cell[:1], *cell[1:], decay=decay)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8192 * 64 * 8
 
 
 # ---------------------------------------------------------------------------

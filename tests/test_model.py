@@ -1043,6 +1043,23 @@ def test_agent_count_beyond_dl_capacity_is_data_error():
     assert np.isfinite(no_dl.training_losses(coords, mask, noise)["total"].item())
 
 
+@pytest.mark.parametrize("batch,n_agents", [(0, 3), (2, 0)])
+def test_empty_batch_or_no_agents_is_data_error(batch, n_agents):
+    """No sequence or no agent is bad input to both verbs, batched and
+    (for no agents) as one sequence, not an error from inside the model."""
+    cfg = tiny_cfg(seed=66)
+    model = TrajectoryModel(cfg)
+    coords, mask = toy_batch(cfg, batch=batch, n_agents=n_agents, seed=67)
+    opt = Adam(model.parameters(), lr=1e-3)
+    with pytest.raises(DataError, match=r"B, N >= 1"):
+        model.train_step(coords, mask, opt, rng=np.random.default_rng(68))
+    with pytest.raises(DataError, match=r"B, N >= 1"):
+        model.run_inference(coords[:, :cfg.t_past], mask, seed=69)
+    if batch:
+        with pytest.raises(DataError, match=r"B, N >= 1"):
+            model.run_inference(coords[0, :cfg.t_past], mask[0], seed=69)
+
+
 def test_train_step_checks_inputs_before_drawing_noise():
     cfg = tiny_cfg(seed=63)
     model = TrajectoryModel(cfg)
