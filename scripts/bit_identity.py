@@ -12,18 +12,17 @@ the trained model, the .ckpt bytes, the bytes of a load_checkpoint ->
 save_checkpoint round trip of that .ckpt, eval's report.csv / report.txt
 and the result.trajset that `run` writes, all for the default config. The
 losses, gradients and inference outputs are also printed for the switches
-lag_mode=previous, share_streams=false, use_td=false, mode=impute-only and
-mode=predict-only. Last come the reference-shape lines: the default
-ModelConfig (H=256, Z=64) on 64 sequences at N=10, T=40+10, with its
-batched run_inference outputs, then one train step's losses and the
-gradients it left, then the batched run_inference outputs of the same
-model on 256 camera-masked sequences at N=10, the shape of perfbench's
-infer-eval, whose `gru` calls also run in row tiles. Only at such shapes
-do `gru` and `linear` carry enough multiply-adds to spread their rows
-over CPUs and to queue their weight gradients on a worker, so the
-gradient and the last inference digest are each repeated on one CPU:
-the script exits with status 1 when a one-CPU line differs from the line
-before it.
+share_streams=false, use_td=false, mode=impute-only and mode=predict-only.
+Last come the reference-shape lines: the default ModelConfig (H=256,
+Z=64) on 64 sequences at N=10, T=40+10, with its batched run_inference
+outputs, then one train step's losses and the gradients it left, then
+the batched run_inference outputs of the same model on 256 camera-masked
+sequences at N=10, the shape of perfbench's infer-eval, whose `gru`
+calls also run in row tiles. Only at such shapes do `gru` and `linear`
+carry enough multiply-adds to spread their rows over CPUs and to queue
+their weight gradients on a worker, so the gradient and the last
+inference digest are each repeated on one CPU: the script exits with
+status 1 when a one-CPU line differs from the line before it.
 
 The untrained digests and the step-0 losses depend on the forward pass
 alone; the later losses and the trained digests also carry any low-bit
@@ -92,8 +91,7 @@ gen_camera_angles=20.0
 seed=0
 """
 
-VARIANTS = ("lag_mode=previous", "share_streams=false", "use_td=false",
-            "mode=impute-only", "mode=predict-only")
+VARIANTS = ("share_streams=false", "use_td=false", "mode=impute-only", "mode=predict-only")
 
 
 def digest(blob: bytes) -> str:

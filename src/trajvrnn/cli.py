@@ -46,32 +46,33 @@ def _scenario_filename(spec: MaskingSpec, split: str) -> str:
 def cmd_gen_data(config: RunConfig, out_dir, force=False) -> list:
     """One dataset file per (mode, parameter) scenario, plus a manifest.
     One generated pool is masked per scenario: from `seed` for the train
-    split, from `seed + TEST_SEED_OFFSET` for the test split."""
+    split, from `seed + TEST_SEED_OFFSET` for the test split. Every output
+    path is checked before the first file is written."""
     specs = _scenario_specs(config)
     split = config.gen_split
+    paths = [os.path.join(out_dir, _scenario_filename(spec, split)) for spec in specs]
+    repeated = sorted({path for path in paths if paths.count(path) > 1})
+    if repeated:
+        raise ConfigError(f"the scenario grid names {', '.join(repeated)} more than once")
+    manifest_path = os.path.join(out_dir, "manifest.txt")
+    existing = [path for path in paths + [manifest_path] if os.path.exists(path)]
+    if existing and not force:
+        raise ConfigError(f"already exists: {', '.join(existing)}; pass --force to overwrite")
+
     seed = config.seed + (TEST_SEED_OFFSET if split == "test" else 0)
     seqs = generate_sequences(config.gen_count, config.gen_n_agents,
                               config.t_past, config.t_future, seed)
     os.makedirs(out_dir, exist_ok=True)
-
-    written = []
     manifest = []
-    for spec in specs:
-        path = os.path.join(out_dir, _scenario_filename(spec, split))
-        if os.path.exists(path) and not force:
-            raise ConfigError(f"{path} exists; pass --force to overwrite")
+    for spec, path in zip(specs, paths):
         ds = build_dataset(seqs, spec, split=split, seed=seed)
         write_dataset(path, ds)
-        written.append(path)
         manifest.append(f"mode={spec.mode} parameter={spec.parameter:g} "
                         f"split={split} missing_rate={ds.missing_rate():.4f} "
                         f"file={os.path.basename(path)}")
-    manifest_path = os.path.join(out_dir, "manifest.txt")
-    if os.path.exists(manifest_path) and not force:
-        raise ConfigError(f"{manifest_path} exists; pass --force to overwrite")
     with open(manifest_path, "w", encoding="ascii") as fh:
         fh.write("\n".join(manifest) + "\n")
-    return written
+    return paths
 
 
 def cmd_train(config: RunConfig, out_dir, resume=None, log_stream=None):

@@ -459,6 +459,8 @@ def read_dataset(path) -> Dataset:
 
     if units != "scene":
         raise DataError(f"{path}: unsupported units {units!r}")
+    if has_results not in (0, 1):
+        raise DataError(f"{path}: has_results must be 0 or 1, got {has_results}")
     if min(count, t_past, n_agents) < 1 or t_future < 0:
         raise DataError(f"{path}: bad sizes count={count} t_past={t_past} "
                         f"t_future={t_future} n_agents={n_agents}")

@@ -49,6 +49,7 @@ from .graph import SpatialEncoder
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 RHO_LIMIT = 0.999  # |correlation| bound of the decoded bivariate Gaussian
+LOGVAR_LIMIT = 10.0  # |log-variance| bound of the prior and posterior heads
 
 MODES = ("joint", "impute-only", "predict-only")
 
@@ -77,9 +78,6 @@ class ModelConfig:
     lambda_imp_kl: float = 1.0
     lambda_pre_kl: float = 1.0
     lambda_pre: float = 1.0
-    # alternative-form switch
-    lag_mode: str = "current"           # or "previous"
-    logvar_limit: float = 10.0
     # coordinate standardisation applied inside the model
     coord_center: tuple = (0.0, 0.0)
     coord_scale: float = 1.0
@@ -92,8 +90,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.lag_mode not in ("current", "previous"):
-            raise ConfigError(f"bad lag_mode {self.lag_mode!r}")
         if min(self.n_agents_max, self.d_embed, self.d_graph, self.d_hidden,
                self.d_latent, self.ec_hidden, self.ec_pool, self.t_past) < 1:
             raise ConfigError("model sizes and t_past must be >= 1")
@@ -107,13 +103,13 @@ class ModelConfig:
         if self.use_ec and not (self.use_st or self.use_dl) and self.t_future > 0:
             raise ConfigError("the edge-conditioned branch alone cannot encode "
                               "future steps; enable ST or DL as well")
-        bad = [name for name in ("coord_center", "coord_scale", "logvar_limit", "lr",
-                                 "lr_decay", "lambda_imp_kl", "lambda_pre_kl", "lambda_pre")
+        bad = [name for name in ("coord_center", "coord_scale", "lr", "lr_decay",
+                                 "lambda_imp_kl", "lambda_pre_kl", "lambda_pre")
                if not np.all(np.isfinite(getattr(self, name)))]
         if bad:
             raise ConfigError(f"{', '.join(bad)} must be finite")
-        if self.coord_scale <= 0 or self.logvar_limit <= 0:
-            raise ConfigError("coord_scale and logvar_limit must be positive")
+        if self.coord_scale <= 0:
+            raise ConfigError("coord_scale must be positive")
         if self.lr < 0 or self.lr_decay < 0 or self.lr_decay_every < 0:
             raise ConfigError("lr, lr_decay and lr_decay_every must be >= 0 "
                               "(lr_decay_every=0: never decay)")
@@ -153,18 +149,17 @@ def _sample_latent_backward(mu, logvar, noise, grad):
         _accumulate(logvar, g, owned=True)
 
 
-def temporal_lags(mask, lag_mode: str = "current"):
-    """Steps since the gating observation, per agent, for every step of
-    a window: `mask` (.., T, N) gives a float array (.., T, N, 1).
+def temporal_lags(mask):
+    """Steps since the last observation, per agent, for every step of a
+    window: `mask` (.., T, N) gives a float array (.., T, N, 1).
 
-    The first step's lags are 0. After that an agent that the gate shows
-    observed gets lag 1 and a missing one accumulates. The gate at step t
-    is mask row t ("current") or row t - 1 ("previous", GRU-D's rule).
+    The first step's lags are 0. After that an agent that mask row t
+    shows observed gets lag 1 and a missing one accumulates.
     """
     m = np.asarray(mask, dtype=np.float64)[..., None]
     lags = np.zeros_like(m)
     for t in range(1, m.shape[-3]):
-        gate = m[..., t if lag_mode == "current" else t - 1, :, :]
+        gate = m[..., t, :, :]
         lags[..., t, :, :] = gate * 1.0 + (1.0 - gate) * (1.0 + lags[..., t - 1, :, :])
     return lags
 
@@ -369,7 +364,7 @@ class TrajectoryModel:
         w0, b0, w_mu, b_mu, w_lv, b_lv = head
         hidden = linear(inputs, w0, b0, act="tanh")
         mu = linear([hidden], w_mu, b_mu)
-        lv = linear([hidden], w_lv, b_lv, act=(-self.cfg.logvar_limit, self.cfg.logvar_limit))
+        lv = linear([hidden], w_lv, b_lv, act=(-LOGVAR_LIMIT, LOGVAR_LIMIT))
         return LatentDistribution(mu=mu, logvar=lv)
 
     def prior_params(self, h_prev: Tensor) -> LatentDistribution:
@@ -451,7 +446,7 @@ class TrajectoryModel:
 
         thetas = self.encoder.edge_weight_matrices() if cfg.use_ec else None
         if cfg.use_td and last:
-            decay = self.temporal_decay(temporal_lags(mask, cfg.lag_mode)[:, :last])
+            decay = self.temporal_decay(temporal_lags(mask)[:, :last])
         h = Tensor(np.zeros((b, n, cfg.d_hidden)))
         window = self.encoder.forward(x[:, :cfg.t_past], mask, thetas) if teacher else None
         for t in range(cfg.t_past):

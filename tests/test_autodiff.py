@@ -17,8 +17,8 @@ from trajvrnn.autodiff import (
 )
 from trajvrnn.data import MaskingSpec, build_dataset, generate_sequences, stack_arrays
 from trajvrnn.errors import ConfigError, NumericError, ShapeError
-from trajvrnn.model import (LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll,
-                            gauss_kl, sample_latent, temporal_decay)
+from trajvrnn.model import (LOGVAR_LIMIT, LatentDistribution, ModelConfig, TrajectoryModel,
+                            bigauss_nll, gauss_kl, sample_latent, temporal_decay)
 from trajvrnn.optim import Adam
 
 from oracle_ops import (clamp, concat, div, exp, grad_check, log, relu, sub, tanh,
@@ -557,8 +557,8 @@ def test_linear_tanh_matches_composed(lead, widths):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-# the model's log-variance bound at its default `logvar_limit`
-LIMIT = 10.0
+# the model's log-variance bound
+LIMIT = LOGVAR_LIMIT
 EPILOGUES = {"relu": ("relu", relu),
              "clip": ((-LIMIT, LIMIT), lambda t: clamp(t, -LIMIT, LIMIT))}
 

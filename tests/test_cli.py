@@ -80,6 +80,25 @@ def test_gen_data_refuses_overwrite(tiny_config, tmp_path):
                  "--force"]) == 0
 
 
+@pytest.mark.parametrize("radii", ["5.0,5.0", "5.0,5.0000001"])
+@pytest.mark.parametrize("force", [False, True])
+def test_gen_data_rejects_grid_values_sharing_a_file(tmp_path, radii, force):
+    cfg = write_cfg(tmp_path, f"gen_circle_radii={radii}\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]
+                + ["--force"] * force) == 1
+    assert not out.exists()
+
+
+def test_gen_data_writes_nothing_when_the_manifest_exists(tiny_config, tmp_path):
+    out = tmp_path / "data"
+    out.mkdir()
+    (out / "manifest.txt").write_text("kept\n")
+    assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 1
+    assert os.listdir(out) == ["manifest.txt"]
+    assert (out / "manifest.txt").read_text() == "kept\n"
+
+
 def test_gen_data_empty_grid_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path, "gen_circle_radii=\n")
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
@@ -124,9 +143,10 @@ def test_unknown_config_key_exit_code(tmp_path):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
-@pytest.mark.parametrize("line", ["lr=nan", "coord_center=0.0,inf", "logvar_limit=-1.0",
+@pytest.mark.parametrize("line", ["lr=nan", "coord_center=0.0,inf",
                                   "out_dir=results", "lr=-1.0", "lr_decay=-2.0",
                                   "static_norm=literal", "inference_feedback=decoded",
+                                  "lag_mode=current", "logvar_limit=10.0",
                                   "gen_count=0", "gen_n_agents=0"])
 def test_bad_config_value_exit_code(tmp_path, line):
     cfg = write_cfg(tmp_path, line + "\n")
@@ -466,8 +486,13 @@ MALFORMED = {
     "config-bool": ("ckpt", [(r"^config\.use_td=.*$", "config.use_td=maybe")], True),
     "config-mode": ("ckpt", [(r"^config\.mode=.*$", "config.mode=jnt")], True),
     "config-size": ("ckpt", [(r"^config\.d_hidden=.*$", "config.d_hidden=-3")], True),
-    "config-removed-key": ("ckpt", [(r"^(config\.lag_mode=.*)$",
+    "config-removed-key": ("ckpt", [(r"^(config\.mode=.*)$",
                                      r"\1\nconfig.static_norm=symmetric")], True),
+    "config-removed-lag-mode": ("ckpt", [(r"^(config\.mode=.*)$",
+                                          r"\1\nconfig.lag_mode=current")], True),
+    "config-removed-logvar-limit": ("ckpt", [(r"^(config\.mode=.*)$",
+                                              r"\1\nconfig.logvar_limit=10.0")], True),
+    "has-results-seven": ("results", [(r"^has_results=1$", "has_results=7")], True),
     "no-split": ("trajset", [(r"^split=.*\n", "")], True),
     "no-units": ("trajset", [(r"^units=.*\n", "")], True),
     "other-units": ("trajset", [(r"^units=.*$", "units=pixels")], True),
@@ -480,10 +505,6 @@ MALFORMED = {
     "config-seed": ("ckpt", [(r"^config\.seed=.*$", "config.seed=-3")], True),
     "config-huge": ("ckpt", [(r"^config\.d_hidden=.*$", "config.d_hidden=4000000000")], True),
     "config-scale-nan": ("ckpt", [(r"^config\.coord_scale=.*$", "config.coord_scale=nan")], True),
-    "config-logvar-nan": ("ckpt", [(r"^config\.logvar_limit=.*$", "config.logvar_limit=nan")],
-                          True),
-    "config-logvar-zero": ("ckpt", [(r"^config\.logvar_limit=.*$", "config.logvar_limit=0.0")],
-                           True),
     "config-center-inf": ("ckpt", [(r"^config\.coord_center=.*$", "config.coord_center=inf,0.0")],
                           True),
     "config-lr-nan": ("ckpt", [(r"^config\.lr=.*$", "config.lr=nan")], True),
@@ -498,11 +519,15 @@ MALFORMED = {
 def test_malformed_file_is_data_error(tiny_config, tmp_path, capsys, case):
     target, subs, keep_payload = MALFORMED[case]
     cfg = load_config(tiny_config)
-    paths = {"ckpt": tmp_path / "model.ckpt", "trajset": tmp_path / "data.trajset"}
+    # "results": the data file, written with a results section
+    data_path = tmp_path / "data.trajset"
+    paths = {"ckpt": tmp_path / "model.ckpt", "trajset": data_path, "results": data_path}
     save_checkpoint(paths["ckpt"], TrajectoryModel(cfg.model_config()))
     seqs = generate_sequences(2, 3, cfg.t_past, cfg.t_future, seed=1)
-    write_dataset(paths["trajset"], build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0),
-                                                  split="test", seed=1))
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0), split="test", seed=1)
+    if target == "results":
+        ds.results = [(np.zeros((cfg.t_past, 3, 2)), np.zeros((cfg.t_future, 3, 2)))] * 2
+    write_dataset(data_path, ds)
     blob = paths[target].read_bytes()
     end = blob.index(b"\n", blob.index(b"\npayload_bytes=") + 1) + 1
     header = blob[:end].decode()
@@ -511,7 +536,7 @@ def test_malformed_file_is_data_error(tiny_config, tmp_path, capsys, case):
     assert header.encode() != blob[:end]
     paths[target].write_bytes(header.encode() + (blob[end:] if keep_payload else b""))
     code = main(["eval", "--config", str(tiny_config), "--checkpoint", str(paths["ckpt"]),
-                 "--data", str(paths["trajset"]), "--out", str(tmp_path / "ev")])
+                 "--data", str(data_path), "--out", str(tmp_path / "ev")])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error:")
 

@@ -10,8 +10,8 @@ from trajvrnn import model as model_module
 from trajvrnn.autodiff import Parameter, Tensor, backward, no_grad
 from trajvrnn.errors import ConfigError, DataError, NumericError, ShapeError
 from trajvrnn.model import (
-    LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, gauss_kl, gru_step,
-    sample_latent, temporal_decay, temporal_lags,
+    LOGVAR_LIMIT, LatentDistribution, ModelConfig, TrajectoryModel, bigauss_nll, gauss_kl,
+    gru_step, sample_latent, temporal_decay, temporal_lags,
 )
 from trajvrnn.optim import Adam
 
@@ -77,7 +77,7 @@ def test_prior_matches_bruteforce_mlp():
     model = TrajectoryModel(tiny_cfg(seed=5))
     h = np.random.default_rng(1).normal(size=(4, 8))
     dist = model.prior_params(Tensor(h))
-    mu, lv = _head_oracle(h, model.prior_head, model.cfg.logvar_limit)
+    mu, lv = _head_oracle(h, model.prior_head, LOGVAR_LIMIT)
     np.testing.assert_allclose(dist.mu.data, mu, atol=1e-12)
     np.testing.assert_allclose(dist.logvar.data, lv, atol=1e-12)
 
@@ -106,7 +106,7 @@ def test_posterior_matches_bruteforce_mlp():
     fg, h = rng.normal(size=(4, 4)), rng.normal(size=(4, 8))
     dist = model.posterior_params(Tensor(fg), Tensor(h))
     mu, lv = _head_oracle(np.concatenate([fg, h], axis=-1), model.post_head,
-                          model.cfg.logvar_limit)
+                          LOGVAR_LIMIT)
     np.testing.assert_allclose(dist.mu.data, mu, atol=1e-12)
     np.testing.assert_allclose(dist.logvar.data, lv, atol=1e-12)
 
@@ -158,18 +158,6 @@ def test_lag_sequence_with_gap():
 def test_lag_sequences(mask_seq, expected):
     lags = temporal_lags(np.array([[[float(m)] for m in mask_seq]]))
     assert lags[0, :, 0, 0].tolist() == [float(v) for v in expected]
-
-
-def test_lags_previous_mode_gates_on_the_row_before():
-    """Under "previous" the lag at step t > 0 follows mask row t - 1, so
-    a "previous" lag row is the "current" rule applied to the mask shifted
-    one step later; agents and batch rows are independent."""
-    mask = (np.random.default_rng(3).random((2, 7, 3)) > 0.5).astype(float)
-    shifted = np.concatenate([mask[:, :1], mask[:, :-1]], axis=1)
-    np.testing.assert_array_equal(temporal_lags(mask, "previous"),
-                                  temporal_lags(shifted, "current"))
-    np.testing.assert_array_equal(temporal_lags(mask[1:], "previous"),
-                                  temporal_lags(mask, "previous")[1:])
 
 
 def test_decay_closed_forms():
@@ -661,9 +649,9 @@ def test_training_tape_holds_no_affine_intermediates():
     assert ops.count("gru") == steps - 1
     assert ops.count("clamp") == 0
     clipped = [node for node in nodes if node.op == "linear"
-               and node._backward.args[3] == (-cfg.logvar_limit, cfg.logvar_limit)]
+               and node._backward.args[3] == (-LOGVAR_LIMIT, LOGVAR_LIMIT)]
     assert len(clipped) == 2 * steps  # prior and posterior log-variance
-    assert all((np.abs(node.data) <= cfg.logvar_limit).all() for node in clipped)
+    assert all((np.abs(node.data) <= LOGVAR_LIMIT).all() for node in clipped)
     bias_adds = [node for node in nodes if node.op == "add"
                  and any(p.op == "matmul" for p in node.parents)
                  and any(isinstance(p, Parameter) for p in node.parents)]
@@ -1079,16 +1067,6 @@ def test_inference_unbatched_roundtrip():
     imputed, predicted = model.run_inference(coords[0, :cfg.t_past], mask[0], seed=53)
     assert imputed.shape == (cfg.t_past, 3, 2)
     assert predicted.shape == (cfg.t_future, 3, 2)
-
-
-def test_lag_mode_previous_switch_changes_behaviour():
-    cfg_cur = tiny_cfg(seed=54)
-    cfg_prev = tiny_cfg(seed=54, lag_mode="previous")
-    coords, mask = toy_batch(cfg_cur, seed=55, missing=0.5)
-    noise = TrajectoryModel(cfg_cur).draw_noise(np.random.default_rng(56), 2, 3)
-    l_cur = TrajectoryModel(cfg_cur).training_losses(coords, mask, noise)["total"].item()
-    l_prev = TrajectoryModel(cfg_prev).training_losses(coords, mask, noise)["total"].item()
-    assert l_cur != l_prev
 
 
 def test_ec_only_needs_an_empty_future_window():
