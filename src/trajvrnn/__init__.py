@@ -15,7 +15,7 @@ _HOME = {name: module for module, names in (
                   "predict_constant_velocity"),
     ("checkpoint", "load_checkpoint restore_model save_checkpoint"),
     ("config", "RunConfig load_config parse_config"),
-    ("data", "Dataset DynamicsParams MaskingSpec TrajectorySequence apply_camera_mask "
+    ("data", "Dataset MaskingSpec TrajectorySequence apply_camera_mask "
              "apply_circle_mask build_dataset generate_sequences read_dataset write_dataset"),
     ("errors", "CapacityError ConfigError DataError NumericError ShapeError TrajvrnnError"),
     ("model", "LatentDistribution ModelConfig TrajectoryModel bigauss_nll gauss_kl "

@@ -13,41 +13,37 @@ from .data import SCENE_CENTER, _length
 from .errors import ShapeError
 
 
-def _fill_per_agent(coords, mask, fill_fn, scene_center):
-    """Shared scaffolding: copy observed steps, ask `fill_fn` for the rest."""
+def _fill_per_agent(coords, mask, fill_fn):
+    """Shared scaffolding: copy observed steps, ask `fill_fn` for the rest;
+    an agent never observed sits at `SCENE_CENTER`."""
     coords = np.asarray(coords, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     t, n, _ = coords.shape
     if mask.shape != (t, n):
         raise ShapeError(f"mask {mask.shape} does not match coords {coords.shape}")
     out = coords.copy()
-    center = np.asarray(scene_center, dtype=np.float64)
     for i in range(n):
         observed = mask[:, i] > 0
         if observed.all():
             continue
         if not observed.any():
-            out[~observed, i] = center
+            out[~observed, i] = SCENE_CENTER
             continue
         out[~observed, i] = fill_fn(coords[:, i], observed)
     return out
 
 
-def impute_mean(coords, mask, scene_center=SCENE_CENTER):
+def impute_mean(coords, mask):
     """Missing steps get the mean of the agent's observed positions."""
-    return _fill_per_agent(coords, mask,
-                           lambda track, obs: track[obs].mean(axis=0),
-                           scene_center)
+    return _fill_per_agent(coords, mask, lambda track, obs: track[obs].mean(axis=0))
 
 
-def impute_median(coords, mask, scene_center=SCENE_CENTER):
+def impute_median(coords, mask):
     """Missing steps get the per-coordinate median of observed positions."""
-    return _fill_per_agent(coords, mask,
-                           lambda track, obs: np.median(track[obs], axis=0),
-                           scene_center)
+    return _fill_per_agent(coords, mask, lambda track, obs: np.median(track[obs], axis=0))
 
 
-def impute_linear_fit(coords, mask, scene_center=SCENE_CENTER):
+def impute_linear_fit(coords, mask):
     """Linear interpolation between the nearest observed neighbours in
     time; flat extrapolation beyond the first/last observation."""
     def fill(track, obs):
@@ -57,7 +53,7 @@ def impute_linear_fit(coords, mask, scene_center=SCENE_CENTER):
         return np.stack([np.interp(missing, t_obs, track[obs, c])
                          for c in range(2)], axis=-1)
 
-    return _fill_per_agent(coords, mask, fill, scene_center)
+    return _fill_per_agent(coords, mask, fill)
 
 
 def predict_constant_velocity(imputed_past, t_future):

@@ -3,9 +3,11 @@
 The manifest lists the model configuration, the training epoch, the
 optimizer step counter and live learning rate, and one line per tensor
 (name, dtype, shape, byte offset). The payload holds little-endian
-float64 values in manifest order, so a save/load round-trip is
-bit-exact. Optimizer moment estimates are stored alongside the
-parameters so a resumed run continues exactly where it stopped.
+float64 values in manifest order, each tensor starting where the one
+before it ends and the last ending the payload, so a save/load
+round-trip is bit-exact. Every value is finite, and every tensor is a
+parameter or, stored so a resumed run continues exactly where it
+stopped, one of its Adam moments.
 """
 
 from __future__ import annotations
@@ -79,14 +81,20 @@ def load_checkpoint(path) -> CheckpointData:
                             f"got {epoch} and {adam_step}")
         if not 0.0 <= adam_lr < np.inf:  # false for nan too
             raise DataError(f"{path}: adam.lr must be finite and >= 0, got {adam_lr}")
+        end = 0
         for tag, spec in rows:
             name, dtype, shape, offset = spec.split(" ")
-            if tag != "tensor" or dtype != "f8" or name in arrays:
-                raise DataError(f"{path}: unexpected, non-f8 or repeated tensor line "
-                                f"{tag} {spec!r}")
+            if tag != "tensor" or dtype != "f8" or name in arrays or int(offset) != end:
+                raise DataError(f"{path}: unexpected, non-f8, repeated or misplaced tensor "
+                                f"line {tag} {spec!r} (the tensors before it end at {end})")
             dims = tuple(int(s) for s in shape.split("x")) if shape != "0" else ()
-            arrays[name] = container.take(payload, "<f8", dims, int(offset),
-                                          f"{path}: tensor {name}")
+            arrays[name] = container.take(payload, "<f8", dims, end, f"{path}: tensor {name}")
+            end += arrays[name].nbytes
+        if end != len(payload):
+            raise DataError(f"{path}: the tensors end at byte {end} of {len(payload)}")
+        if not np.isfinite(np.frombuffer(payload, "<f8")).all():  # one pass over every tensor
+            bad = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+            raise DataError(f"{path}: tensor {bad} holds non-finite values")
     except (KeyError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad manifest ({exc!r})") from None
 
@@ -107,7 +115,12 @@ def restore_model(ck: CheckpointData) -> TrajectoryModel:
                             f"{stored.shape}, expected {shape}")
         return stored.copy()
 
-    return TrajectoryModel(ck.config, load)
+    model = TrajectoryModel(ck.config, load)
+    unknown = ck.arrays.keys() - {prefix + name for name in model.params
+                                  for prefix in ("", "adam.m.", "adam.v.")}
+    if unknown:
+        raise DataError(f"checkpoint holds tensors of no parameter: {sorted(unknown)}")
+    return model
 
 
 def restore_optimizer(ck: CheckpointData, model: TrajectoryModel) -> Adam:

@@ -40,21 +40,18 @@ FIELD_HALF = 25.0
 SCENE_CENTER = (0.0, 0.0)
 DEFAULT_CAMERA = (0.0, -15.0)
 
-
-@dataclass
-class DynamicsParams:
-    attraction: float = 0.25
-    repulsion: float = 0.3
-    damping: float = 0.5
-    v_max: float = 1.5
-    field_half: float = FIELD_HALF
-    offset_radius: float = 5.0
-    offset_resample: int = 15
-    ball_attraction: float = 0.05
-    ball_damping: float = 0.3
-    ball_v_max: float = 1.2
-    waypoint_tol: float = 2.0
-    wall_push: float = 0.5
+# simulator dynamics: the agents, then the reference "ball" they follow
+ATTRACTION = 0.25
+REPULSION = 0.3
+DAMPING = 0.5
+V_MAX = 1.5
+OFFSET_RADIUS = 5.0
+OFFSET_RESAMPLE = 15  # steps between an agent's offset redraws
+BALL_ATTRACTION = 0.05
+BALL_DAMPING = 0.3
+BALL_V_MAX = 1.2
+WAYPOINT_TOL = 2.0
+WALL_PUSH = 0.5
 
 
 @dataclass
@@ -75,8 +72,8 @@ class TrajectorySequence:
         if self.reference_track.shape != (t, 2):
             raise DataError(f"reference track shape {self.reference_track.shape} "
                             f"does not match {t} steps")
-        if not np.isfinite(self.coords).all():
-            raise DataError(f"sequence {self.id}: non-finite coordinates")
+        if not (np.isfinite(self.coords).all() and np.isfinite(self.reference_track).all()):
+            raise DataError(f"sequence {self.id}: non-finite coordinates or reference track")
 
     @property
     def n_agents(self) -> int:
@@ -151,13 +148,13 @@ def _offsets(radius, u, a):
     return np.stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-def _offset_redraws(rngs, phases, t_total, p: DynamicsParams):
+def _offset_redraws(rngs, phases, t_total):
     """Which agents redraw their offset at each step, (T, N, S), and the
     offsets they draw, (T, 2, N, S). The schedule is fixed by `phases`
     (S, N), so each scene takes all its draws in one call; per due step they
     come k radii and then k angles."""
     steps = np.arange(t_total)[:, None]
-    due = ((steps + phases[:, None, :]) % p.offset_resample == 0) & (steps > 0)
+    due = ((steps + phases[:, None, :]) % OFFSET_RESAMPLE == 0) & (steps > 0)
     k = due.sum(axis=2).ravel()
     scene, step, agent = np.nonzero(due)
     group = scene * t_total + step
@@ -169,65 +166,62 @@ def _offset_redraws(rngs, phases, t_total, p: DynamicsParams):
     radius_at = np.arange(scene.size) + before
     raw = np.concatenate([rng.random(2 * n) for rng, n in zip(rngs, due.sum(axis=(1, 2)))])
     fresh = np.zeros((t_total, 2, phases.shape[1], len(rngs)))
-    fresh[step, :, agent, scene] = _offsets(p.offset_radius, raw[radius_at],
+    fresh[step, :, agent, scene] = _offsets(OFFSET_RADIUS, raw[radius_at],
                                             raw[radius_at + k[group]]).T
     return due.transpose(1, 2, 0).copy(), fresh
 
 
-def _simulate(rngs, ids, n_agents, t_total, p: DynamicsParams):
+def _simulate(rngs, ids, n_agents, t_total):
     """Integrate one block of scenes together, scene i drawing only from
     `rngs[i]`: its reference start and waypoint, a new waypoint whenever
     its reference reaches one, then its agents' offset radii and angles,
     start-scatter radii and angles and phases, then every offset redraw.
     Returns coords (S, T, N, 2) and the reference tracks (S, T, 2)."""
-    fh = p.field_half
+    fh = FIELD_HALF
     pos, waypoint = (np.array(a) * fh for a in zip(*[
         (rng.uniform(-0.4, 0.4, size=2), rng.uniform(-0.8, 0.8, size=2)) for rng in rngs]))
     vel = np.zeros_like(pos)
     track = np.empty((len(rngs), t_total, 2))
     for t in range(t_total):
         track[:, t] = pos
-        for i in np.flatnonzero(_norm(waypoint - pos) < p.waypoint_tol):
+        for i in np.flatnonzero(_norm(waypoint - pos) < WAYPOINT_TOL):
             waypoint[i] = rngs[i].uniform(-0.8, 0.8, size=2) * fh
-        acc = p.ball_attraction * (waypoint - pos) - p.ball_damping * vel
+        acc = BALL_ATTRACTION * (waypoint - pos) - BALL_DAMPING * vel
         vel = vel + acc
         speed = _norm(vel)
-        fast = speed > p.ball_v_max
-        vel[fast] *= (p.ball_v_max / speed[fast])[:, None]
+        fast = speed > BALL_V_MAX
+        vel[fast] *= (BALL_V_MAX / speed[fast])[:, None]
         pos = pos + vel
 
     # agents are (2, N, S) from here on; each scene draws 4 * N uniforms,
     # offset radii and angles then start-scatter radii and angles
     draws, phases = map(np.array, zip(*[
-        (rng.random(4 * n_agents), rng.integers(0, max(1, p.offset_resample), size=n_agents))
+        (rng.random(4 * n_agents), rng.integers(0, OFFSET_RESAMPLE, size=n_agents))
         for rng in rngs]))
     u = np.ascontiguousarray(draws.reshape(len(rngs), 4, n_agents).transpose(1, 2, 0))
-    offsets = _offsets(p.offset_radius, u[0], u[1])
+    offsets = _offsets(OFFSET_RADIUS, u[0], u[1])
     ref = np.ascontiguousarray(track.transpose(1, 2, 0))[:, :, None]  # (T, 2, 1, S)
     # agents start scattered around the reference, inside the field
-    pos = np.clip(ref[0] + offsets + _offsets(p.offset_radius, u[2], u[3]), -fh, fh)
+    pos = np.clip(ref[0] + offsets + _offsets(OFFSET_RADIUS, u[2], u[3]), -fh, fh)
     vel = np.zeros_like(pos)
-    if p.offset_resample > 0:
-        due, fresh = _offset_redraws(rngs, phases, t_total, p)
+    due, fresh = _offset_redraws(rngs, phases, t_total)
     coords = np.empty((len(rngs), t_total, n_agents, 2))
     diverged_at = np.full(len(rngs), -1)
     for t in range(t_total):
         coords[:, t] = pos.T
-        if p.offset_resample > 0:
-            np.copyto(offsets, fresh[t], where=due[t])
+        np.copyto(offsets, fresh[t], where=due[t])
         target = ref[t] + offsets
-        acc = p.attraction * (target - pos) - p.damping * vel
-        if p.repulsion != 0.0:
-            # (2, j, i, S): the sum over j runs over an outer axis, so it
-            # adds in j order, as a sum over j of one scene's (i, j, 2) does
-            diff = pos[:, None] - pos[:, :, None]
-            dist2 = diff[0] ** 2 + diff[1] ** 2 + 1.0
-            acc += p.repulsion * (diff / dist2).sum(axis=1)
+        acc = ATTRACTION * (target - pos) - DAMPING * vel
+        # (2, j, i, S): the sum over j runs over an outer axis, so it
+        # adds in j order, as a sum over j of one scene's (i, j, 2) does
+        diff = pos[:, None] - pos[:, :, None]
+        dist2 = diff[0] ** 2 + diff[1] ** 2 + 1.0
+        acc += REPULSION * (diff / dist2).sum(axis=1)
         over = np.abs(pos) - fh
-        acc -= p.wall_push * np.sign(pos) * np.maximum(over, 0.0)
+        acc -= WALL_PUSH * np.sign(pos) * np.maximum(over, 0.0)
         vel = vel + acc
         speed = _length(*vel)
-        np.divide(vel * p.v_max, speed, out=vel, where=speed > p.v_max)
+        np.divide(vel * V_MAX, speed, out=vel, where=speed > V_MAX)
         pos = pos + vel
         gone = np.abs(pos).max(axis=(0, 1)) > fh * 10
         if gone.any():
@@ -242,8 +236,7 @@ def _simulate(rngs, ids, n_agents, t_total, p: DynamicsParams):
     return coords, track
 
 
-def generate_sequences(count, n_agents, t_past, t_future, seed,
-                       dynamics: DynamicsParams | None = None):
+def generate_sequences(count, n_agents, t_past, t_future, seed):
     """Deterministic batch of interacting sequences for one seed. Scenes are
     integrated together, `_BLOCK` at a time; sequence i draws only from the
     i-th child of `SeedSequence(seed)`, so it depends on `seed` and i alone."""
@@ -251,7 +244,6 @@ def generate_sequences(count, n_agents, t_past, t_future, seed,
         raise ConfigError("count must be >= 1")
     if n_agents < 1:
         raise ConfigError("n_agents must be >= 1")
-    dynamics = dynamics or DynamicsParams()
     t_total = t_past + t_future
     children = np.random.SeedSequence(seed).spawn(count)
     out = []
@@ -259,7 +251,7 @@ def generate_sequences(count, n_agents, t_past, t_future, seed,
         block = children[first:first + _BLOCK]
         ids = [f"seq{i:05d}" for i in range(first, first + len(block))]
         coords, tracks = _simulate([np.random.default_rng(c) for c in block], ids,
-                                   n_agents, t_total, dynamics)
+                                   n_agents, t_total)
         out += [TrajectorySequence(id=seq_id, coords=c, reference_track=track,
                                    t_past=t_past, t_future=t_future)
                 for seq_id, c, track in zip(ids, coords, tracks)]
@@ -334,7 +326,7 @@ class Dataset:
 
     def check(self):
         """DataError unless every record has the first's windows and N and
-        a (t_past, N) mask, and `results`, when present, holds one
+        a (t_past, N) mask, and `results`, when present, holds one finite
         (imputed, predicted) pair per record, shaped (t_past, N, 2) and
         (t_future, N, 2)."""
         if len(self.sequences) != len(self.masks):
@@ -358,6 +350,8 @@ class Dataset:
             if shapes != want:
                 raise DataError(f"sequence {seq.id}: results shaped {shapes}, "
                                 f"expected (imputed, predicted) {want}")
+            if not all(np.isfinite(part).all() for part in pair):
+                raise DataError(f"sequence {seq.id}: non-finite results")
 
     @property
     def t_past(self):

@@ -22,8 +22,8 @@ the lags, which come from the mask, so both take it for the whole past
 window in one call.
 
 Training maximises the sequential evidence lower bound: reconstruction
-negative log-likelihood plus a weighted KL between posterior and prior,
-accumulated over both windows. Each model term is one tape node with a
+negative log-likelihood plus KL between posterior and prior, summed with
+weight 1 over both windows. Each model term is one tape node with a
 closed-form backward: `temporal_decay`, `sample_latent` (the
 reparameterised draw), `bigauss_nll` (the split of the decoder's 5 raw
 outputs and the NLL) and `gauss_kl`, the last two summed over the agents.
@@ -74,10 +74,6 @@ class ModelConfig:
     use_td: bool = True
     share_streams: bool = True
     mode: str = "joint"
-    # loss weights
-    lambda_imp_kl: float = 1.0
-    lambda_pre_kl: float = 1.0
-    lambda_pre: float = 1.0
     # coordinate standardisation applied inside the model
     coord_center: tuple = (0.0, 0.0)
     coord_scale: float = 1.0
@@ -103,8 +99,7 @@ class ModelConfig:
         if self.use_ec and not (self.use_st or self.use_dl) and self.t_future > 0:
             raise ConfigError("the edge-conditioned branch alone cannot encode "
                               "future steps; enable ST or DL as well")
-        bad = [name for name in ("coord_center", "coord_scale", "lr", "lr_decay",
-                                 "lambda_imp_kl", "lambda_pre_kl", "lambda_pre")
+        bad = [name for name in ("coord_center", "coord_scale", "lr", "lr_decay")
                if not np.all(np.isfinite(getattr(self, name)))]
         if bad:
             raise ConfigError(f"{', '.join(bad)} must be finite")
@@ -495,16 +490,16 @@ class TrajectoryModel:
             sums[f"{stream}_kl"] = sums[f"{stream}_kl"] + gauss_kl(post, prior)
 
         losses = {}
-        for stream, kl_weight in (("imp", cfg.lambda_imp_kl), ("pre", cfg.lambda_pre_kl)):
+        for stream in ("imp", "pre"):
             nll = losses[f"{stream}_nll"] = tmean(sums[f"{stream}_nll"])
             kl = losses[f"{stream}_kl"] = tmean(sums[f"{stream}_kl"])
-            losses[stream] = nll + kl_weight * kl
+            losses[stream] = nll + kl
         if cfg.mode == "impute-only":
             losses["total"] = losses["imp"]
         elif cfg.mode == "predict-only":
             losses["total"] = losses["pre"]
         else:
-            losses["total"] = losses["imp"] + cfg.lambda_pre * losses["pre"]
+            losses["total"] = losses["imp"] + losses["pre"]
         return losses
 
     def train_step(self, coords, mask, optimizer, noise=None, rng=None):

@@ -110,7 +110,7 @@ def train(config: RunConfig, dataset: Dataset, out_dir=None, resume=None,
         log_path = os.path.join(out_dir, "loss_log.csv")
         _restart_loss_log(log_path, start_epoch)
 
-    seed = config.seed
+    seed = model.cfg.seed  # a resumed run keeps the checkpoint's draws
     for epoch in range(start_epoch + 1, config.epochs + 1):
         order = _shuffle_rng(seed, epoch).permutation(n_seq)
         sums = {"total": 0.0, "imp": 0.0, "pre": 0.0}

@@ -4,7 +4,7 @@ from trajvrnn.baselines import (
     impute_linear_fit, impute_mean, impute_median, metric_i_l2, metric_p_l2,
     predict_constant_velocity,
 )
-from trajvrnn.data import MaskingSpec, build_dataset, generate_sequences
+from trajvrnn.data import SCENE_CENTER, MaskingSpec, build_dataset, generate_sequences
 from trajvrnn.report import (
     MetricReport, baseline_infer_fns, csv_to_reports, evaluate_methods,
     report_table, reports_to_csv,
@@ -37,8 +37,8 @@ def test_mean_identity_when_fully_observed():
 
 def test_mean_scene_center_fallback():
     coords = single_agent([[5.0, 5.0], [6.0, 6.0]])
-    out = impute_mean(coords, np.zeros((2, 1)), scene_center=(-1.0, 2.0))
-    np.testing.assert_array_equal(out, np.broadcast_to([-1.0, 2.0], (2, 1, 2)))
+    out = impute_mean(coords, np.zeros((2, 1)))
+    np.testing.assert_array_equal(out, np.broadcast_to(SCENE_CENTER, (2, 1, 2)))
 
 
 def test_median_fill():

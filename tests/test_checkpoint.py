@@ -86,3 +86,17 @@ def test_missing_parameter_rejected(tmp_path):
     del ck.arrays["td.weight"]
     with pytest.raises(DataError):
         restore_model(ck)
+
+
+def test_tensors_must_cover_the_payload(tmp_path):
+    """With its last tensor row gone, the payload holds bytes no row
+    names: the checkpoint does not load."""
+    model = small_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, Adam(model.parameters(), lr=0.01))
+    blob = path.read_bytes()
+    at = blob.index(b"\npayload_bytes=")
+    last = blob.rindex(b"\ntensor ", 0, at)
+    path.write_bytes(blob[:last] + blob[at:])
+    with pytest.raises(DataError, match="tensors end at byte"):
+        load_checkpoint(path)

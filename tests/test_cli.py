@@ -147,6 +147,7 @@ def test_unknown_config_key_exit_code(tmp_path):
                                   "out_dir=results", "lr=-1.0", "lr_decay=-2.0",
                                   "static_norm=literal", "inference_feedback=decoded",
                                   "lag_mode=current", "logvar_limit=10.0",
+                                  "lambda_imp_kl=1.0", "lambda_pre_kl=1.0", "lambda_pre=1.0",
                                   "gen_count=0", "gen_n_agents=0"])
 def test_bad_config_value_exit_code(tmp_path, line):
     cfg = write_cfg(tmp_path, line + "\n")
@@ -240,6 +241,22 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (out_straight / "loss_log.csv").read_bytes()
     assert (out_straight / "checkpoint_final.ckpt").read_bytes() == \
         (out_short / "checkpoint_final.ckpt").read_bytes()
+
+
+def test_resume_draws_from_the_checkpoint_seed(tmp_path):
+    """Resume takes every model field from the checkpoint, the shuffle and
+    noise seed included: a `--seed` given to the resumed run changes
+    nothing, so its log and final checkpoint are the uninterrupted run's."""
+    _, out_straight = _gen_and_train(tmp_path, epochs=4, name="straight.cfg", out="straight")
+    train_file = tmp_path / "data" / "circle_5_train.trajset"
+    out_short = tmp_path / "short"
+    cfg2 = write_cfg(tmp_path, f"train_path={train_file}\nepochs=2\n", name="short.cfg")
+    assert main(["train", "--config", str(cfg2), "--out", str(out_short)]) == 0
+    cfg4 = write_cfg(tmp_path, f"train_path={train_file}\nepochs=4\n", name="resume.cfg")
+    assert main(["train", "--config", str(cfg4), "--seed", "7", "--out", str(out_short),
+                 "--checkpoint", str(out_short / "checkpoint_final.ckpt")]) == 0
+    for name in ("loss_log.csv", "checkpoint_final.ckpt"):
+        assert (out_short / name).read_bytes() == (out_straight / name).read_bytes(), name
 
 
 def _fail_in_epoch(monkeypatch, fail_epoch):
@@ -482,6 +499,7 @@ MALFORMED = {
     "config-no-equals": ("ckpt", [(r"^config\.use_td=.*$", "config.use_td")], True),
     "tensor-shape": ("ckpt", [(r"^(tensor \S+ f8) \S+", r"\1 4xq")], True),
     "tensor-offset": ("ckpt", [(r"^(tensor \S+ f8 \S+) \d+$", r"\1 99999999")], True),
+    "tensor-overlap": ("ckpt", [(r"^(tensor td\.bias f8 \S+) \d+$", r"\1 0")], True),
     "tensor-negative-dim": ("ckpt", [(r"^(tensor td\.weight f8) 1", r"\1 -1")], True),
     "config-bool": ("ckpt", [(r"^config\.use_td=.*$", "config.use_td=maybe")], True),
     "config-mode": ("ckpt", [(r"^config\.mode=.*$", "config.mode=jnt")], True),
@@ -492,6 +510,10 @@ MALFORMED = {
                                           r"\1\nconfig.lag_mode=current")], True),
     "config-removed-logvar-limit": ("ckpt", [(r"^(config\.mode=.*)$",
                                               r"\1\nconfig.logvar_limit=10.0")], True),
+    "config-removed-lambda-imp-kl": ("ckpt", [(r"^(config\.mode=.*)$",
+                                               r"\1\nconfig.lambda_imp_kl=1.0")], True),
+    "config-removed-lambda-pre": ("ckpt", [(r"^(config\.mode=.*)$",
+                                            r"\1\nconfig.lambda_pre=1.0")], True),
     "has-results-seven": ("results", [(r"^has_results=1$", "has_results=7")], True),
     "no-split": ("trajset", [(r"^split=.*\n", "")], True),
     "no-units": ("trajset", [(r"^units=.*\n", "")], True),
@@ -510,7 +532,7 @@ MALFORMED = {
     "config-lr-nan": ("ckpt", [(r"^config\.lr=.*$", "config.lr=nan")], True),
     "config-lr-negative": ("ckpt", [(r"^config\.lr=.*$", "config.lr=-1.0")], True),
     "config-lr-decay-inf": ("ckpt", [(r"^config\.lr_decay=.*$", "config.lr_decay=inf")], True),
-    "config-lambda-nan": ("ckpt", [(r"^config\.lambda_pre_kl=.*$", "config.lambda_pre_kl=nan")],
+    "config-lambda-nan": ("ckpt", [(r"^(config\.mode=.*)$", r"\1\nconfig.lambda_pre_kl=nan")],
                           True),
 }
 
@@ -539,6 +561,63 @@ def test_malformed_file_is_data_error(tiny_config, tmp_path, capsys, case):
                  "--data", str(data_path), "--out", str(tmp_path / "ev")])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+def _eval_code(tiny_config, tmp_path, ckpt):
+    """`eval`'s exit code for checkpoint `ckpt` on a 2-sequence file the
+    tiny config's model reads."""
+    cfg = load_config(tiny_config)
+    seqs = generate_sequences(2, 3, cfg.t_past, cfg.t_future, seed=1)
+    data = tmp_path / "data.trajset"
+    write_dataset(data, build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0),
+                                      split="test", seed=1))
+    return main(["eval", "--config", str(tiny_config), "--checkpoint", str(ckpt),
+                 "--data", str(data), "--out", str(tmp_path / "ev")])
+
+
+@pytest.mark.parametrize("name", ["td.extra", "adam.m.nothing"])
+def test_checkpoint_tensor_of_no_parameter_is_data_error(tiny_config, tmp_path, capsys, name):
+    """A well-framed tensor that is no parameter and no Adam moment of one
+    is a data error, not ignored."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, TrajectoryModel(load_config(tiny_config).model_config()))
+    blob = ckpt.read_bytes()
+    at = blob.index(b"\npayload_bytes=") + 1
+    payload = blob[blob.index(b"\n", at) + 1:]
+    extra = f"tensor {name} f8 0 {len(payload)}\npayload_bytes={len(payload) + 8}\n"
+    ckpt.write_bytes(blob[:at] + extra.encode() + payload + bytes(8))
+    assert _eval_code(tiny_config, tmp_path, ckpt) == 2
+    assert "tensors of no parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slot", ["param", "adam.v"])
+def test_non_finite_checkpoint_tensor_is_data_error(tiny_config, tmp_path, capsys, slot):
+    """A NaN parameter or an infinite Adam moment is a malformed file
+    (exit 2) when the checkpoint loads, not a numeric failure of the run."""
+    model = TrajectoryModel(load_config(tiny_config).model_config())
+    opt = Adam(model.parameters(), lr=0.01)
+    if slot == "param":
+        model.params["td.bias"].data[...] = np.nan
+    else:
+        opt.v["td.bias"][...] = np.inf
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model, opt)
+    assert _eval_code(tiny_config, tmp_path, ckpt) == 2
+    assert "td.bias holds non-finite values" in capsys.readouterr().err
+
+
+def test_export_plot_of_non_finite_results_is_data_error(tmp_path):
+    """A results file whose imputed positions hold a NaN is rejected when
+    read, so no plot is written with `nan` in it."""
+    seqs = generate_sequences(1, 3, 6, 2, seed=11)
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=5.0), split="test", seed=11)
+    ds.results = [(np.full((6, 3, 2), 12345.5), np.zeros((2, 3, 2)))]
+    path = tmp_path / "result.trajset"
+    write_dataset(path, ds)
+    sentinel = np.array(12345.5, "<f8").tobytes()
+    path.write_bytes(path.read_bytes().replace(sentinel, np.array(np.nan, "<f8").tobytes(), 1))
+    assert main(["export-plot", "--data", str(path), "--out", str(tmp_path / "plots")]) == 2
+    assert not (tmp_path / "plots").exists()
 
 
 BLAS_THREADS = """

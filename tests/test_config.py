@@ -19,7 +19,6 @@ def test_defaults_follow_reported_setup():
     assert cfg.d_embed == 16 and cfg.d_graph == 16
     assert cfg.d_hidden == 256 and cfg.d_latent == 64
     assert cfg.t_past == 40 and cfg.t_future == 10
-    assert cfg.lambda_imp_kl == cfg.lambda_pre_kl == cfg.lambda_pre == 1.0
 
 
 def test_parse_overrides_and_comments():
@@ -71,8 +70,7 @@ def test_mode_validation():
 NON_DEFAULT = dict(
     n_agents_max=3, d_embed=5, d_graph=6, d_hidden=7, d_latent=3, ec_hidden=2,
     ec_pool=3, t_past=5, t_future=0, use_st=False, use_dl=False, use_ec=True,
-    use_td=False, share_streams=False, mode="impute-only", lambda_imp_kl=0.1 + 0.2,
-    lambda_pre_kl=1e-7, lambda_pre=2.5, coord_center=(1.5, -2.0 / 3.0),
+    use_td=False, share_streams=False, mode="impute-only", coord_center=(1.5, -2.0 / 3.0),
     coord_scale=1.0 / 3.0, lr=3.5e-3, lr_decay=0.5, lr_decay_every=7, seed=11,
     train_path="data/circle_5_train.trajset", test_path="data/circle_5_test.trajset",
     epochs=7, batch_size=5, checkpoint_every=3, normalize=False, gen_count=9,

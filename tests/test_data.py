@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from trajvrnn import data as sim
 from trajvrnn.data import (
-    Dataset, DynamicsParams, MaskingSpec, TrajectorySequence,
+    Dataset, MaskingSpec, TrajectorySequence,
     apply_camera_mask, apply_circle_mask, apply_mask, build_dataset,
     generate_sequences, read_dataset, stack_past, validate_dataset,
     write_dataset,
@@ -34,22 +35,22 @@ def test_generator_deterministic():
         assert np.array_equal(sa.reference_track, sb.reference_track)
 
 
-def test_generator_degenerate_dynamics_stationary():
-    params = DynamicsParams(attraction=0.0, repulsion=0.0)
-    seqs = generate_sequences(2, 3, 6, 2, seed=1, dynamics=params)
+def test_generator_degenerate_dynamics_stationary(monkeypatch):
+    monkeypatch.setattr(sim, "ATTRACTION", 0.0)
+    monkeypatch.setattr(sim, "REPULSION", 0.0)
+    seqs = generate_sequences(2, 3, 6, 2, seed=1)
     for seq in seqs:
         np.testing.assert_array_equal(seq.coords, np.broadcast_to(
             seq.coords[0], seq.coords.shape))
 
 
 def test_generator_velocity_bound_sweep():
-    params = DynamicsParams()
-    seqs = generate_sequences(1000, 5, 10, 2, seed=7, dynamics=params)
+    seqs = generate_sequences(1000, 5, 10, 2, seed=7)
     worst = 0.0
     for seq in seqs:
         step = np.linalg.norm(np.diff(seq.coords, axis=0), axis=-1)
         worst = max(worst, step.max())
-    assert worst <= params.v_max + 1e-12
+    assert worst <= sim.V_MAX + 1e-12
 
 
 def test_generator_count_validation():
@@ -353,6 +354,46 @@ def test_write_with_results_and_no_future_window(tmp_path):
     assert np.array_equal(back.sequences[0].coords, seqs[0].coords)
     assert np.array_equal(back.results[0][0], ds.results[0][0])
     assert back.results[0][1].shape == (0, 3, 2)
+
+
+def _nan_at_sentinel(path):
+    """Overwrite the one float64 12345.5 in the file at `path` with a NaN."""
+    blob = path.read_bytes()
+    sentinel = np.array(12345.5, "<f8").tobytes()
+    assert blob.count(sentinel) == 1
+    path.write_bytes(blob.replace(sentinel, np.array(np.nan, "<f8").tobytes()))
+
+
+def test_non_finite_reference_track_is_rejected(tmp_path):
+    coords, ref = np.zeros((4, 3, 2)), np.zeros((4, 2))
+    ref[2, 1] = np.nan
+    with pytest.raises(DataError, match="reference track"):
+        make_seq(coords, ref)
+    ref[2, 1] = 12345.5
+    ds = build_dataset([make_seq(coords, ref)], MaskingSpec(mode="circle", radius=4.0),
+                       split="test", seed=0)
+    path = tmp_path / "ref.trajset"
+    write_dataset(path, ds)
+    _nan_at_sentinel(path)
+    with pytest.raises(DataError, match="reference track"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_non_finite_results_are_rejected_on_write_and_read(tmp_path, part):
+    seqs = generate_sequences(1, 3, 6, 2, seed=48)
+    ds = build_dataset(seqs, MaskingSpec(mode="circle", radius=4.0), split="test", seed=48)
+    ds.results = [[np.zeros((6, 3, 2)), np.zeros((2, 3, 2))]]
+    ds.results[0][part][1, 2, 0] = np.inf
+    path = tmp_path / "results.trajset"
+    with pytest.raises(DataError, match="non-finite results"):
+        write_dataset(path, ds)
+    assert not path.exists()
+    ds.results[0][part][1, 2, 0] = 12345.5
+    write_dataset(path, ds)
+    _nan_at_sentinel(path)
+    with pytest.raises(DataError, match="non-finite results"):
+        read_dataset(path)
 
 
 def test_read_rejects_camera_that_is_not_2d(tmp_path):
